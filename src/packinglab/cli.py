@@ -193,12 +193,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="packinglab",
         description="exact crystallographic sphere-packing toolkit",
     )
-    top.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker count ceiling (currently advisory; everything runs serially)",
-    )
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="diagram file to Gram matrix JSON")
@@ -271,8 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
     try:
         return args.func(args)
     except PackingLabError as exc:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import PackingLabError
 from .exactnum import QuadExt
-from .inversive import InversiveVector, inversive_product
+from .inversive import InversiveVector, inversive_product, q_matrix
 
 _REFINE_DPS = 60
 
@@ -91,9 +91,6 @@ class FloatWallSystem:
     residual: float
     iterations: int
     dim: int = 2
-
-    def as_float_array(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.walls])
 
 
 def target_from_gram(gram) -> TargetSpec:
@@ -393,119 +390,26 @@ def _gauss_newton(x, pairs, values, pins, max_iter, floor=1e-13):
     return x, norm, iterations
 
 
-# -- frame normalization: move a solved configuration so that one wall of
-# the first tangent pair is the line y=0 and the other the unit circle
-# resting on it at the origin
-
-
-def _float_reflection_matrix(s: np.ndarray) -> np.ndarray:
-    qs = np.empty_like(s)
-    qs[0] = s[1] / 2.0
-    qs[1] = s[0] / 2.0
-    qs[2:] = -s[2:]
-    return np.eye(len(s)) + 2.0 * np.outer(qs, s)
-
-
-def _circle_vec(cx: float, cy: float, r: float) -> np.ndarray:
-    b = 1.0 / r
-    return np.array([b * (cx * cx + cy * cy) - r, b, b * cx, b * cy])
-
-
-def _rotation_matrix(cos_t: float, sin_t: float) -> np.ndarray:
-    m = np.eye(4)
-    m[2, 2] = cos_t
-    m[2, 3] = sin_t
-    m[3, 2] = -sin_t
-    m[3, 3] = cos_t
-    return m
-
-
-def _translation_matrix(tx: float, ty: float) -> np.ndarray:
-    m = np.eye(4)
-    m[1, 0] = tx * tx + ty * ty
-    m[1, 2] = tx
-    m[1, 3] = ty
-    m[2, 0] = 2.0 * tx
-    m[3, 0] = 2.0 * ty
-    return m
-
-
-def _scale_matrix(lam: float) -> np.ndarray:
-    return np.diag([lam, 1.0 / lam, 1.0, 1.0])
-
-
 _E_LINE = np.array([0.0, 0.0, 0.0, -1.0])
 _E_CIRCLE = np.array([0.0, 1.0, 0.0, 1.0])
 _E_THIRD = np.array([4.0, 1.0, 2.0, 1.0])  # unit circle resting at (2,0)
+# the pinned walls plus the unit circle at (1,0), which is orthogonal to all three
+_FRAME = np.vstack([_E_LINE, _E_CIRCLE, _E_THIRD, [0.0, 1.0, 1.0, 0.0]])
+_Q = np.array(q_matrix(2), dtype=float)
 
 
-def _parabolic_matrix(a: float) -> np.ndarray:
-    """O(Q) matrix of z -> z/(1+az), which fixes the line y=0 and the unit
-    circle above the origin; the parameter slides everything else around."""
-    inv = _float_reflection_matrix(np.array([-1.0, 1.0, 0.0, 0.0]))
-    conj = np.diag([1.0, 1.0, 1.0, -1.0])
-    recip = conj @ inv
-    return recip @ _translation_matrix(a, 0.0) @ recip
+def _frame_map(x: np.ndarray, ia: int, ic: int, ib: int) -> np.ndarray:
+    """The matrix M with x @ M putting walls ia, ic, ib on the pinned frame.
 
-
-def _normalize_frame(x: np.ndarray, ia: int, ic: int) -> np.ndarray:
-    y = x.copy()
-    q = y[ia] + y[ic]  # isotropic: the tangency point of the pinned pair
-    if q[1] < 0 or (abs(q[1]) < 1e-8 and q[0] < 0):
-        y, q = -y, -q
-    if abs(q[1]) < 1e-8:
-        # pair touches at infinity; one fixed inversion brings it down
-        y = y @ _float_reflection_matrix(_circle_vec(0.37, 1.29, 1.0))
-        q = y[ia] + y[ic]
-        if q[1] < 0:
-            y, q = -y, -q
-    p = q[2:] / q[1]
-
-    a = y[ia]
-    if abs(a[1]) < 0.05:
-        # wall a is a line or a huge circle; one inversion centered a unit
-        # step off it makes it round before we read its center
-        ndir = a[2:] - a[1] * p
-        ndir = ndir / np.linalg.norm(ndir)
-        z0 = p + ndir
-        y = y @ _float_reflection_matrix(_circle_vec(z0[0], z0[1], 1.0))
-        q = y[ia] + y[ic]
-        p = q[2:] / q[1]
-        a = y[ia]
-    za = a[2:] / a[1]
-    w = 2.0 * za - p  # antipode of the tangency point on wall a
-    y = y @ _float_reflection_matrix(_circle_vec(w[0], w[1], 1.0))
-
-    a = y[ia]  # now a line up to float noise
-    n = a[2:] / np.linalg.norm(a[2:])
-    y = y @ _rotation_matrix(-n[1], -n[0])  # rotate normal onto (0,-1)
-    a = y[ia]
-    offset = a[0] / (2.0 * np.linalg.norm(a[2:]))  # line sits at y = -offset
-    y = y @ _translation_matrix(0.0, offset)
-    c = y[ic]
-    if c[3] / c[1] < 0:  # circle below the line: mirror it up
-        y = y @ np.diag([1.0, 1.0, 1.0, -1.0])
-    c = y[ic]
-    y = y @ _scale_matrix(abs(c[1]))
-    c = y[ic]
-    y = y @ _translation_matrix(-c[2] / c[1], 0.0)
-    if np.linalg.norm(y[ia] + _E_LINE) < np.linalg.norm(y[ia] - _E_LINE):
-        y = -y
-    return y
-
-
-def _fix_parabolic(y: np.ndarray, ib: int) -> np.ndarray:
-    """Slide wall ib (tangent to the pinned line and circle) so it touches
-    the line at x=2, killing the last continuous gauge freedom."""
-    d = y[ib]
-    if abs(d[1]) < 1e-8:
-        a = 0.5  # wall is the parallel line y=2: z/(1+z/2) brings it down
-    else:
-        t = d[2] / d[1]
-        if abs(t) < 1e-12:
-            raise NoConvergence(0, float(abs(t)))
-        a = 0.5 - 1.0 / t
-    return y @ _parabolic_matrix(a)
+    The three walls and the unit circle n orthogonal to them have the same
+    Gram matrix as the rows of _FRAME, so the one solution of S M = _FRAME
+    lies in O(Q).  The sign of n sets the sign of det M; det M > 0 makes the
+    map a Moebius transformation rather than a reflection."""
+    walls = x[[ia, ic, ib]]
+    n = np.linalg.svd(walls @ _Q)[2][-1]
+    src = np.vstack([walls, n / np.sqrt(-(n @ _Q @ n))])
+    src[3] *= np.sign(np.linalg.det(src) * np.linalg.det(_FRAME))
+    return np.linalg.solve(src, _FRAME)
 
 
 def _gauge_pins(spec: TargetSpec) -> tuple[int, int, int, list[tuple[int, int, float]]]:
@@ -540,11 +444,14 @@ def realize(
 
     Damped Gauss-Newton with a minimum-norm least-squares step; accepted
     steps decrease the residual monotonically.  Without an explicit init the
-    Moebius gauge is fixed by pinning the first tangent pair to the line y=0
-    and the unit circle tangent to it at the origin, which is what makes the
-    solved coordinates land on small algebraic numbers.  An explicit init is
-    polished in its own frame, unpinned.  Free pairs are not constrained
-    here; verify them after guessing exact coordinates.
+    Moebius gauge is fixed by the first mutually tangent triple: after an
+    unpinned solve, one linear solve finds the Moebius map (det > 0, never a
+    reflection) taking the triple to the line y=0 and the unit circles
+    resting on it at the origin and at (2,0), and the polish keeps those
+    three walls pinned there.  This is what makes the solved coordinates land
+    on small algebraic numbers.  An explicit init is polished in its own
+    frame, unpinned.  Free pairs are not constrained here; verify them after
+    guessing exact coordinates.
     """
     if spec.dim != 2:
         raise GaugeDeficient("only planar targets are supported")
@@ -569,7 +476,7 @@ def realize(
         iterations += its
         if norm >= 1e-10:
             raise NoConvergence(iterations, float(norm))
-        x = _fix_parabolic(_normalize_frame(x, ia, ic), ib)
+        x = x @ _frame_map(x, ia, ic, ib)
         drift = max(
             np.linalg.norm(x[ic] - _E_CIRCLE), np.linalg.norm(x[ib] - _E_THIRD)
         )
@@ -653,7 +560,7 @@ def algebraic_guess(value, d: int, denom_bound: int, tol: float) -> QuadExt:
             if d == 0:
                 bs = np.array([0])
             else:
-                b_max = int(np.floor((abs(xq) + slack + 1.0) / sqrt_f)) + 1
+                b_max = int(np.floor((abs(xq) + slack + 1.0) / sqrt_f)) + 1 + denom_bound
                 bs = np.arange(-b_max, b_max + 1)
             approx = xq - bs * sqrt_f
             a_round = np.round(approx)

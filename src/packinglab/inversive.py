@@ -140,21 +140,6 @@ def q_matrix(n: int) -> Matrix:
     return tuple(tuple(row) for row in rows)
 
 
-class QForm:
-    """Bilinear form of a fixed ambient dimension."""
-
-    def __init__(self, dim: int):
-        if dim < 2:
-            raise InvalidWall("ambient dimension must be at least 2")
-        self.dim = dim
-
-    def matrix(self) -> Matrix:
-        return q_matrix(self.dim)
-
-    def product(self, u: InversiveVector, v: InversiveVector) -> QuadExt:
-        return inversive_product(u, v)
-
-
 class ReflectionMatrix:
     """Right-action matrix of the inversion through one wall."""
 
@@ -166,11 +151,6 @@ class ReflectionMatrix:
 
     def apply(self, v: InversiveVector) -> InversiveVector:
         return InversiveVector.from_coords(linalg.vec_mat(v.coords(), self.entries))
-
-    def __matmul__(self, other: "ReflectionMatrix") -> "ReflectionMatrix":
-        if self.dim != other.dim:
-            raise InvalidWall("mixed ambient dimensions")
-        return ReflectionMatrix(linalg.mat_mul(self.entries, other.entries), self.dim)
 
     def preserves_form(self) -> bool:
         q = q_matrix(self.dim)

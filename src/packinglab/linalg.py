@@ -44,10 +44,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def mat_vec(m: Matrix, v: Vector) -> Vector:
-    return tuple(sum((x * y for x, y in zip(row, v)), QuadExt(0)) for row in m)
-
-
 def vec_mat(v: Vector, m: Matrix) -> Vector:
     return tuple(
         sum((v[i] * m[i][j] for i in range(len(v))), QuadExt(0))
@@ -72,22 +68,3 @@ def inverse(m: Matrix) -> Matrix:
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
     return tuple(tuple(row[k:]) for row in aug)
 
-
-def determinant(m: Matrix) -> QuadExt:
-    k = len(m)
-    work = [list(row) for row in m]
-    det = QuadExt(1)
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if work[r][col]), None)
-        if pivot is None:
-            return QuadExt(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det = det * work[col][col]
-        inv_p = work[col][col].inverse()
-        for r in range(col + 1, k):
-            if work[r][col]:
-                f = work[r][col] * inv_p
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return det

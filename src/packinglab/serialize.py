@@ -63,12 +63,19 @@ def system_to_obj(system: WallSystem) -> dict:
 
 def system_from_obj(doc: dict) -> WallSystem:
     _check_format(doc, "system")
-    walls = tuple(_vector_from_obj(o) for o in doc["walls"])
-    return WallSystem(
-        walls=walls,
-        cluster_idx=frozenset(doc["cluster"]),
-        cocluster_idx=frozenset(doc["cocluster"]),
-    )
+    try:
+        walls = tuple(_vector_from_obj(o) for o in doc["walls"])
+        system = WallSystem(
+            walls=walls,
+            cluster_idx=frozenset(doc["cluster"]),
+            cocluster_idx=frozenset(doc["cocluster"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad system document: {type(exc).__name__}: {exc}") from exc
+    for i, w in enumerate(walls, start=1):
+        if not w.validate():
+            raise FormatError(f"wall {i}: Q(v) = {w.q_norm()} != -1")
+    return system
 
 
 def gram_to_obj(gram: GramMatrix) -> dict:

@@ -1,6 +1,7 @@
 """End-to-end command-line coverage using only shipped fixtures."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -157,13 +158,27 @@ def test_missing_file_is_clean_error(capsys):
     assert json.loads(err)["error"] == "OSError"
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc.pop("walls"),
+        lambda doc: doc.pop("cocluster"),
+        lambda doc: doc.update(cluster=[0, 1, 2, 3, 4]),  # wall 5 is also in the cocluster
+        lambda doc: doc["walls"][3].update(bend="4"),  # Q(v) = 0
+    ],
+    ids=["missing-walls", "missing-cocluster", "overlapping-partition", "off-quadric-wall"],
+)
+def test_bad_system_file_is_clean_error(capsys, apollonian_path, tmp_path, edit):
+    doc = json.loads(Path(apollonian_path).read_text())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "orbit", str(bad), "--bound", "3")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "FormatError"
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["geometrize"])  # missing required target argument
-    assert exc.value.code == 2
-
-
-def test_jobs_flag_validated(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--jobs", "0", "fixtures"])
     assert exc.value.code == 2

@@ -1,8 +1,10 @@
 """Numeric realization, exact snapping, and exact verification."""
 
+import mpmath
 import numpy as np
 import pytest
 
+from packinglab.arithmetic import gram_matrix
 from packinglab.exactnum import QuadExt
 from packinglab.fixtures import (
     apollonian_system,
@@ -45,7 +47,7 @@ def test_tetrahedron_realizes_to_descartes_gram():
     spec = tetrahedron_target()
     out = realize(spec)
     assert out.residual < 1e-10
-    w = out.as_float_array()
+    w = np.array(out.walls, dtype=float)
     qm = np.diag([0.0, 0.0, -1.0, -1.0])
     qm[0, 1] = qm[1, 0] = 0.5
     gram = w @ qm @ w.T
@@ -124,6 +126,19 @@ def test_guess_integer_survives_any_field():
     assert algebraic_guess(4.0, d=3, denom_bound=64, tol=1e-12) == q(4)
 
 
+@pytest.mark.parametrize(
+    "text, d", [("4-2*sqrt(3)", 3), ("5-2*sqrt(6)", 6), ("3/7-3/7*sqrt(2)", 2)]
+)
+def test_guess_surd_coefficient_beyond_value_size(text, d):
+    # |b|*sqrt(d) exceeds |q*x| + 1 here, so the surd range cannot be bounded
+    # by the size of the value alone
+    want = QuadExt.parse(text)
+    with mpmath.workdps(60):
+        x = mpmath.mpf(want.rat.numerator) / want.rat.denominator
+        x += mpmath.mpf(want.surd.numerator) / want.surd.denominator * mpmath.sqrt(d)
+        assert algebraic_guess(x, d=d, denom_bound=64, tol=1e-18) == want
+
+
 # -- verify_realization ----------------------------------------------------------
 
 
@@ -182,6 +197,24 @@ def test_pipeline_cuboctahedron():
     rep = verify_realization(exact, spec)
     assert rep.ok
     assert any(w.bend.surd != 0 for w in exact)
+
+
+def test_gram_targets_and_frame_independent_of_seed():
+    # Gram targets carry no init hint: their cocluster walls are placed from
+    # orthogonality links before the solve
+    for gram, d in ((gram_matrix(apollonian_system().walls), 0), (hexpyr_expected_gram(), 3)):
+        spec = target_from_gram(gram)
+        assert spec.init_hint is None
+        exact = guess_walls(realize(spec), d=d, denom_bound=64, tol=1e-18)
+        rep = verify_realization(exact, spec)
+        assert rep.ok, rep.mismatches
+    # the pinned frame fixes the gauge completely, whatever the starting point
+    for spec, d in ((tetrahedron_target(), 0), (cuboctahedron_target(), 6)):
+        first, *others = (
+            guess_walls(realize(spec, seed=s), d=d, denom_bound=64, tol=1e-18) for s in range(4)
+        )
+        assert verify_realization(first, spec).ok
+        assert all(walls == first for walls in others)
 
 
 def test_cluster_split_tetrahedron():

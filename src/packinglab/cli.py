@@ -17,18 +17,20 @@ from .coxeter import gram_from_diagram, parse_diagram, print_diagram
 from .errors import PackingLabError
 from .exactnum import QuadExt
 from .fixtures import REGISTRY
-from .geometrize import cluster_split, guess_walls, realize, verify_realization
+from .geometrize import TargetSpec, cluster_split, guess_walls, realize, verify_realization
 from .inversive import reflection_matrix
 from .localglobal import missing_bends, residue_orbit
-from .orbit import WallSystem, certify_integral, generate_packing, generate_superpacking
+from .orbit import Packing, WallSystem, certify_integral, generate_packing, generate_superpacking
 from .render import Viewport, render_svg
 from .structure import enumerate_decompositions
 
 
+_KINDS = {"system": WallSystem, "packing": Packing, "target": TargetSpec}
+
+
 def _load(path: str, kind: str):
     doc = serialize.load(path)
-    want = {"system": WallSystem}.get(kind)
-    if want is not None and not isinstance(doc, want):
+    if not isinstance(doc, _KINDS[kind]):
         raise serialize.FormatError(f"{path} does not hold a {kind} document")
     return doc
 
@@ -89,7 +91,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    packing = serialize.load(args.packing)
+    packing = _load(args.packing, "packing")
     report = certify_integral(packing)
     witnesses = [
         {"bend": str(rec.vector.bend), "word_length": rec.word_length}
@@ -108,7 +110,7 @@ def cmd_arith(args) -> int:
 
 
 def cmd_geometrize(args) -> int:
-    spec = serialize.load(args.target)
+    spec = _load(args.target, "target")
     system = realize(spec, seed=args.seed, tol=args.tol)
     guess_tol = max(args.tol, 1e-18)
     walls = guess_walls(system, args.d, args.denom, guess_tol)
@@ -136,7 +138,7 @@ def cmd_geometrize(args) -> int:
 
 
 def cmd_render(args) -> int:
-    packing = serialize.load(args.packing)
+    packing = _load(args.packing, "packing")
     vp = Viewport(
         center=(args.center[0], args.center[1]),
         half_width=args.half_width,

@@ -5,16 +5,31 @@ The run is saturated when no retained sphere was left unexpanded by the word
 cap, i.e. every frontier child either appeared already or exceeded the bend
 bound.  Saturation is the completeness certificate; a run that needed the
 word cap is reported unsaturated.
+
+The search runs on plain ints.  A closure fixes one field Q(sqrt(d)), taken
+from the walls and the bend bound (two different nonzero discriminants raise
+DiscMismatch), and encodes each inversive vector as the tuple
+(a_0, b_0, ..., a_k, b_k, den): coordinate j is (a_j + b_j sqrt(d)) / den
+with den > 0 the least common denominator.  That form is canonical, so the
+tuple itself is the dedup key.  A reflection multiplies pairs by the field
+rule (a + b sqrt(d))(c + e sqrt(d)) = (ac + bed) + (ae + bc) sqrt(d) against
+the wall's precomputed 2Qs and divides out the gcd; the bend test and the
+final order are decided by exact sign analysis of a + b sqrt(d).  QuadExt
+appears only at the boundary: walls are encoded on entry, and each kept
+sphere is decoded once, after sorting.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence
+from fractions import Fraction
+from functools import cmp_to_key
+from math import gcd, lcm
+from typing import Iterable, Sequence
 
 from .errors import PackingLabError
-from .exactnum import QuadExt
+from .exactnum import DiscMismatch, QuadExt
 from .inversive import InversiveVector
 from .linalg import as_quad
 
@@ -78,6 +93,74 @@ class Packing:
         return sorted(rec.vector.bend for rec in self.spheres)
 
 
+def field_disc(values: Iterable[QuadExt]) -> int:
+    """The one square-free d > 0 among the values' fields, or 0 if all are
+    rational; two different nonzero discriminants raise DiscMismatch."""
+    d = 0
+    for x in values:
+        if x.disc and x.disc != d:
+            if d:
+                raise DiscMismatch(f"sqrt({d}) vs sqrt({x.disc})")
+            d = x.disc
+    return d
+
+
+def encode(values: Sequence[QuadExt]) -> tuple[int, ...]:
+    """(a_0, b_0, ..., a_k, b_k, den): value j is (a_j + b_j sqrt(d)) / den.
+
+    den is the least common denominator, so the numerators and den share no
+    factor and the tuple is canonical.  Every value must lie in one field.
+    """
+    den = lcm(*(n for x in values for n in (x.rat.denominator, x.surd.denominator)))
+    out = []
+    for x in values:
+        out.append(x.rat.numerator * (den // x.rat.denominator))
+        out.append(x.surd.numerator * (den // x.surd.denominator))
+    out.append(den)
+    return tuple(out)
+
+
+def _decoder(d: int):
+    """Encoded tuple -> tuple of QuadExt, memoized per coordinate."""
+    cache: dict[tuple[int, int, int], QuadExt] = {}
+
+    def decode(code: tuple[int, ...]) -> tuple[QuadExt, ...]:
+        den = code[-1]
+        out = []
+        for j in range(0, len(code) - 1, 2):
+            key = (code[j], code[j + 1], den)
+            x = cache.get(key)
+            if x is None:
+                x = cache[key] = QuadExt(Fraction(code[j], den), Fraction(code[j + 1], den), d)
+            out.append(x)
+        return tuple(out)
+
+    return decode
+
+
+def _sign(a: int, b: int, d: int) -> int:
+    """Sign of a + b*sqrt(d) for square-free d (b == 0 when d == 0)."""
+    if a >= 0 and b >= 0:
+        return 1 if a or b else 0
+    if a <= 0 and b <= 0:
+        return -1
+    t = a * a - b * b * d  # nonzero: sqrt(d) is irrational
+    return 1 if (t > 0) == (a > 0) else -1
+
+
+def q_is_minus_one(code: tuple[int, ...], d: int) -> bool:
+    """Q(v) == -1 for an encoded inversive vector: cobend*bend - |bz|^2."""
+    den = code[-1]
+    a0, b0, a1, b1 = code[:4]
+    qa = a0 * a1 + d * b0 * b1
+    qb = a0 * b1 + b0 * a1
+    for j in range(4, len(code) - 1, 2):
+        a, b = code[j], code[j + 1]
+        qa -= a * a + d * b * b
+        qb -= 2 * a * b
+    return qa == -den * den and qb == 0
+
+
 def _closure(
     walls: Sequence[InversiveVector],
     generator_idx: Sequence[int],
@@ -86,41 +169,87 @@ def _closure(
     max_word: int,
     frontier_cap: int,
 ) -> Packing:
-    generators = [(g, walls[g]) for g in generator_idx]
-    kept: dict[tuple, SphereRecord] = {}
-    seen_over_bound: set[tuple] = set()
-    queue: deque[SphereRecord] = deque()
+    d = field_disc([bend_bound] + [x for w in walls for x in w.coords()])
+    codes = [encode(w.coords()) for w in walls]
+    n = len(codes[0]) - 1  # numerators; the denominator is code[n]
+    generators = []
+    for g in generator_idx:
+        s = codes[g]
+        # 2Qs for Q = [[0, 1/2], [1/2, 0]] + (-I): (s1, s0, -2 s2, ...)
+        w = s[2:4] + s[0:2] + tuple(-2 * x for x in s[4:n])
+        generators.append((g, w, s[:n], s[n] * s[n]))
+    ba, bb, bden = encode((bend_bound,))
+
+    def within_bound(a: int, b: int, den: int) -> bool:
+        if _sign(a, b, d) < 0:
+            a, b = -a, -b
+        return _sign(a * bden - ba * den, b * bden - bb * den, d) <= 0
+
+    kept: dict[tuple[int, ...], tuple[int, int | None]] = {}
+    seen_over_bound: set[tuple[int, ...]] = set()
+    queue: deque[tuple[tuple[int, ...], int]] = deque()
     for i in seed_idx:
-        rec = SphereRecord(walls[i], 0, None)
-        key = rec.vector.coords()
+        key = codes[i]
         if key not in kept:
-            kept[key] = rec
-            queue.append(rec)
+            kept[key] = (0, None)
+            queue.append((key, 0))
+    pairs = range(0, n, 2)
     plane_count = 0
     capped = False
     while queue:
-        rec = queue.popleft()
-        if rec.word_length >= max_word:
+        v, length = queue.popleft()
+        if length >= max_word:
             capped = True
             continue
-        for g, wall in generators:
-            child = rec.vector.reflect(wall)
-            key = child.coords()
+        vden = v[n]
+        for g, w, s, s2 in generators:
+            # v' = v + 2<v,s> s = (v*s2 + p*s) / (vden*s2), p = v . 2Qs
+            pa = pb = 0
+            for j in pairs:
+                va, vb, wa, wb = v[j], v[j + 1], w[j], w[j + 1]
+                pa += va * wa + d * vb * wb
+                pb += va * wb + vb * wa
+            if not (pa or pb):
+                continue  # v' == v, already kept
+            pbd = pb * d
+            child = []
+            for j in pairs:
+                sa, sb = s[j], s[j + 1]
+                child.append(v[j] * s2 + pa * sa + pbd * sb)
+                child.append(v[j + 1] * s2 + pa * sb + pb * sa)
+            child.append(vden * s2)
+            h = gcd(*child)
+            key = tuple(x // h for x in child) if h != 1 else tuple(child)
             if key in kept or key in seen_over_bound:
                 continue
-            is_plane = not child.bend
-            if is_plane or abs(child.bend) <= bend_bound:
-                new = SphereRecord(child, rec.word_length + 1, g)
+            is_plane = not (key[2] or key[3])
+            if is_plane or within_bound(key[2], key[3], key[n]):
                 plane_count += is_plane
-                kept[key] = new
-                queue.append(new)
+                kept[key] = (length + 1, g)
+                queue.append((key, length + 1))
                 if len(queue) > frontier_cap:
                     raise FrontierOverflow(f"frontier exceeded {frontier_cap} spheres")
             else:
                 seen_over_bound.add(key)
-    ordered = sorted(kept.values(), key=lambda r: (r.vector.bend,) + r.vector.coords())
+
+    # order by (bend,) + coords, compared exactly; bend sits at numerators 2, 3
+    order = (2,) + tuple(range(0, n, 2))
+
+    def compare(x: tuple[int, ...], y: tuple[int, ...]) -> int:
+        xd, yd = x[n], y[n]
+        for j in order:
+            s = _sign(x[j] * yd - y[j] * xd, x[j + 1] * yd - y[j + 1] * xd, d)
+            if s:
+                return s
+        return 0
+
+    decode = _decoder(d)
+    spheres = []
+    for key in sorted(kept, key=cmp_to_key(compare)):
+        length, g = kept[key]
+        spheres.append(SphereRecord(InversiveVector.from_coords(decode(key)), length, g))
     return Packing(
-        spheres=ordered,
+        spheres=spheres,
         saturated=not capped,
         bend_bound=bend_bound,
         max_word=max_word,

@@ -12,10 +12,10 @@ from pathlib import Path
 
 from .coxeter import GramMatrix
 from .errors import PackingLabError
-from .exactnum import QuadExt
+from .exactnum import DiscMismatch, QuadExt
 from .geometrize import DisjointFree, Exact, TargetSpec
 from .inversive import InversiveVector
-from .orbit import Packing, SphereRecord, WallSystem
+from .orbit import Packing, SphereRecord, WallSystem, encode, field_disc, q_is_minus_one
 
 FORMAT = 1
 
@@ -119,23 +119,35 @@ def packing_to_obj(packing: Packing) -> dict:
 
 def packing_from_obj(doc: dict) -> Packing:
     _check_format(doc, "packing")
-    spheres = [
-        SphereRecord(
-            vector=_vector_from_obj(o),
-            word_length=o["word_length"],
-            parent_generator=o["parent_generator"],
+    try:
+        spheres = [
+            SphereRecord(
+                vector=_vector_from_obj(o),
+                word_length=o["word_length"],
+                parent_generator=o["parent_generator"],
+            )
+            for o in doc["spheres"]
+        ]
+        packing = Packing(
+            spheres=spheres,
+            saturated=doc["saturated"],
+            bend_bound=QuadExt.parse(doc["bend_bound"]),
+            max_word=doc["max_word"],
+            generator_idx=tuple(doc["generators"]),
+            dim=doc["dim"],
+            boundary_walls=doc.get("boundary_walls", 0),
         )
-        for o in doc["spheres"]
-    ]
-    return Packing(
-        spheres=spheres,
-        saturated=doc["saturated"],
-        bend_bound=QuadExt.parse(doc["bend_bound"]),
-        max_word=doc["max_word"],
-        generator_idx=tuple(doc["generators"]),
-        dim=doc["dim"],
-        boundary_walls=doc.get("boundary_walls", 0),
-    )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad packing document: {type(exc).__name__}: {exc}") from exc
+    for i, rec in enumerate(spheres, start=1):
+        coords = rec.vector.coords()
+        try:
+            d = field_disc(coords)
+        except DiscMismatch as exc:
+            raise FormatError(f"sphere {i}: {exc}") from exc
+        if not q_is_minus_one(encode(coords), d):
+            raise FormatError(f"sphere {i}: Q(v) = {rec.vector.q_norm()} != -1")
+    return packing
 
 
 def target_to_obj(spec: TargetSpec) -> dict:
@@ -158,16 +170,19 @@ def target_to_obj(spec: TargetSpec) -> dict:
 def target_from_obj(doc: dict) -> TargetSpec:
     _check_format(doc, "target")
     targets: dict[tuple[int, int], Exact | DisjointFree] = {}
-    for o in doc["targets"]:
-        key = (o["i"], o["j"])
-        targets[key] = DisjointFree() if o["value"] == "free" else Exact(QuadExt.parse(o["value"]))
     hint = doc.get("init_hint")
-    return TargetSpec(
-        doc["wall_count"],
-        targets,
-        dim=doc.get("dim", 2),
-        init_hint=tuple(map(tuple, hint)) if hint else None,
-    )
+    try:
+        for o in doc["targets"]:
+            key = (o["i"], o["j"])
+            targets[key] = DisjointFree() if o["value"] == "free" else Exact(QuadExt.parse(o["value"]))
+        return TargetSpec(
+            doc["wall_count"],
+            targets,
+            dim=doc.get("dim", 2),
+            init_hint=tuple(map(tuple, hint)) if hint else None,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad target document: {type(exc).__name__}: {exc}") from exc
 
 
 _DUMPERS = {

@@ -159,23 +159,65 @@ def test_missing_file_is_clean_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit, command",
     [
-        lambda doc: doc.pop("walls"),
-        lambda doc: doc.pop("cocluster"),
-        lambda doc: doc.update(cluster=[0, 1, 2, 3, 4]),  # wall 5 is also in the cocluster
-        lambda doc: doc["walls"][3].update(bend="4"),  # Q(v) = 0
+        (lambda doc: doc.pop("walls"), ["orbit", "--bound", "3"]),
+        (lambda doc: doc.pop("cocluster"), ["orbit", "--bound", "3"]),
+        # wall 5 is also in the cocluster
+        (lambda doc: doc.update(cluster=[0, 1, 2, 3, 4]), ["orbit", "--bound", "3"]),
+        (lambda doc: doc["walls"][3].update(bend="4"), ["orbit", "--bound", "3"]),  # Q(v) = 0
+        # a valid system document where another kind is expected
+        (lambda doc: None, ["certify"]),
+        (lambda doc: None, ["render"]),
+        (lambda doc: None, ["geometrize", "--d", "0"]),
     ],
-    ids=["missing-walls", "missing-cocluster", "overlapping-partition", "off-quadric-wall"],
+    ids=["missing-walls", "missing-cocluster", "overlapping-partition", "off-quadric-wall",
+         "certify-system", "render-system", "geometrize-system"],
 )
-def test_bad_system_file_is_clean_error(capsys, apollonian_path, tmp_path, edit):
+def test_bad_system_file_is_clean_error(capsys, apollonian_path, tmp_path, edit, command):
     doc = json.loads(Path(apollonian_path).read_text())
     edit(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "orbit", str(bad), "--bound", "3")
+    code, out, err = run(capsys, command[0], str(bad), *command[1:])
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "FormatError"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc.pop("targets"),
+        lambda doc: doc.pop("wall_count"),
+        lambda doc: doc["targets"][0].pop("value"),
+        lambda doc: doc["targets"][0].update(i=99),
+    ],
+    ids=["missing-targets", "missing-wall-count", "target-without-value", "pair-out-of-range"],
+)
+def test_bad_target_file_is_clean_error(capsys, tmp_path, edit):
+    target = tmp_path / "tetra.json"
+    run(capsys, "fixtures", "tetrahedron", "--out", str(target))
+    doc = json.loads(target.read_text())
+    edit(doc)
+    target.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "geometrize", str(target), "--d", "0")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "FormatError"
+
+
+def test_off_quadric_packing_is_clean_error(capsys, apollonian_path, tmp_path):
+    packing_path = tmp_path / "packing.json"
+    run(capsys, "orbit", apollonian_path, "--bound", "20", "--max-word", "200",
+        "--out", str(packing_path))
+    doc = json.loads(packing_path.read_text())
+    outer = next(i for i, o in enumerate(doc["spheres"]) if o["bend"] == "-1")
+    doc["spheres"][outer]["bend"] = "0"  # Q(v) = 0
+    packing_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "certify", str(packing_path))
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "FormatError"
+    assert payload["message"] == f"sphere {outer + 1}: Q(v) = 0 != -1"
 
 
 def test_usage_error_exit_code(capsys):

@@ -7,7 +7,7 @@ from itertools import combinations, permutations
 from typing import Sequence
 
 from .coxeter import GramMatrix
-from .errors import PackingLabError
+from .errors import PackingLabError, ParameterError
 from .exactnum import QuadExt
 from .inversive import InversiveVector, ReflectionMatrix, inversive_product
 from . import linalg
@@ -92,7 +92,7 @@ def vinberg_test(gram: GramMatrix, max_len: int = 8) -> VinbergVerdict:
     semi-decision up to max_len.
     """
     if max_len < 2:
-        raise ValueError("max_len must be at least 2")
+        raise ParameterError("max_len must be at least 2")
     k = gram.size
     doubled = [[x * 2 for x in row] for row in gram.entries]
     nonzero = [[bool(doubled[i][j]) for j in range(k)] for i in range(k)]

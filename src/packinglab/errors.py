@@ -3,3 +3,7 @@
 
 class PackingLabError(Exception):
     """Base class for every domain error raised by this package."""
+
+
+class ParameterError(PackingLabError, ValueError):
+    """A numeric argument outside the range a computation accepts."""

@@ -187,19 +187,7 @@ class QuadExt:
     # -- ordering ---------------------------------------------------------
 
     def sign(self) -> int:
-        a, b, d = self.rat, self.surd, self.disc
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 with b^2 d exactly
-        t = a * a - b * b * d
-        s = (t > 0) - (t < 0)
-        return s if a > 0 else -s
+        return _sign(self.rat, self.surd, self.disc)
 
     def __eq__(self, other):
         try:
@@ -213,7 +201,9 @@ class QuadExt:
             a, b = self._merge(other)
         except TypeError:
             return NotImplemented
-        return (a - b).sign() < 0
+        if a.surd == b.surd:
+            return a.rat < b.rat
+        return _sign(a.rat - b.rat, a.surd - b.surd, a.disc or b.disc) < 0
 
     def __hash__(self):
         h = self._hash
@@ -253,6 +243,22 @@ class QuadExt:
 
     def __repr__(self):
         return f"QuadExt({str(self)!r})"
+
+
+def _sign(a: Fraction, b: Fraction, d: int) -> int:
+    """Exact sign of a + b*sqrt(d)."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return (b > 0) - (b < 0)
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    # opposite signs: compare a^2 with b^2 d exactly
+    t = a * a - b * b * d
+    s = (t > 0) - (t < 0)
+    return s if a > 0 else -s
 
 
 def _fmt_frac(x: Fraction) -> str:

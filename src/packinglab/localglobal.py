@@ -4,16 +4,31 @@ Works on the linear action on bend vectors reduced mod m: the admissible
 residues are those reachable from the starting bend vector, and any bend in
 an admissible class that never shows up in the actual packing is reported as
 missing up to the bound scanned.
+
+The orbit is closed level by level on numpy int64 arrays.  The frontier is
+an (n, k) array of vectors reduced mod m.  Each image packs into one int64
+key, its coordinates read as digits in radix m, so equal keys are equal
+vectors.  A level's keys are computed one generator at a time, which keeps
+the transient arrays at n*k entries; they are sorted and their repeats
+dropped, the ones already reached are dropped by a binary search in one
+sorted array of seen keys, and the rest are merged into it and decoded into
+the next frontier.  The arithmetic is exact only while m**k and
+k*(m-1)**2 both fit in an int64; a larger modulus is refused with
+ParameterError before any work.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import PackingLabError
+import numpy as np
+
+from .errors import PackingLabError, ParameterError
 from .exactnum import QuadExt, is_rational_integer
+
+
+_INT64_MAX = 2**63 - 1
 
 
 class NonIntegralInput(PackingLabError):
@@ -47,30 +62,46 @@ def residue_orbit(
     """Breadth-first closure of the start bend vector under the generator
     matrices, everything reduced mod modulus."""
     if modulus < 1:
-        raise ValueError("modulus must be positive")
+        raise ParameterError("modulus must be positive")
     k = len(start)
+    if modulus**k > _INT64_MAX or k * (modulus - 1) ** 2 > _INT64_MAX:
+        raise ParameterError(f"modulus {modulus} is too large for exact int64 keys of {k} bends")
     mats = []
     for g, mat in enumerate(generators):
         rows = [[_as_int(e, f"generator {g + 1} entry") % modulus for e in row] for row in mat]
         if len(rows) != k or any(len(r) != k for r in rows):
             raise ValueError(f"generator {g + 1} is not {k}x{k}")
         mats.append(rows)
-    start_vec = tuple(_as_int(b, "bend") % modulus for b in start)
+    mats = np.array(mats, dtype=np.int64).reshape(len(mats), k, k)
+    frontier = np.array([[_as_int(b, "bend") % modulus for b in start]], dtype=np.int64)
 
-    seen = {start_vec}
-    residues = set(start_vec)
-    queue = deque([start_vec])
-    while queue:
-        vec = queue.popleft()
-        for mat in mats:
-            img = tuple(
-                sum(mat[r][c] * vec[c] for c in range(k)) % modulus for r in range(k)
-            )
-            if img not in seen:
-                seen.add(img)
-                residues.update(img)
-                queue.append(img)
-    return ResidueOrbit(modulus=modulus, residues=frozenset(residues), vector_count=len(seen))
+    radix = modulus ** np.arange(k, dtype=np.int64)
+    seen = frontier @ radix
+    residues = np.zeros(modulus, dtype=bool)
+    residues[frontier.ravel()] = True
+    while len(frontier):
+        n = len(frontier)
+        keys = np.empty(n * len(mats), dtype=np.int64)
+        for g, mat in enumerate(mats):
+            np.matmul(frontier @ mat.T % modulus, radix, out=keys[g * n:(g + 1) * n])
+        # for int64 keys, a sort and a neighbour test beat np.unique by far;
+        # keys are >= 0, so the -1 in front keeps the first one
+        keys.sort()
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        # a key past the end of seen differs from seen[-1], which is smaller
+        pos = np.searchsorted(seen, keys)
+        keys = keys[seen[np.minimum(pos, len(seen) - 1)] != keys]
+        seen = np.concatenate((seen, keys))
+        # two sorted runs: the stable sort (timsort) merges them in linear time
+        seen.sort(kind="stable")
+        frontier = keys[:, None] // radix
+        frontier %= modulus
+        residues[frontier.ravel()] = True
+    return ResidueOrbit(
+        modulus=modulus,
+        residues=frozenset(np.flatnonzero(residues).tolist()),
+        vector_count=len(seen),
+    )
 
 
 def missing_bends(

@@ -91,10 +91,23 @@ def gram_to_obj(gram: GramMatrix) -> dict:
 
 def gram_from_obj(doc: dict) -> GramMatrix:
     _check_format(doc, "gram")
-    rows = [[QuadExt.parse(s) for s in row] for row in doc["entries"]]
-    placeholders = frozenset((i, j) for i, j in doc.get("placeholders", []))
-    return GramMatrix.from_rows(rows, placeholders=placeholders,
-                                signature_hint=doc.get("signature_hint"))
+    entries = doc.get("entries")
+    k = len(entries) if isinstance(entries, list) else -1
+    if k < 0 or any(
+        not isinstance(row, list) or len(row) != k or not all(isinstance(e, str) for e in row)
+        for row in entries
+    ):
+        raise FormatError("bad gram document: 'entries' must be a square list of lists of strings")
+    try:
+        rows = [[QuadExt.parse(s) for s in row] for row in entries]
+        placeholders = frozenset((i, j) for i, j in doc.get("placeholders", []))
+        for i, j in placeholders:
+            if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < k and 0 <= j < k):
+                raise FormatError(f"placeholder pair [{i}, {j}] out of range for {k} walls")
+        return GramMatrix.from_rows(rows, placeholders=placeholders,
+                                    signature_hint=doc.get("signature_hint"))
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"bad gram document: {type(exc).__name__}: {exc}") from exc
 
 
 def packing_to_obj(packing: Packing) -> dict:

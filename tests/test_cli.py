@@ -224,3 +224,50 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["geometrize"])  # missing required target argument
     assert exc.value.code == 2
+
+
+@pytest.fixture()
+def hexpyr_gram_path(capsys, tmp_path):
+    path = tmp_path / "hexpyr.gram.json"
+    run(capsys, "fixtures", "hexpyr-gram", "--out", str(path))
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lg-scan", "{system}", "--bound", "10", "--modulus", "0", "--scan-bound", "10"],
+        # 55109**4 does not fit in an int64 key
+        ["lg-scan", "{system}", "--bound", "10", "--modulus", "55109", "--scan-bound", "10"],
+        ["arith", "{gram}", "--max-len", "1"],
+    ],
+    ids=["modulus-zero", "modulus-past-int64", "max-len-one"],
+)
+def test_bad_parameter_is_clean_error(capsys, apollonian_path, hexpyr_gram_path, argv):
+    paths = {"system": apollonian_path, "gram": str(hexpyr_gram_path)}
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "ParameterError"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc.pop("entries"),
+        lambda doc: doc.update(entries=doc["entries"][:3]),
+        lambda doc: doc["entries"][0].__setitem__(1, "1+"),
+        lambda doc: doc["entries"][0].__setitem__(1, 1),  # a number, not an exact literal
+        lambda doc: doc["entries"][0].__setitem__(1, "2"),  # breaks the symmetry
+        lambda doc: doc.update(placeholders=[[0, 14]]),
+    ],
+    ids=["missing-entries", "three-rows", "unparsable-entry", "number-entry", "asymmetric",
+         "placeholder-out-of-range"],
+)
+def test_bad_gram_file_is_clean_error(capsys, hexpyr_gram_path, edit):
+    doc = json.loads(hexpyr_gram_path.read_text())
+    edit(doc)
+    hexpyr_gram_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "arith", str(hexpyr_gram_path))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "FormatError"

@@ -168,3 +168,26 @@ def test_compare_total_order_bulk():
             assert compare(x, y) == -compare(y, x)
             if compare(x, y) == 0:
                 assert x == y
+
+
+@st.composite
+def comparable_pairs(draw):
+    disc = draw(st.sampled_from([0, 2, 3]))
+    x = draw(quadexts(disc) if disc else rationals.map(QuadExt))
+    y = draw(st.one_of(
+        quadexts(disc) if disc else rationals.map(QuadExt),
+        rationals.map(QuadExt),
+        rationals.map(lambda r: x + r),  # same surd part: the rational fast path
+    ))
+    return x, y
+
+
+@settings(max_examples=300)
+@given(comparable_pairs())
+def test_order_agrees_with_sign_of_difference(pair):
+    x, y = pair
+    s = (x - y).sign()
+    assert (x < y) == (s < 0)
+    assert (x <= y) == (s <= 0)
+    assert (x > y) == (s > 0)
+    assert (x == y) == (s == 0)

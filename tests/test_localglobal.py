@@ -1,11 +1,16 @@
 """Residue admissibility of bends and missing-bend scans."""
 
 import itertools
+import json
+import random
 from fractions import Fraction
 
 import pytest
 
+import residue_orbit_oracle as oracle
 from packinglab.arithmetic import bends_conjugate, bends_vector
+from packinglab.cli import main
+from packinglab.errors import ParameterError
 from packinglab.exactnum import QuadExt
 from packinglab.fixtures import apollonian_system
 from packinglab.inversive import reflection_matrix
@@ -110,3 +115,92 @@ def test_apollonian_scan_is_stable_and_sound():
     present = set(bends)
     for n in first:
         assert ro.admits(n) and n not in present
+
+
+# -- the int64 kernel, by hand and against the deque BFS it replaced ----------
+
+
+@pytest.mark.parametrize(
+    "gens, start, m, count, residues",
+    [
+        ([[[-1, 0], [0, -1]]], [1, 2], 7, 2, {1, 2, 5, 6}),  # v and -v
+        ([[[0, 0, 1], [1, 0, 0], [0, 1, 0]]], [1, 2, 3], 10, 3, {1, 2, 3}),  # a 3-cycle
+        ([], [4, -4], 9, 1, {4, 5}),
+    ],
+    ids=["negation", "three-cycle", "no-generators"],
+)
+def test_small_orbits_by_hand(gens, start, m, count, residues):
+    ro = residue_orbit(gens, start, m)
+    assert (ro.vector_count, set(ro.residues)) == (count, residues)
+
+
+def assert_matches_oracle(gens, start, m):
+    got = residue_orbit(gens, start, m)
+    want = oracle.residue_orbit(gens, start, m)
+    assert (got.residues, got.vector_count) == (want.residues, want.vector_count)
+
+
+@pytest.mark.parametrize("m", [*range(1, 49), 120, 240])
+def test_apollonian_orbit_matches_oracle(m):
+    assert_matches_oracle(GENS, START, m)
+
+
+def random_generators(rng, k):
+    """Two random integer matrices, neither an involution in general, and a
+    third whose last row repeats its first, so it is singular mod every m."""
+    def mat():
+        return [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)]
+    singular = mat()
+    singular[-1] = list(singular[0])
+    return [mat(), mat(), singular]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("k, moduli", [(2, (5, 12, 31, 60)), (3, (4, 9, 15)), (5, (2, 3, 6))])
+def test_random_generators_match_oracle(seed, k, moduli):
+    rng = random.Random(1000 * k + seed)
+    gens = random_generators(rng, k)
+    start = [rng.randint(-20, 20) for _ in range(k)]
+    for m in moduli:
+        assert_matches_oracle(gens, start, m)
+
+
+def test_lg_scan_mod_120_matches_oracle(capsys, tmp_path):
+    system = tmp_path / "apollonian.json"
+    assert main(["fixtures", "apollonian", "--out", str(system)]) == 0
+    capsys.readouterr()
+    code = main(["lg-scan", str(system), "--bound", "50", "--max-word", "300",
+                 "--modulus", "120", "--scan-bound", "50"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["admissible_residues"] == sorted(oracle.residue_orbit(GENS, START, 120).residues)
+
+
+class Unread:
+    def __iter__(self):
+        raise AssertionError("generators were read")
+
+
+# The first moduli whose 4-bend keys (m**4) or 2- and 1-bend dot products
+# (k*(m-1)**2) no longer fit in an int64.
+@pytest.mark.parametrize("k, m", [(4, 55109), (2, 2147483649), (1, 3037000501)])
+def test_modulus_past_int64_guard_is_refused_before_work(k, m):
+    with pytest.raises(ParameterError):
+        residue_orbit(Unread(), [1] * k, m)
+
+
+def test_largest_guarded_modulus_is_exact():
+    m = 55108  # m**4 is just below 2**63
+    gens = [
+        [[-1 if r == c else 0 for c in range(4)] for r in range(4)],
+        [[1 if c == (r + 1) % 4 else 0 for c in range(4)] for r in range(4)],
+        [[-1] * 4 for _ in range(4)],
+    ]
+    assert_matches_oracle(gens, [m - 1, m - 2, 1, 0], m)
+
+
+def test_bad_modulus_is_a_value_error():
+    with pytest.raises(ParameterError):
+        residue_orbit(GENS, START, 0)
+    with pytest.raises(ValueError):
+        residue_orbit(GENS, START, -5)

@@ -8,7 +8,7 @@ from typing import Sequence
 
 from .coxeter import GramMatrix
 from .errors import PackingLabError, ParameterError
-from .exactnum import QuadExt
+from .exactnum import ONE, ZERO, QuadExt
 from .inversive import InversiveVector, ReflectionMatrix, inversive_product
 from . import linalg
 
@@ -24,7 +24,7 @@ class SingularCluster(PackingLabError):
 def gram_matrix(walls: Sequence[InversiveVector]) -> GramMatrix:
     """All pairwise inversive products; diagonal -1 for valid walls."""
     k = len(walls)
-    rows = [[QuadExt(0)] * k for _ in range(k)]
+    rows = [[ZERO] * k for _ in range(k)]
     for i in range(k):
         rows[i][i] = inversive_product(walls[i], walls[i])
         for j in range(i + 1, k):
@@ -98,7 +98,7 @@ def vinberg_test(gram: GramMatrix, max_len: int = 8) -> VinbergVerdict:
     nonzero = [[bool(doubled[i][j]) for j in range(k)] for i in range(k)]
 
     def cycle_product(cycle: tuple[int, ...]) -> QuadExt | None:
-        prod = QuadExt(1)
+        prod = ONE
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             if not nonzero[a][b]:
                 return None

@@ -14,7 +14,7 @@ from pathlib import Path
 from . import serialize
 from .arithmetic import bends_conjugate, bends_vector, vinberg_test
 from .coxeter import gram_from_diagram, parse_diagram, print_diagram
-from .errors import PackingLabError
+from .errors import PackingLabError, ParameterError
 from .exactnum import QuadExt
 from .fixtures import REGISTRY
 from .geometrize import TargetSpec, cluster_split, guess_walls, realize, verify_realization
@@ -33,6 +33,13 @@ def _load(path: str, kind: str):
     if not isinstance(doc, _KINDS[kind]):
         raise serialize.FormatError(f"{path} does not hold a {kind} document")
     return doc
+
+
+def _bound(text: str) -> QuadExt:
+    try:
+        return QuadExt.parse(text)
+    except ValueError as exc:
+        raise ParameterError(f"--bound: {exc}") from None
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -76,7 +83,7 @@ def cmd_decompose(args) -> int:
 def cmd_orbit(args) -> int:
     system = _load(args.system, "system")
     make = generate_superpacking if args.super else generate_packing
-    packing = make(system, QuadExt.parse(args.bound), max_word=args.max_word)
+    packing = make(system, _bound(args.bound), max_word=args.max_word)
     if args.out:
         serialize.save(packing, args.out)
     summary = {
@@ -155,7 +162,7 @@ def cmd_lg_scan(args) -> int:
     cluster = system.cluster_walls()
     refls = [reflection_matrix(w) for w in system.cocluster_walls()]
     gens = [bends_conjugate(r, cluster) for r in refls]
-    packing = generate_packing(system, QuadExt.parse(args.bound), max_word=args.max_word)
+    packing = generate_packing(system, _bound(args.bound), max_word=args.max_word)
     bends = [b for b in packing.bends_list() if b.sign() > 0]
     orbit = residue_orbit(gens, bends_vector(cluster), args.modulus)
     missing = missing_bends(bends, orbit, bound=args.scan_bound)

@@ -1,8 +1,17 @@
 """Exact arithmetic in a real quadratic field Q(sqrt(d)).
 
-A value is rat + surd*sqrt(disc) with rat, surd arbitrary-precision rationals
-and disc a square-free integer >= 0.  disc == 0 encodes a plain rational.
-All comparisons are decided by exact sign analysis; floats never enter any
+A value is one canonical int triple over a discriminant: it reads
+(a + b*sqrt(disc)) / q with q > 0 and gcd(a, b, q) == 1, where disc is a
+square-free integer >= 2, or 0 with b == 0 for a plain rational.  This is the
+form the orbit kernel encodes vectors in (see orbit.encode).  Each operation
+works on the ints and reduces its result once by the gcd, so every value has
+one representation and equality is equality of the fields.  The rational and
+surd parts are read as Fractions through the rat and surd properties.
+
+A discriminant is split into its square-free part only where a value enters
+from outside, in the constructor and the literal parser; the split is cached
+per discriminant, and a discriminant above MAX_DISC is refused.  All
+comparisons are decided by exact sign analysis; floats never enter any
 correctness path.
 """
 
@@ -11,9 +20,14 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import total_ordering
+from functools import lru_cache
+from math import gcd, lcm
 
 from .errors import PackingLabError
+
+# trial division of a discriminant this size takes milliseconds; 10**13
+# takes about half a second per literal
+MAX_DISC = 10**9
 
 
 class DiscMismatch(PackingLabError):
@@ -24,8 +38,11 @@ class DivisionByZero(PackingLabError, ZeroDivisionError):
     """Inverse or quotient of the zero value."""
 
 
+@lru_cache(maxsize=256)
 def _squarefree_split(d: int) -> tuple[int, int]:
-    """Return (s, f) with d == s*s*f and f square-free."""
+    """Return (s, f) with d == s*s*f and f square-free, for 0 < d <= MAX_DISC."""
+    if d > MAX_DISC:
+        raise ValueError(f"discriminant {d} exceeds {MAX_DISC}")
     s, f = 1, 1
     p = 2
     while p * p <= d:
@@ -40,47 +57,34 @@ def _squarefree_split(d: int) -> tuple[int, int]:
     return s, f * d
 
 
-_RAT = r"[+-]?\d+(?:/\d+)?"
-_RE_RATIONAL = re.compile(rf"^({_RAT})$")
-_RE_SURD = re.compile(rf"^({_RAT})\*sqrt\((\d+)\)$")
-_RE_FULL = re.compile(rf"^({_RAT})([+-]\d+(?:/\d+)?)\*sqrt\((\d+)\)$")
+def quad_sign(a: int, b: int, d: int) -> int:
+    """Sign of a + b*sqrt(d) for square-free d (b == 0 when d == 0)."""
+    if a >= 0 and b >= 0:
+        return 1 if a or b else 0
+    if a <= 0 and b <= 0:
+        return -1
+    t = a * a - b * b * d  # nonzero: sqrt(d) is irrational
+    return 1 if (t > 0) == (a > 0) else -1
 
 
-@total_ordering
+_new = object.__new__
+
+
 class QuadExt:
-    """An element of Q(sqrt(d)), immutable and hashable."""
+    """An element of Q(sqrt(d)), immutable and hashable.
 
-    __slots__ = ("rat", "surd", "disc", "_hash")
+    QuadExt(rat, surd, disc) is rat + surd*sqrt(disc) for rationals rat and
+    surd and an integer disc >= 0; QuadExt(text) parses a literal.
+    """
 
-    def __init__(self, rat=0, surd=0, disc: int = 0):
+    __slots__ = ("_a", "_b", "_q", "_d", "_hash")
+
+    def __new__(cls, rat=0, surd=0, disc: int = 0):
         if isinstance(rat, str):
-            rat, surd, disc = _parse_parts(rat)
-        elif isinstance(rat, QuadExt):
-            rat, surd, disc = rat.rat, rat.surd, rat.disc
-        rat = Fraction(rat)
-        surd = Fraction(surd)
-        disc = int(disc)
-        if disc < 0:
-            raise ValueError("discriminant must be non-negative")
-        if surd != 0 and disc == 0:
-            raise ValueError("a surd term needs a positive discriminant")
-        if disc > 0:
-            s, f = _squarefree_split(disc)
-            surd *= s
-            disc = f
-        if disc == 1 or disc == 0:
-            rat += surd * (1 if disc == 1 else 0)
-            surd = Fraction(0)
-            disc = 0
-        if surd == 0:
-            disc = 0
-        object.__setattr__(self, "rat", rat)
-        object.__setattr__(self, "surd", surd)
-        object.__setattr__(self, "disc", disc)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadExt is immutable")
+            return _parse(rat)
+        if isinstance(rat, QuadExt):
+            return rat
+        return _from_parts(*_ratio(rat), *_ratio(surd), int(disc))
 
     @classmethod
     def sqrt(cls, d: int) -> "QuadExt":
@@ -88,91 +92,117 @@ class QuadExt:
 
     @classmethod
     def parse(cls, text: str) -> "QuadExt":
-        return cls(text)
+        if not isinstance(text, str):
+            raise TypeError(f"an exact-number literal must be a string, not {type(text).__name__}")
+        return _parse(text)
 
-    # -- coercion ---------------------------------------------------------
+    # -- views ------------------------------------------------------------
 
-    def _merge(self, other) -> tuple["QuadExt", "QuadExt"]:
-        if not isinstance(other, QuadExt):
-            if not isinstance(other, (int, Fraction)):
-                raise TypeError(f"cannot coerce {other!r}")
-            other = QuadExt(other)
-        if self.disc == other.disc or other.disc == 0:
-            return self, other
-        if self.disc == 0:
-            return self, other
-        raise DiscMismatch(f"sqrt({self.disc}) vs sqrt({other.disc})")
+    @property
+    def rat(self) -> Fraction:
+        return Fraction(self._a, self._q)
 
-    def _common_disc(self, other: "QuadExt") -> int:
-        return self.disc or other.disc
+    @property
+    def surd(self) -> Fraction:
+        return Fraction(self._b, self._q)
+
+    @property
+    def disc(self) -> int:
+        return self._d
+
+    @property
+    def triple(self) -> tuple[int, int, int]:
+        """(a, b, q): the value is (a + b*sqrt(disc)) / q in lowest terms."""
+        return self._a, self._b, self._q
+
+    def is_rational(self) -> bool:
+        return not self._b
+
+    def is_rational_integer(self) -> bool:
+        return not self._b and self._q == 1
+
+    def __float__(self):
+        out = self._a / self._q
+        if self._b:
+            out += self._b / self._q * math.sqrt(self._d)
+        return out
+
+    def __str__(self):
+        a, b, q = self._a, self._b, self._q
+        if not b:
+            return _fmt(a, q)
+        surd_part = f"{_fmt(b, q)}*sqrt({self._d})"
+        if not a:
+            return surd_part
+        return f"{_fmt(a, q)}{'+' if b > 0 else ''}{surd_part}"
+
+    def __repr__(self):
+        return f"QuadExt({str(self)!r})"
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        try:
-            a, b = self._merge(other)
-        except TypeError:
-            return NotImplemented
-        return QuadExt(a.rat + b.rat, a.surd + b.surd, a._common_disc(b))
+        y = _lift(other)
+        return NotImplemented if y is None else _sum(self, y._a, y._b, y._q, y._d)
 
     __radd__ = __add__
 
+    def __sub__(self, other):
+        y = _lift(other)
+        return NotImplemented if y is None else _sum(self, -y._a, -y._b, y._q, y._d)
+
+    def __rsub__(self, other):
+        y = _lift(other)
+        return NotImplemented if y is None else _sum(y, -self._a, -self._b, self._q, self._d)
+
     def __neg__(self):
-        return QuadExt(-self.rat, -self.surd, self.disc)
+        return _raw(-self._a, -self._b, self._q, self._d)
 
     def __pos__(self):
         return self
 
-    def __sub__(self, other):
-        try:
-            a, b = self._merge(other)
-        except TypeError:
-            return NotImplemented
-        return QuadExt(a.rat - b.rat, a.surd - b.surd, a._common_disc(b))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        try:
-            a, b = self._merge(other)
-        except TypeError:
+        y = _lift(other)
+        if y is None:
             return NotImplemented
-        d = a._common_disc(b)
-        return QuadExt(
-            a.rat * b.rat + a.surd * b.surd * d,
-            a.rat * b.surd + a.surd * b.rat,
-            d,
-        )
+        xd, yd = self._d, y._d
+        if not (xd or yd):
+            a, q = self._a * y._a, self._q * y._q
+            g = gcd(a, q)
+            return _raw(a // g, 0, q // g, 0) if g != 1 else _raw(a, 0, q, 0)
+        d = _field(xd, yd)
+        xa, xb, ya, yb = self._a, self._b, y._a, y._b
+        return from_triple(xa * ya + d * xb * yb, xa * yb + xb * ya, self._q * y._q, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadExt":
-        if self.rat == 0 and self.surd == 0:
-            raise DivisionByZero("inverse of zero")
-        if self.surd == 0:
-            return QuadExt(1 / self.rat)
-        norm = self.rat * self.rat - self.surd * self.surd * self.disc
-        # norm == 0 would force sqrt(disc) rational, impossible for
-        # square-free disc >= 2 unless the value itself is zero.
-        return QuadExt(self.rat / norm, -self.surd / norm, self.disc)
+        a, b, q, d = self._a, self._b, self._q, self._d
+        if not b:
+            if not a:
+                raise DivisionByZero("inverse of zero")
+            return _raw(q, 0, a, 0) if a > 0 else _raw(-q, 0, -a, 0)
+        # q / (a + b sqrt(d)) = q (a - b sqrt(d)) / norm; norm != 0 because
+        # sqrt(d) is irrational for square-free d >= 2
+        norm = a * a - b * b * d
+        if norm < 0:
+            return from_triple(-q * a, q * b, -norm, d)
+        return from_triple(q * a, -q * b, norm, d)
 
     def __truediv__(self, other):
-        try:
-            a, b = self._merge(other)
-        except TypeError:
-            return NotImplemented
-        return a * b.inverse()
+        y = _lift(other)
+        return NotImplemented if y is None else self * y.inverse()
 
     def __rtruediv__(self, other):
-        return self.inverse() * other
+        y = _lift(other)
+        return NotImplemented if y is None else y * self.inverse()
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out = QuadExt(1)
+        out = ONE
         base = self
         while n:
             if n & 1:
@@ -182,100 +212,166 @@ class QuadExt:
         return out
 
     def conjugate(self) -> "QuadExt":
-        return QuadExt(self.rat, -self.surd, self.disc)
+        return _raw(self._a, -self._b, self._q, self._d)
 
     # -- ordering ---------------------------------------------------------
 
     def sign(self) -> int:
-        return _sign(self.rat, self.surd, self.disc)
+        return quad_sign(self._a, self._b, self._d)
+
+    def _cmp(self, y: "QuadExt") -> int:
+        xq, yq = self._q, y._q
+        return quad_sign(self._a * yq - y._a * xq, self._b * yq - y._b * xq, _field(self._d, y._d))
 
     def __eq__(self, other):
-        try:
-            a, b = self._merge(other)
-        except (TypeError, DiscMismatch):
-            return NotImplemented if not isinstance(other, QuadExt) else False
-        return a.rat == b.rat and a.surd == b.surd
+        y = _lift(other)
+        if y is None:
+            return NotImplemented
+        return self._a == y._a and self._b == y._b and self._q == y._q and self._d == y._d
 
     def __lt__(self, other):
-        try:
-            a, b = self._merge(other)
-        except TypeError:
-            return NotImplemented
-        if a.surd == b.surd:
-            return a.rat < b.rat
-        return _sign(a.rat - b.rat, a.surd - b.surd, a.disc or b.disc) < 0
+        y = _lift(other)
+        return NotImplemented if y is None else self._cmp(y) < 0
+
+    def __le__(self, other):
+        y = _lift(other)
+        return NotImplemented if y is None else self._cmp(y) <= 0
+
+    def __gt__(self, other):
+        y = _lift(other)
+        return NotImplemented if y is None else self._cmp(y) > 0
+
+    def __ge__(self, other):
+        y = _lift(other)
+        return NotImplemented if y is None else self._cmp(y) >= 0
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.rat, self.surd, self.disc))
-            object.__setattr__(self, "_hash", h)
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        # equal to hash((self.rat, self.surd, self.disc)); an integral
+        # Fraction hashes as its int
+        if self._q == 1:
+            h = hash((self._a, self._b, self._d))
+        else:
+            h = hash((self.rat, self.surd, self._d))
+        self._hash = h
         return h
 
     def __bool__(self):
-        return self.rat != 0 or self.surd != 0
+        return bool(self._a or self._b)
 
     def __abs__(self):
-        return -self if self.sign() < 0 else self
-
-    # -- views ------------------------------------------------------------
-
-    def is_rational(self) -> bool:
-        return self.surd == 0
-
-    def is_rational_integer(self) -> bool:
-        return self.surd == 0 and self.rat.denominator == 1
-
-    def __float__(self):
-        out = float(self.rat)
-        if self.surd:
-            out += float(self.surd) * math.sqrt(self.disc)
-        return out
-
-    def __str__(self):
-        if self.surd == 0:
-            return _fmt_frac(self.rat)
-        surd_part = f"{_fmt_frac(self.surd)}*sqrt({self.disc})"
-        if self.rat == 0:
-            return surd_part
-        joiner = "+" if self.surd > 0 else ""
-        return f"{_fmt_frac(self.rat)}{joiner}{surd_part}"
-
-    def __repr__(self):
-        return f"QuadExt({str(self)!r})"
+        return -self if quad_sign(self._a, self._b, self._d) < 0 else self
 
 
-def _sign(a: Fraction, b: Fraction, d: int) -> int:
-    """Exact sign of a + b*sqrt(d)."""
-    if b == 0:
-        return (a > 0) - (a < 0)
-    if a == 0:
-        return (b > 0) - (b < 0)
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
-    # opposite signs: compare a^2 with b^2 d exactly
-    t = a * a - b * b * d
-    s = (t > 0) - (t < 0)
-    return s if a > 0 else -s
+def _raw(a: int, b: int, q: int, d: int) -> QuadExt:
+    """A QuadExt from a triple that is already canonical."""
+    x = _new(QuadExt)
+    x._a = a
+    x._b = b
+    x._q = q
+    x._d = d
+    return x
 
 
-def _fmt_frac(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def from_triple(a: int, b: int, q: int, d: int) -> QuadExt:
+    """(a + b*sqrt(d)) / q for q > 0 and square-free d (b == 0 when d == 0),
+    reduced to lowest terms."""
+    g = gcd(a, b, q)
+    if g != 1:
+        a //= g
+        b //= g
+        q //= g
+    return _raw(a, b, q, d if b else 0)
 
 
-def _parse_parts(text: str) -> tuple[Fraction, Fraction, int]:
+def _field(xd: int, yd: int) -> int:
+    """The common discriminant of two operands."""
+    if xd == yd or not yd:
+        return xd
+    if not xd:
+        return yd
+    raise DiscMismatch(f"sqrt({xd}) vs sqrt({yd})")
+
+
+def _sum(x: QuadExt, a: int, b: int, q: int, d: int) -> QuadExt:
+    """x + (a + b*sqrt(d)) / q."""
+    d = _field(x._d, d)
+    xq = x._q
+    if xq == q:
+        return from_triple(x._a + a, x._b + b, q, d)
+    return from_triple(x._a * q + a * xq, x._b * q + b * xq, xq * q, d)
+
+
+def _lift(x) -> QuadExt | None:
+    """An operand as a QuadExt; None for a type arithmetic does not take."""
+    if isinstance(x, QuadExt):
+        return x
+    if isinstance(x, int):
+        return _raw(int(x), 0, 1, 0)
+    if isinstance(x, Fraction):
+        return _raw(x.numerator, 0, x.denominator, 0)
+    return None
+
+
+def _ratio(x) -> tuple[int, int]:
+    """A rational constructor argument as (numerator, denominator > 0)."""
+    if type(x) is int:
+        return x, 1
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _from_parts(rn: int, rd: int, sn: int, sd: int, disc: int) -> QuadExt:
+    """rn/rd + (sn/sd)*sqrt(disc) for rd, sd > 0, in canonical form."""
+    if disc < 0:
+        raise ValueError("discriminant must be non-negative")
+    if sn and not disc:
+        raise ValueError("a surd term needs a positive discriminant")
+    if disc:
+        s, disc = _squarefree_split(disc)
+        sn *= s
+        if disc == 1:
+            rn, rd, sn, sd = rn * sd + sn * rd, rd * sd, 0, 1
+    if not sn:
+        disc = 0
+    q = lcm(rd, sd)
+    return from_triple(rn * (q // rd), sn * (q // sd), q, disc)
+
+
+def _fmt(n: int, q: int) -> str:
+    g = gcd(n, q)
+    n, q = n // g, q // g
+    return str(n) if q == 1 else f"{n}/{q}"
+
+
+_RAT = r"([+-]?\d+)(?:/(\d+))?"
+_RE_RATIONAL = re.compile(rf"^{_RAT}$")
+# a rational part is always followed by the sign of the surd part
+_RE_SURD = re.compile(rf"^(?:{_RAT}(?=[+-]))?{_RAT}\*sqrt\((\d+)\)$")
+
+
+def _parse(text: str) -> QuadExt:
     m = _RE_RATIONAL.match(text)
     if m:
-        return Fraction(m.group(1)), Fraction(0), 0
-    m = _RE_SURD.match(text)
-    if m:
-        return Fraction(0), Fraction(m.group(1)), int(m.group(2))
-    m = _RE_FULL.match(text)
-    if m:
-        return Fraction(m.group(1)), Fraction(m.group(2)), int(m.group(3))
-    raise ValueError(f"not a valid exact-number literal: {text!r}")
+        rn, rd = m.groups()
+        sn = sd = disc = None
+    else:
+        m = _RE_SURD.match(text)
+        if not m:
+            raise ValueError(f"not a valid exact-number literal: {text!r}")
+        rn, rd, sn, sd, disc = m.groups()
+    rd, sd = int(rd or 1), int(sd or 1)
+    if not (rd and sd):
+        raise ValueError(f"zero denominator in exact-number literal {text!r}")
+    return _from_parts(int(rn or 0), rd, int(sn or 0), sd, int(disc or 0))
+
+
+ZERO = _raw(0, 0, 1, 0)
+ONE = _raw(1, 0, 1, 0)
 
 
 def compare(x, y) -> int:

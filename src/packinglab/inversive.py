@@ -13,11 +13,11 @@ block.  The product of two walls reads off their relative position:
 from __future__ import annotations
 
 from .errors import PackingLabError
-from .exactnum import QuadExt
+from .exactnum import ONE, ZERO, QuadExt
 from . import linalg
 from .linalg import Matrix, as_quad
 
-_HALF = QuadExt(1) / 2
+_HALF = ONE / 2
 
 
 class ZeroRadius(PackingLabError):
@@ -74,7 +74,7 @@ class InversiveVector:
 
     def q_norm(self) -> QuadExt:
         return self.cobend * self.bend - sum(
-            (x * x for x in self.bz), QuadExt(0)
+            (x * x for x in self.bz), ZERO
         )
 
     def validate(self) -> bool:
@@ -111,13 +111,13 @@ def sphere_from_center_radius(center, radius) -> InversiveVector:
         raise ZeroRadius("radius must be nonzero")
     center = [as_quad(x) for x in center]
     bend = r.inverse()
-    norm2 = sum((x * x for x in center), QuadExt(0))
+    norm2 = sum((x * x for x in center), ZERO)
     return InversiveVector(bend * norm2 - r, bend, [bend * x for x in center])
 
 
 def plane_from_normal_offset(normal, offset) -> InversiveVector:
     normal = [as_quad(x) for x in normal]
-    if sum((x * x for x in normal), QuadExt(0)) != 1:
+    if sum((x * x for x in normal), ZERO) != 1:
         raise NonUnitNormal("normal must have exact unit length")
     return InversiveVector(as_quad(offset) * 2, 0, normal)
 
@@ -126,17 +126,16 @@ def inversive_product(u: InversiveVector, v: InversiveVector) -> QuadExt:
     if u.dim != v.dim:
         raise InvalidWall("mixed ambient dimensions")
     out = (u.cobend * v.bend + u.bend * v.cobend) * _HALF
-    return out - sum((x * y for x, y in zip(u.bz, v.bz)), QuadExt(0))
+    return out - sum((x * y for x, y in zip(u.bz, v.bz)), ZERO)
 
 
 def q_matrix(n: int) -> Matrix:
     """The (n+2)x(n+2) form: antidiagonal 1/2 block, then -Identity."""
     k = n + 2
-    zero = QuadExt(0)
-    rows = [[zero] * k for _ in range(k)]
+    rows = [[ZERO] * k for _ in range(k)]
     rows[0][1] = rows[1][0] = _HALF
     for i in range(2, k):
-        rows[i][i] = QuadExt(-1)
+        rows[i][i] = -ONE
     return tuple(tuple(row) for row in rows)
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import PackingLabError
-from .exactnum import QuadExt
+from .exactnum import ONE, ZERO, QuadExt
 
 Matrix = tuple[tuple[QuadExt, ...], ...]
 Vector = tuple[QuadExt, ...]
@@ -26,9 +26,8 @@ def matrix(rows) -> Matrix:
 
 
 def identity(k: int) -> Matrix:
-    one, zero = QuadExt(1), QuadExt(0)
     return tuple(
-        tuple(one if i == j else zero for j in range(k)) for i in range(k)
+        tuple(ONE if i == j else ZERO for j in range(k)) for i in range(k)
     )
 
 
@@ -39,14 +38,14 @@ def transpose(m: Matrix) -> Matrix:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = transpose(b)
     return tuple(
-        tuple(sum((x * y for x, y in zip(row, col)), QuadExt(0)) for col in bt)
+        tuple(sum((x * y for x, y in zip(row, col)), ZERO) for col in bt)
         for row in a
     )
 
 
 def vec_mat(v: Vector, m: Matrix) -> Vector:
     return tuple(
-        sum((v[i] * m[i][j] for i in range(len(v))), QuadExt(0))
+        sum((v[i] * m[i][j] for i in range(len(v))), ZERO)
         for j in range(len(m[0]))
     )
 

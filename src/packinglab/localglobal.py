@@ -12,9 +12,9 @@ vectors.  A level's keys are computed one generator at a time, which keeps
 the transient arrays at n*k entries; they are sorted and their repeats
 dropped, the ones already reached are dropped by a binary search in one
 sorted array of seen keys, and the rest are merged into it and decoded into
-the next frontier.  The arithmetic is exact only while m**k and
-k*(m-1)**2 both fit in an int64; a larger modulus is refused with
-ParameterError before any work.
+the next frontier, whose distinct residues are kept per level.  The
+arithmetic is exact only while m**k and k*(m-1)**2 both fit in an int64; a
+larger modulus is refused with ParameterError before any work.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def _as_int(x, what: str) -> int:
     q = QuadExt(x) if not isinstance(x, QuadExt) else x
     if not is_rational_integer(q):
         raise NonIntegralInput(f"{what} {q} is not a rational integer")
-    return int(q.rat)
+    return q.triple[0]
 
 
 def residue_orbit(
@@ -77,17 +77,13 @@ def residue_orbit(
 
     radix = modulus ** np.arange(k, dtype=np.int64)
     seen = frontier @ radix
-    residues = np.zeros(modulus, dtype=bool)
-    residues[frontier.ravel()] = True
+    levels = [_residues(frontier, modulus)]
     while len(frontier):
         n = len(frontier)
         keys = np.empty(n * len(mats), dtype=np.int64)
         for g, mat in enumerate(mats):
             np.matmul(frontier @ mat.T % modulus, radix, out=keys[g * n:(g + 1) * n])
-        # for int64 keys, a sort and a neighbour test beat np.unique by far;
-        # keys are >= 0, so the -1 in front keeps the first one
-        keys.sort()
-        keys = keys[np.diff(keys, prepend=-1) != 0]
+        keys = _distinct(keys)
         # a key past the end of seen differs from seen[-1], which is smaller
         pos = np.searchsorted(seen, keys)
         keys = keys[seen[np.minimum(pos, len(seen) - 1)] != keys]
@@ -96,12 +92,37 @@ def residue_orbit(
         seen.sort(kind="stable")
         frontier = keys[:, None] // radix
         frontier %= modulus
-        residues[frontier.ravel()] = True
+        levels.append(_residues(frontier, modulus))
     return ResidueOrbit(
         modulus=modulus,
-        residues=frozenset(np.flatnonzero(residues).tolist()),
+        residues=frozenset(_distinct(np.concatenate(levels)).tolist()),
         vector_count=len(seen),
     )
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of a 1-d int64 array >= 0, sorted in place.
+
+    For int64, a sort and a neighbour test beat np.unique by far; the -1 in
+    front keeps the first entry.
+    """
+    values.sort()
+    return values[np.diff(values, prepend=-1) != 0]
+
+
+def _residues(frontier: np.ndarray, modulus: int) -> np.ndarray:
+    """The distinct entries of a frontier, sorted.
+
+    A table of all residues is the fastest way, but it is used only when it
+    is no larger than the frontier, so that memory follows the orbit and not
+    the modulus.
+    """
+    values = frontier.ravel()
+    if modulus > len(values):
+        return _distinct(values.copy())
+    table = np.zeros(modulus, dtype=bool)
+    table[values] = True
+    return np.flatnonzero(table)
 
 
 def missing_bends(

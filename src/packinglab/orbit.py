@@ -8,28 +8,25 @@ word cap is reported unsaturated.
 
 The search runs on plain ints.  A closure fixes one field Q(sqrt(d)), taken
 from the walls and the bend bound (two different nonzero discriminants raise
-DiscMismatch), and encodes each inversive vector as the tuple
-(a_0, b_0, ..., a_k, b_k, den): coordinate j is (a_j + b_j sqrt(d)) / den
-with den > 0 the least common denominator.  That form is canonical, so the
-tuple itself is the dedup key.  A reflection multiplies pairs by the field
-rule (a + b sqrt(d))(c + e sqrt(d)) = (ac + bed) + (ae + bc) sqrt(d) against
-the wall's precomputed 2Qs and divides out the gcd; the bend test and the
-final order are decided by exact sign analysis of a + b sqrt(d).  QuadExt
-appears only at the boundary: walls are encoded on entry, and each kept
-sphere is decoded once, after sorting.
+DiscMismatch), and encodes each inversive vector as its coordinates' QuadExt
+triples over one common denominator (see encode).  That form is canonical, so
+the tuple itself is the dedup key.  A reflection applies the wall's
+precomputed 2Qs by the field rule and divides out the gcd; the bend test and
+the final order are decided by exact sign analysis (exactnum.quad_sign).
+Walls are encoded on entry, and each kept sphere is decoded once, after
+sorting.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import PackingLabError
-from .exactnum import DiscMismatch, QuadExt
+from .exactnum import DiscMismatch, QuadExt, from_triple, quad_sign
 from .inversive import InversiveVector
 from .linalg import as_quad
 
@@ -108,14 +105,16 @@ def field_disc(values: Iterable[QuadExt]) -> int:
 def encode(values: Sequence[QuadExt]) -> tuple[int, ...]:
     """(a_0, b_0, ..., a_k, b_k, den): value j is (a_j + b_j sqrt(d)) / den.
 
-    den is the least common denominator, so the numerators and den share no
-    factor and the tuple is canonical.  Every value must lie in one field.
+    Each value's QuadExt triple (a, b, q) is put over the least common
+    denominator, so the numerators and den share no factor and the tuple is
+    canonical.  Every value must lie in one field.
     """
-    den = lcm(*(n for x in values for n in (x.rat.denominator, x.surd.denominator)))
+    triples = [x.triple for x in values]
+    den = lcm(*(q for _, _, q in triples))
     out = []
-    for x in values:
-        out.append(x.rat.numerator * (den // x.rat.denominator))
-        out.append(x.surd.numerator * (den // x.surd.denominator))
+    for a, b, q in triples:
+        f = den // q
+        out += (a * f, b * f)
     out.append(den)
     return tuple(out)
 
@@ -131,21 +130,11 @@ def _decoder(d: int):
             key = (code[j], code[j + 1], den)
             x = cache.get(key)
             if x is None:
-                x = cache[key] = QuadExt(Fraction(code[j], den), Fraction(code[j + 1], den), d)
+                x = cache[key] = from_triple(*key, d)
             out.append(x)
         return tuple(out)
 
     return decode
-
-
-def _sign(a: int, b: int, d: int) -> int:
-    """Sign of a + b*sqrt(d) for square-free d (b == 0 when d == 0)."""
-    if a >= 0 and b >= 0:
-        return 1 if a or b else 0
-    if a <= 0 and b <= 0:
-        return -1
-    t = a * a - b * b * d  # nonzero: sqrt(d) is irrational
-    return 1 if (t > 0) == (a > 0) else -1
 
 
 def q_is_minus_one(code: tuple[int, ...], d: int) -> bool:
@@ -181,9 +170,9 @@ def _closure(
     ba, bb, bden = encode((bend_bound,))
 
     def within_bound(a: int, b: int, den: int) -> bool:
-        if _sign(a, b, d) < 0:
+        if quad_sign(a, b, d) < 0:
             a, b = -a, -b
-        return _sign(a * bden - ba * den, b * bden - bb * den, d) <= 0
+        return quad_sign(a * bden - ba * den, b * bden - bb * den, d) <= 0
 
     kept: dict[tuple[int, ...], tuple[int, int | None]] = {}
     seen_over_bound: set[tuple[int, ...]] = set()
@@ -238,7 +227,7 @@ def _closure(
     def compare(x: tuple[int, ...], y: tuple[int, ...]) -> int:
         xd, yd = x[n], y[n]
         for j in order:
-            s = _sign(x[j] * yd - y[j] * xd, x[j + 1] * yd - y[j + 1] * xd, d)
+            s = quad_sign(x[j] * yd - y[j] * xd, x[j + 1] * yd - y[j + 1] * xd, d)
             if s:
                 return s
         return 0

@@ -220,6 +220,43 @@ def test_off_quadric_packing_is_clean_error(capsys, apollonian_path, tmp_path):
     assert payload["message"] == f"sphere {outer + 1}: Q(v) = 0 != -1"
 
 
+@pytest.mark.parametrize(
+    "kind, edit, message",
+    [
+        ("system", lambda doc: doc["walls"][1].update(cobend=0.1), "must be a string, not float"),
+        # the wall's own bend as a number: only the type is wrong
+        ("system", lambda doc: doc["walls"][1].update(bend=2), "must be a string, not int"),
+        ("packing", lambda doc: doc.update(bend_bound=3), "must be a string, not int"),
+        ("target", lambda doc: doc["targets"][0].update(value=1), "must be a string, not int"),
+        ("system", lambda doc: doc["walls"][0].update(cobend="1*sqrt(10000000000037)"),
+         "discriminant 10000000000037 exceeds"),
+        ("system", lambda doc: doc["walls"][0]["bz"].__setitem__(0, "0/0"), "zero denominator"),
+    ],
+    ids=["number-cobend", "number-bend", "number-bend-bound", "number-target-value",
+         "large-discriminant", "zero-denominator"],
+)
+def test_bad_literal_is_clean_error(capsys, apollonian_path, tmp_path, kind, edit, message):
+    path = tmp_path / f"{kind}.json"
+    if kind == "system":
+        path = Path(apollonian_path)
+        command = ["orbit", str(path), "--bound", "3"]
+    elif kind == "packing":
+        run(capsys, "orbit", apollonian_path, "--bound", "3", "--max-word", "64", "--out", str(path))
+        command = ["certify", str(path)]
+    else:
+        run(capsys, "fixtures", "tetrahedron", "--out", str(path))
+        command = ["geometrize", str(path), "--d", "0"]
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *command)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "FormatError"
+    assert message in payload["message"]
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["geometrize"])  # missing required target argument
@@ -240,8 +277,11 @@ def hexpyr_gram_path(capsys, tmp_path):
         # 55109**4 does not fit in an int64 key
         ["lg-scan", "{system}", "--bound", "10", "--modulus", "55109", "--scan-bound", "10"],
         ["arith", "{gram}", "--max-len", "1"],
+        ["orbit", "{system}", "--bound", "3+"],
+        ["lg-scan", "{system}", "--bound", "1*sqrt(10000000000037)", "--modulus", "24",
+         "--scan-bound", "10"],
     ],
-    ids=["modulus-zero", "modulus-past-int64", "max-len-one"],
+    ids=["modulus-zero", "modulus-past-int64", "max-len-one", "unparsable-bound", "bound-discriminant"],
 )
 def test_bad_parameter_is_clean_error(capsys, apollonian_path, hexpyr_gram_path, argv):
     paths = {"system": apollonian_path, "gram": str(hexpyr_gram_path)}

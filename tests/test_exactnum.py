@@ -1,13 +1,30 @@
-"""Field arithmetic over Q(sqrt(d)): examples pinned by hand, axioms by hypothesis."""
+"""Field arithmetic over Q(sqrt(d)): examples pinned by hand, axioms by
+hypothesis, and every operation against the two-Fraction class that the int
+triple replaced."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from packinglab.exactnum import DiscMismatch, DivisionByZero, QuadExt, compare, is_rational_integer
+import fraction_quadext_oracle as oracle
+from packinglab.arithmetic import vinberg_test
+from packinglab.exactnum import (
+    MAX_DISC,
+    DiscMismatch,
+    DivisionByZero,
+    QuadExt,
+    _squarefree_split,
+    compare,
+    is_rational_integer,
+)
+from packinglab.fixtures import apollonian_system, hexpyr_expected_gram
+from packinglab.inversive import reflection_matrix
+from packinglab.linalg import mat_mul
+from packinglab.orbit import generate_packing
 
 
 def q(rat, surd=0, disc=0):
@@ -191,3 +208,175 @@ def test_order_agrees_with_sign_of_difference(pair):
     assert (x <= y) == (s <= 0)
     assert (x > y) == (s > 0)
     assert (x == y) == (s == 0)
+
+
+# -- the int triple against the two-Fraction class it replaced ----------------
+
+FIELDS = [0, 2, 3, 5]
+
+
+@st.composite
+def field_values(draw, disc=None):
+    d = draw(st.sampled_from(FIELDS)) if disc is None else disc
+    r = draw(rationals)
+    s = draw(rationals) if d else Fraction(0)
+    return QuadExt(r, s, d), oracle.QuadExt(r, s, d)
+
+
+@st.composite
+def operand_pairs(draw):
+    x, ox = draw(field_values())
+    kind = draw(st.sampled_from(["same field", "any field", "int", "fraction"]))
+    if kind == "int":
+        y = draw(st.integers(-20, 20))
+        return x, ox, y, y
+    if kind == "fraction":
+        y = draw(rationals)
+        return x, ox, y, y
+    y, oy = draw(field_values(x.disc if kind == "same field" else None))
+    return x, ox, y, oy
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DiscMismatch, DivisionByZero) as exc:
+        return type(exc)
+
+
+def assert_canonical(x):
+    a, b, q = x.triple
+    assert q > 0 and gcd(a, b, q) == 1
+    assert x.disc in FIELDS and (b == 0) == (x.disc == 0)
+
+
+def assert_same(got, want):
+    """got from QuadExt, want from the oracle: equal values, views and forms."""
+    if not isinstance(want, oracle.QuadExt):
+        assert got == want
+        return
+    assert isinstance(got, QuadExt)
+    assert_canonical(got)
+    assert (got.rat, got.surd, got.disc) == (want.rat, want.surd, want.disc)
+    assert (str(got), repr(got), hash(got)) == (str(want), repr(want), hash(want))
+    assert float(got) == float(want)
+    assert got.is_rational() == want.is_rational()
+    assert got.is_rational_integer() == want.is_rational_integer()
+
+
+BINARY = {
+    "add": lambda x, y: x + y,
+    "radd": lambda x, y: y + x,
+    "sub": lambda x, y: x - y,
+    "rsub": lambda x, y: y - x,
+    "mul": lambda x, y: x * y,
+    "div": lambda x, y: x / y,
+    "rdiv": lambda x, y: y / x,
+    "lt": lambda x, y: x < y,
+    "le": lambda x, y: x <= y,
+    "gt": lambda x, y: x > y,
+    "ge": lambda x, y: x >= y,
+    "eq": lambda x, y: x == y,
+    "ne": lambda x, y: x != y,
+}
+
+UNARY = {
+    "neg": lambda x: -x,
+    "abs": abs,
+    "inverse": lambda x: x.inverse(),
+    "conjugate": lambda x: x.conjugate(),
+    "sign": lambda x: x.sign(),
+    "bool": bool,
+    **{f"pow{n}": (lambda n: lambda x: x**n)(n) for n in range(-2, 4)},
+}
+
+
+@settings(max_examples=400)
+@given(operand_pairs())
+def test_binary_ops_match_fraction_oracle(ops):
+    x, ox, y, oy = ops
+    for name, fn in BINARY.items():
+        got, want = outcome(fn, x, y), outcome(fn, ox, oy)
+        if isinstance(want, type):
+            assert got is want, name
+        else:
+            assert_same(got, want)
+
+
+@settings(max_examples=300)
+@given(field_values())
+def test_unary_ops_match_fraction_oracle(values):
+    x, ox = values
+    assert_same(x, ox)
+    assert_same(QuadExt.parse(str(ox)), ox)
+    for name, fn in UNARY.items():
+        got, want = outcome(fn, x), outcome(fn, ox)
+        if isinstance(want, type):
+            assert got is want, name
+        else:
+            assert_same(got, want)
+
+
+@pytest.mark.parametrize(
+    "text", ["12/8", "-0", "4/6-10/4*sqrt(12)", "3*sqrt(4)", "1*sqrt(1)", "-2/3+0*sqrt(5)",
+             "0*sqrt(18)", "2/6*sqrt(50)", "+7"],
+)
+def test_parse_normalizes_like_fraction_oracle(text):
+    assert_same(QuadExt.parse(text), oracle.QuadExt.parse(text))
+
+
+# -- literals from outside ---------------------------------------------------
+
+
+def test_parse_takes_strings_only():
+    # a JSON number would otherwise be read through its binary float
+    for value in (0.1, 2, Fraction(1, 2), None):
+        with pytest.raises(TypeError, match="must be a string"):
+            QuadExt.parse(value)
+
+
+def test_zero_denominator_literal_is_value_error():
+    for text in ("1/0", "0/0", "1+1/0*sqrt(2)", "1/0-1*sqrt(2)"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            QuadExt.parse(text)
+
+
+def test_large_discriminant_is_refused():
+    # trial division on this prime took about half a second per literal
+    with pytest.raises(ValueError, match="discriminant 10000000000037 exceeds"):
+        QuadExt.parse("1*sqrt(10000000000037)")
+    with pytest.raises(ValueError, match="exceeds"):
+        QuadExt(0, 1, MAX_DISC + 1)
+    assert QuadExt(0, 1, MAX_DISC) == QuadExt(0, 10**4, 10)
+
+
+def test_discriminant_split_is_cached():
+    _squarefree_split.cache_clear()
+    for _ in range(3):
+        QuadExt.parse("1/2*sqrt(999999937)")  # the largest prime below 10**9
+    info = _squarefree_split.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+# -- no Fraction in the exact layers -----------------------------------------
+
+
+def test_exact_layers_build_no_fraction(monkeypatch):
+    system = apollonian_system()
+    a, b = (reflection_matrix(w).entries for w in system.walls[4:6])
+    wall = system.walls[3]
+    gram = hexpyr_expected_gram()
+    made = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    mat_mul(a, b)
+    reflection_matrix(wall)
+    vinberg_test(gram, 4)
+    generate_packing(system, 200, max_word=600)
+    monkeypatch.undo()
+    assert made == []

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -132,6 +133,21 @@ def test_apollonian_scan_is_stable_and_sound():
 def test_small_orbits_by_hand(gens, start, m, count, residues):
     ro = residue_orbit(gens, start, m)
     assert (ro.vector_count, set(ro.residues)) == (count, residues)
+
+
+def test_residue_memory_follows_the_orbit_not_the_modulus():
+    # a 2-vector orbit mod 2*10**9: a table indexed by residue would take 2 GB
+    gens, start, m = [[[-1, 0], [0, -1]]], [1, 2], 2 * 10**9
+    tracemalloc.start()
+    try:
+        got = residue_orbit(gens, start, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    want = oracle.residue_orbit(gens, start, m)
+    assert (got.residues, got.vector_count) == (want.residues, want.vector_count)
+    assert got.residues == {1, 2, m - 2, m - 1}
 
 
 def assert_matches_oracle(gens, start, m):

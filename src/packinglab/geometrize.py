@@ -1,7 +1,8 @@
 """Numeric realization of product targets and recovery of exact coordinates.
 
-The pipeline is: realize (damped Gauss-Newton on the wall coordinates, float64
-first, then refined with extended-precision residuals), algebraic_guess
+The pipeline is: realize (start from the target's init hint, or else from an
+eigendecomposition of its Gram matrix, then one damped Gauss-Newton loop run in
+float64 and again on extended-precision mpmath residuals), algebraic_guess
 (per-value snap to (a + b*sqrt(d))/q with a bounded denominator), and
 verify_realization (exact re-check of every target against the guessed walls).
 """
@@ -10,12 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 from typing import Sequence
 
 import mpmath
 import numpy as np
 
-from .errors import PackingLabError
+from .coxeter import _PLACEHOLDER_SEPARATION
+from .errors import PackingLabError, ParameterError
 from .exactnum import QuadExt
 from .inversive import InversiveVector, inversive_product, q_matrix
 
@@ -79,9 +82,6 @@ class TargetSpec:
             (i, j, t.value) for (i, j), t in self.targets.items() if isinstance(t, Exact)
         )
 
-    def free_pairs(self) -> list[tuple[int, int]]:
-        return sorted((i, j) for (i, j), t in self.targets.items() if isinstance(t, DisjointFree))
-
 
 @dataclass
 class FloatWallSystem:
@@ -90,7 +90,6 @@ class FloatWallSystem:
     walls: list[list[mpmath.mpf]]
     residual: float
     iterations: int
-    dim: int = 2
 
 
 def target_from_gram(gram) -> TargetSpec:
@@ -213,120 +212,27 @@ def _tangency_components(spec: TargetSpec) -> list[list[int]]:
     return comps
 
 
-def _tutte_positions(nodes: list[int], edges: list[tuple[int, int]]) -> dict[int, np.ndarray] | None:
-    """Pin the first 3-clique to a triangle and relax everything else to the
-    barycenter of its neighbours."""
-    node_set = set(nodes)
-    adj = {v: set() for v in nodes}
-    for u, v in edges:
-        if u in node_set and v in node_set:
-            adj[u].add(v)
-            adj[v].add(u)
-    clique = None
-    for u in nodes:
-        for v in sorted(adj[u]):
-            if v <= u:
-                continue
-            common = sorted(adj[u] & adj[v])
-            if common:
-                w = common[0]
-                clique = (u, v, w)
-                break
-        if clique:
-            break
-    if clique is None or len(nodes) < 4:
-        return None
-    pinned = {
-        clique[0]: np.array([0.0, 3.0]),
-        clique[1]: np.array([3.0 * np.cos(np.pi * 7 / 6), 3.0 * np.sin(np.pi * 7 / 6)]),
-        clique[2]: np.array([3.0 * np.cos(-np.pi / 6), 3.0 * np.sin(-np.pi / 6)]),
-    }
-    interior = [v for v in nodes if v not in pinned]
-    if not interior:
-        return pinned
-    index = {v: r for r, v in enumerate(interior)}
-    lap = np.zeros((len(interior), len(interior)))
-    rhs = np.zeros((len(interior), 2))
-    for v in interior:
-        deg = max(len(adj[v]), 1)
-        lap[index[v], index[v]] = deg
-        for w in adj[v]:
-            if w in index:
-                lap[index[v], index[w]] -= 1.0
-            else:
-                rhs[index[v]] += pinned[w]
-    try:
-        sol = np.linalg.solve(lap, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    out = dict(pinned)
-    for v in interior:
-        out[v] = sol[index[v]]
-    return out
-
-
 def _initial_walls(spec: TargetSpec, rng: np.random.Generator) -> np.ndarray:
+    """Starting walls read off the target Gram matrix.
+
+    The Gram matrix of planar walls has signature (1, 3) at most and fixes
+    the walls up to isometry.  Free pairs are set to the placeholder
+    separation, so the target's matrix is only near such a Gram.  The
+    eigenvectors of its largest eigenvalue and of its three most negative
+    ones, scaled by sqrt|lambda|, are coordinates for the form
+    diag(1, -1, -1, -1) (a column stays zero when there are fewer than four
+    walls), and _TO_Q carries that form onto Q.  A seeded jitter keeps
+    starts from different seeds apart."""
     k = spec.wall_count
-    centers = np.zeros((k, 2))
-    radii = np.ones(k)
-    placed = np.zeros(k, dtype=bool)
-
-    tangent_edges = [(i, j) for i, j, v in spec.exact_pairs() if v == 1]
-    comps = [c for c in _tangency_components(spec) if len(c) > 1]
-    primary = min(comps, key=len) if comps else []
-
-    positions = _tutte_positions(primary, tangent_edges) if primary else None
-    if positions:
-        for v, p in positions.items():
-            centers[v] = p
-            placed[v] = True
-        edges_in = [(u, v) for u, v in tangent_edges if u in positions and v in positions]
-        if edges_in:
-            rows = np.zeros((len(edges_in), k))
-            dist = np.zeros(len(edges_in))
-            for r, (u, v) in enumerate(edges_in):
-                rows[r, u] = rows[r, v] = 1.0
-                dist[r] = np.linalg.norm(centers[u] - centers[v])
-            active = sorted({w for e in edges_in for w in e})
-            sol = np.linalg.lstsq(rows[:, active], dist, rcond=None)[0]
-            for w, r in zip(active, sol):
-                radii[w] = max(r, 0.05 * np.median(np.abs(sol)) + 1e-3)
-
-    # place remaining walls from their orthogonality links, if any
-    ortho = {i: [] for i in range(k)}
+    gram = np.full((k, k), float(_PLACEHOLDER_SEPARATION))
+    np.fill_diagonal(gram, -1.0)
     for i, j, value in spec.exact_pairs():
-        if value == 0:
-            ortho[i].append(j)
-            ortho[j].append(i)
-    ring = 0
-    for w in range(k):
-        if placed[w]:
-            continue
-        links = [u for u in ortho[w] if placed[u]]
-        if len(links) >= 3:
-            rows = np.array([[2 * centers[u][0], 2 * centers[u][1], -1.0] for u in links])
-            rhs = np.array([centers[u] @ centers[u] - radii[u] ** 2 for u in links])
-            cx, cy, t = np.linalg.lstsq(rows, rhs, rcond=None)[0]
-            centers[w] = (cx, cy)
-            rr = cx * cx + cy * cy - t
-            radii[w] = np.sqrt(rr) if rr > 1e-4 else np.median(radii[placed])
-        else:
-            angle = 2 * np.pi * ring / max(1, k)
-            centers[w] = 6.0 * np.array([np.cos(angle), np.sin(angle)])
-            ring += 1
-        placed[w] = True
-
-    centers += rng.normal(0.0, 0.01, size=centers.shape)
-    radii *= 1.0 + rng.normal(0.0, 0.01, size=radii.shape)
-    radii = np.maximum(radii, 1e-2)
-
-    bends = 1.0 / radii
-    walls = np.zeros((k, 4))
-    walls[:, 0] = bends * (centers ** 2).sum(axis=1) - radii
-    walls[:, 1] = bends
-    walls[:, 2] = bends * centers[:, 0]
-    walls[:, 3] = bends * centers[:, 1]
-    return walls
+        gram[i, j] = gram[j, i] = float(value)
+    lam, vec = np.linalg.eigh(gram)
+    keep = [k - 1, *range(min(3, k - 1))]
+    y = np.zeros((k, 4))
+    y[:, :len(keep)] = vec[:, keep] * np.sqrt(np.abs(lam[keep]))
+    return y @ _TO_Q + rng.normal(0.0, 1e-3, (k, 4))
 
 
 # -- solver ----------------------------------------------------------------
@@ -368,21 +274,26 @@ def _jacobian_np(x: np.ndarray, pairs, pins=()) -> np.ndarray:
 
 
 def _gauss_newton(x, pairs, values, pins, max_iter, floor=1e-13):
-    norm = np.linalg.norm(_residual_np(x, pairs, values, pins))
+    """Damped Gauss-Newton on x, a float64 array or an object array of mpf
+    with mpf values.  Steps are minimum-norm least-squares solutions of the
+    float64 system; a step is halved until max |residual| decreases, so
+    accepted steps decrease it monotonically."""
+    res = _residual_np(x, pairs, values, pins)
+    norm = np.abs(res).max()
     iterations = 0
     for _ in range(max_iter):
         if norm < floor:
             break
         iterations += 1
-        jac = _jacobian_np(x, pairs, pins)
-        res = _residual_np(x, pairs, values, pins)
-        step = np.linalg.lstsq(jac, -res, rcond=None)[0].reshape(x.shape)
+        jac = _jacobian_np(x.astype(float), pairs, pins)
+        step = np.linalg.lstsq(jac, -res.astype(float), rcond=None)[0].reshape(x.shape)
         alpha, improved = 1.0, False
         for _ in range(25):
             trial = x + alpha * step
-            trial_norm = np.linalg.norm(_residual_np(trial, pairs, values, pins))
+            trial_res = _residual_np(trial, pairs, values, pins)
+            trial_norm = np.abs(trial_res).max()
             if trial_norm < norm:
-                x, norm, improved = trial, trial_norm, True
+                x, res, norm, improved = trial, trial_res, trial_norm, True
                 break
             alpha *= 0.5
         if not improved:
@@ -396,6 +307,8 @@ _E_THIRD = np.array([4.0, 1.0, 2.0, 1.0])  # unit circle resting at (2,0)
 # the pinned walls plus the unit circle at (1,0), which is orthogonal to all three
 _FRAME = np.vstack([_E_LINE, _E_CIRCLE, _E_THIRD, [0.0, 1.0, 1.0, 0.0]])
 _Q = np.array(q_matrix(2), dtype=float)
+# x = y @ _TO_Q has Q(x) = y0^2 - y1^2 - y2^2 - y3^2
+_TO_Q = np.array([[1.0, 1.0, 0, 0], [1.0, -1.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0]])
 
 
 def _frame_map(x: np.ndarray, ia: int, ic: int, ib: int) -> np.ndarray:
@@ -442,14 +355,18 @@ def realize(
 ) -> FloatWallSystem:
     """Solve for wall coordinates meeting every exact target.
 
-    Damped Gauss-Newton with a minimum-norm least-squares step; accepted
-    steps decrease the residual monotonically.  Without an explicit init the
-    Moebius gauge is fixed by the first mutually tangent triple: after an
-    unpinned solve, one linear solve finds the Moebius map (det > 0, never a
+    The start is the spec's init hint, or else the eigendecomposition of the
+    target Gram matrix (_initial_walls).  One damped Gauss-Newton loop with a
+    minimum-norm least-squares step then runs in float64 and again on mpmath
+    residuals; accepted steps decrease max |residual| monotonically, and the
+    reported residual is that norm.  Without an explicit init the Moebius
+    gauge is fixed by the first mutually tangent triple: after an unpinned
+    solve, one linear solve finds the Moebius map (det > 0, never a
     reflection) taking the triple to the line y=0 and the unit circles
     resting on it at the origin and at (2,0), and the polish keeps those
     three walls pinned there.  This is what makes the solved coordinates land
-    on small algebraic numbers.  An explicit init is polished in its own
+    on small algebraic numbers.  Which of two mirror-image configurations is
+    reached depends on the start.  An explicit init is polished in its own
     frame, unpinned.  Free pairs are not constrained here; verify them after
     guessing exact coordinates.
     """
@@ -488,53 +405,18 @@ def realize(
     if norm >= 1e-10:
         raise NoConvergence(iterations, float(norm))
 
-    # extended-precision polish: residuals in mpmath, steps from the float64
-    # Jacobian, quadratic-to-linear convergence far past double precision
+    # extended-precision polish: the same loop on mpf walls and targets,
+    # converging far past double precision
     with mpmath.workdps(_REFINE_DPS):
-        xm = [[mpmath.mpf(v) for v in row] for row in x]
-
-        def mp_value(val: QuadExt):
-            out = mpmath.mpf(val.rat.numerator) / val.rat.denominator
-            if val.surd:
-                out += mpmath.mpf(val.surd.numerator) / val.surd.denominator * mpmath.sqrt(val.disc)
-            return out
-
-        mp_targets = [mp_value(v) for _, _, v in exact]
-
-        def residual_mp(rows):
-            out = []
-            for row in rows:
-                out.append(row[0] * row[1] - sum(c * c for c in row[2:]) + 1)
-            for (i, j), val in zip(pairs, mp_targets):
-                u, w = rows[i], rows[j]
-                prod = (u[0] * w[1] + u[1] * w[0]) / 2 - sum(a * b for a, b in zip(u[2:], w[2:]))
-                out.append(prod - val)
-            for i, c, t in pins:
-                out.append(rows[i][c] - t)
-            return out
-
-        best = residual_mp(xm)
-        best_norm = max(abs(r) for r in best)
-        for _ in range(20):
-            if best_norm <= tol:
-                break
-            iterations += 1
-            xf = np.array([[float(v) for v in row] for row in xm])
-            jac = _jacobian_np(xf, pairs, pins)
-            res = np.array([float(r) for r in best])
-            step = np.linalg.lstsq(jac, -res, rcond=None)[0].reshape(xf.shape)
-            trial = [
-                [v + mpmath.mpf(step[i][c]) for c, v in enumerate(row)]
-                for i, row in enumerate(xm)
-            ]
-            trial_res = residual_mp(trial)
-            trial_norm = max(abs(r) for r in trial_res)
-            if trial_norm >= best_norm:
-                break
-            xm, best, best_norm = trial, trial_res, trial_norm
-        if best_norm > tol:
-            raise NoConvergence(iterations, float(best_norm))
-        return FloatWallSystem(walls=xm, residual=float(best_norm), iterations=iterations)
+        fields = [(v.triple, v.disc) for _, _, v in exact]
+        targets = np.array([(a + b * mpmath.sqrt(d)) / q for (a, b, q), d in fields], dtype=object)
+        xm, norm, its = _gauss_newton(
+            np.frompyfunc(mpmath.mpf, 1, 1)(x), pairs, targets, pins, 20, floor=tol
+        )
+    iterations += its
+    if norm > tol:
+        raise NoConvergence(iterations, float(norm))
+    return FloatWallSystem(walls=xm.tolist(), residual=float(norm), iterations=iterations)
 
 
 # -- exact recovery --------------------------------------------------------
@@ -544,10 +426,13 @@ def algebraic_guess(value, d: int, denom_bound: int, tol: float) -> QuadExt:
     """Snap a float to (a + b*sqrt(d))/q with q <= denom_bound.
 
     Raises Ambiguous when several distinct exact values fit within tol and
-    NoCandidate when none does.
+    NoCandidate when none does.  d must be 0 or a non-square positive integer:
+    a rational sqrt(d) would give one value several (a, b) keys.
     """
     if denom_bound < 1:
-        raise ValueError("denom_bound must be positive")
+        raise ParameterError(f"denominator bound must be positive, got {denom_bound}")
+    if d < 0 or (d and isqrt(d) ** 2 == d):
+        raise ParameterError(f"d must be 0 or a positive non-square, got {d}")
     with mpmath.workdps(_REFINE_DPS):
         xm = mpmath.mpf(value) if not isinstance(value, mpmath.mpf) else value
         xf = float(xm)

@@ -270,6 +270,13 @@ def hexpyr_gram_path(capsys, tmp_path):
     return path
 
 
+@pytest.fixture()
+def tetra_path(capsys, tmp_path):
+    path = tmp_path / "tetra.json"
+    run(capsys, "fixtures", "tetrahedron", "--out", str(path))
+    return path
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -280,11 +287,16 @@ def hexpyr_gram_path(capsys, tmp_path):
         ["orbit", "{system}", "--bound", "3+"],
         ["lg-scan", "{system}", "--bound", "1*sqrt(10000000000037)", "--modulus", "24",
          "--scan-bound", "10"],
+        ["geometrize", "{target}", "--d", "-3"],
+        # sqrt(4) is rational, so one value would have several (a, b) keys
+        ["geometrize", "{target}", "--d", "4"],
+        ["geometrize", "{target}", "--d", "0", "--denom", "0"],
     ],
-    ids=["modulus-zero", "modulus-past-int64", "max-len-one", "unparsable-bound", "bound-discriminant"],
+    ids=["modulus-zero", "modulus-past-int64", "max-len-one", "unparsable-bound",
+         "bound-discriminant", "negative-d", "square-d", "denom-zero"],
 )
-def test_bad_parameter_is_clean_error(capsys, apollonian_path, hexpyr_gram_path, argv):
-    paths = {"system": apollonian_path, "gram": str(hexpyr_gram_path)}
+def test_bad_parameter_is_clean_error(capsys, apollonian_path, hexpyr_gram_path, tetra_path, argv):
+    paths = {"system": apollonian_path, "gram": str(hexpyr_gram_path), "target": str(tetra_path)}
     code, out, err = run(capsys, *(a.format(**paths) for a in argv))
     assert code == 1 and out == ""
     assert err.count("\n") == 1

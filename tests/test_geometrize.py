@@ -200,8 +200,8 @@ def test_pipeline_cuboctahedron():
 
 
 def test_gram_targets_and_frame_independent_of_seed():
-    # Gram targets carry no init hint: their cocluster walls are placed from
-    # orthogonality links before the solve
+    # Gram targets carry no init hint: they start from the eigendecomposition
+    # of the target Gram matrix
     for gram, d in ((gram_matrix(apollonian_system().walls), 0), (hexpyr_expected_gram(), 3)):
         spec = target_from_gram(gram)
         assert spec.init_hint is None
@@ -215,6 +215,22 @@ def test_gram_targets_and_frame_independent_of_seed():
         )
         assert verify_realization(first, spec).ok
         assert all(walls == first for walls in others)
+
+
+@pytest.mark.parametrize(
+    "target, d", [(tetrahedron_target, 0), (cuboctahedron_target, 6)],
+    ids=["tetrahedron", "cuboctahedron"],
+)
+def test_hintless_target_realizes_on_every_seed(target, d):
+    spec = target()
+    spec = TargetSpec(spec.wall_count, dict(spec.targets))
+    assert spec.init_hint is None
+    first, *others = (
+        guess_walls(realize(spec, seed=s), d=d, denom_bound=64, tol=1e-18) for s in range(4)
+    )
+    rep = verify_realization(first, spec)
+    assert rep.ok, rep.mismatches
+    assert all(walls == first for walls in others)
 
 
 def test_cluster_split_tetrahedron():

@@ -2,12 +2,17 @@
 
 Runs the tour's commands in-process through `cli.main` and compares SHA-256
 digests of each command's stdout and of every file the tour writes against
-digests recorded while the orbit closure still ran on QuadExt coordinates.  `geometrize` is left out: its
-float stage may differ across BLAS builds.  A change that moves any of these
-digests changes what users see; if that is intended, say so and re-record.
+digests recorded while the orbit closure still ran on QuadExt coordinates.  The
+two `geometrize` commands are checked apart, against digests recorded while
+realize still started hint-less targets from a planar layout: their exact walls
+must not move, but the float residual they print may differ across BLAS builds,
+so of their stderr only `"verified": true` is checked.  A change that moves any
+of these digests changes what users see; if that is intended, say so and
+re-record.
 """
 
 import hashlib
+import json
 
 from packinglab.cli import main
 
@@ -74,24 +79,48 @@ FILE_SHA256 = {
     "tetra.json": "f9285b72a5c30781090c211034ff7826b03156129fc41059c2c66994b2190d9d",
 }
 
+GEOMETRIZE_STDOUT_SHA256 = {
+    "geometrize tetra.json --d 0 --out system.json":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "geometrize cubocta.json --d 6 --out cubocta_system.json":
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+}
+
+GEOMETRIZE_FILE_SHA256 = {
+    "system.json": "3a22753ec5360cc185fbd145b7d2bd3cdafe4ebb21a44d5c79d252017dd8a201",
+    "cubocta_system.json": "0b791fc98c55d1d46ccf74aaef4fce89dfff3c4aeab0e61b68f5f83677e33954",
+}
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_tour(workdir, capsys):
-    """(stdout digest per command, digest per written file), run in workdir."""
-    stdout = {}
-    for command in TOUR:
+def run_tour(workdir, capsys, commands=TOUR):
+    """(stdout digest per command, stderr per command, digest per written
+    file), run in workdir."""
+    stdout, stderr = {}, {}
+    for command in commands:
         argv = [str(workdir / a) if a.endswith((".json", ".svg", ".cox")) else a
                 for a in command.split()]
         assert main(argv) == 0, command
-        stdout[command] = _sha(capsys.readouterr().out.encode())
+        captured = capsys.readouterr()
+        stdout[command] = _sha(captured.out.encode())
+        stderr[command] = captured.err
     files = {p.name: _sha(p.read_bytes()) for p in sorted(workdir.iterdir())}
-    return stdout, files
+    return stdout, stderr, files
 
 
 def test_tour_is_byte_identical(tmp_path, capsys):
-    stdout, files = run_tour(tmp_path, capsys)
+    stdout, _, files = run_tour(tmp_path, capsys)
     assert stdout == STDOUT_SHA256
     assert files == FILE_SHA256
+
+
+def test_tour_geometrize_is_byte_identical(tmp_path, capsys):
+    exports = [c for c in TOUR if c.startswith(("fixtures tetrahedron", "fixtures cuboctahedron"))]
+    geometrize = list(GEOMETRIZE_STDOUT_SHA256)
+    stdout, stderr, files = run_tour(tmp_path, capsys, exports + geometrize)
+    assert {c: stdout[c] for c in geometrize} == GEOMETRIZE_STDOUT_SHA256
+    assert all(json.loads(stderr[c])["verified"] is True for c in geometrize)
+    assert {name: files[name] for name in GEOMETRIZE_FILE_SHA256} == GEOMETRIZE_FILE_SHA256

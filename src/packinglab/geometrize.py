@@ -3,7 +3,9 @@
 The pipeline is: realize (start from the target's init hint, or else from an
 eigendecomposition of its Gram matrix, then one damped Gauss-Newton loop run in
 float64 and again on extended-precision mpmath residuals), algebraic_guess
-(per-value snap to (a + b*sqrt(d))/q with a bounded denominator), and
+(per-value snap to (a + b*sqrt(d))/q with a bounded denominator: the (q, b)
+grid is prefiltered in numpy one block of denominators at a time, and only
+reduced triples, gcd(a, b, q) == 1, reach the mpmath check), and
 verify_realization (exact re-check of every target against the guessed walls).
 """
 
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import gcd, inf, isfinite, isqrt
 from typing import Sequence
 
 import mpmath
@@ -23,6 +25,7 @@ from .exactnum import QuadExt
 from .inversive import InversiveVector, inversive_product, q_matrix
 
 _REFINE_DPS = 60
+_GRID_CELLS = 1 << 14  # cells in one numpy pass of algebraic_guess
 
 
 class NoConvergence(PackingLabError):
@@ -370,6 +373,10 @@ def realize(
     frame, unpinned.  Free pairs are not constrained here; verify them after
     guessing exact coordinates.
     """
+    if seed < 0:
+        raise ParameterError(f"seed must be non-negative, got {seed}")
+    if not 0 < tol < inf:
+        raise ParameterError(f"tol must be finite and positive, got {tol}")
     if spec.dim != 2:
         raise GaugeDeficient("only planar targets are supported")
     exact = spec.exact_pairs()
@@ -426,43 +433,70 @@ def algebraic_guess(value, d: int, denom_bound: int, tol: float) -> QuadExt:
     """Snap a float to (a + b*sqrt(d))/q with q <= denom_bound.
 
     Raises Ambiguous when several distinct exact values fit within tol and
-    NoCandidate when none does.  d must be 0 or a non-square positive integer:
-    a rational sqrt(d) would give one value several (a, b) keys.
+    NoCandidate when none does; a value that is not finite has no candidate.
+    d must be 0 or a non-square positive integer: a rational sqrt(d) would
+    give one value several (a, b) keys.  tol must be finite and >= 0, and
+    tol == 0 asks for an exact match.
+
+    The grid is every q <= denom_bound and every |b| <= b_max(q), with
+    b_max(q) just past |q*x| / sqrt(d) + denom_bound (b = 0 when d == 0).
+    It is walked in blocks of consecutive q, each one numpy pass of about
+    _GRID_CELLS cells that rounds q*x - b*sqrt(d) to the nearest a and keeps
+    the cells within a float slack of it.  Survivors are visited in order of
+    q, then b, and only a reduced triple, gcd(a, b, q) == 1, reaches the
+    exact mpmath check at _REFINE_DPS digits.
     """
     if denom_bound < 1:
         raise ParameterError(f"denominator bound must be positive, got {denom_bound}")
     if d < 0 or (d and isqrt(d) ** 2 == d):
         raise ParameterError(f"d must be 0 or a positive non-square, got {d}")
+    if not 0 <= tol < inf:
+        raise ParameterError(f"tol must be finite and non-negative, got {tol}")
     with mpmath.workdps(_REFINE_DPS):
         xm = mpmath.mpf(value) if not isinstance(value, mpmath.mpf) else value
         xf = float(xm)
+        if not isfinite(xf):
+            raise NoCandidate(f"{xf!r} has no exact match with denominator <= {denom_bound}")
         sqrt_d = mpmath.sqrt(d) if d else mpmath.mpf(0)
         sqrt_f = float(sqrt_d)
-        found: dict[tuple[Fraction, Fraction], QuadExt] = {}
-        for q in range(1, denom_bound + 1):
-            xq = xf * q
-            slack = q * tol * 1.125 + 1e-9
-            if d == 0:
-                bs = np.array([0])
-            else:
-                b_max = int(np.floor((abs(xq) + slack + 1.0) / sqrt_f)) + 1 + denom_bound
-                bs = np.arange(-b_max, b_max + 1)
-            approx = xq - bs * sqrt_f
-            a_round = np.round(approx)
-            keep = np.abs(approx - a_round) <= slack
-            for b, a in zip(bs[keep], a_round[keep]):
+        qs = np.arange(1, denom_bound + 1)
+        xq = xf * qs
+        slack = qs * tol * 1.125 + 1e-9
+        if d:
+            # floats, exact below 2**53; a wider row could not be allocated
+            b_max = np.floor((np.abs(xq) + slack + 1.0) / sqrt_f) + 1 + denom_bound
+        else:
+            b_max = np.zeros(denom_bound)
+        rows = max(1, int(_GRID_CELLS // (2 * b_max[-1] + 1)))
+        found: list[QuadExt] = []
+        for lo in range(0, denom_bound, rows):
+            hi = min(lo + rows, denom_bound)
+            top = int(b_max[hi - 1])
+            bs = np.arange(-top, top + 1)
+            approx = xq[lo:hi, None] - bs * sqrt_f
+            dev = np.round(approx)
+            dev -= approx
+            np.abs(dev, out=dev)
+            ii, jj = np.divmod(np.flatnonzero(dev <= slack[lo:hi, None]), bs.size)
+            inside = np.abs(bs[jj]) <= b_max[lo + ii]
+            ii, jj = ii[inside], jj[inside]
+            rounded = np.round(approx[ii, jj]).tolist()
+            for a, b, q in zip(rounded, bs[jj].tolist(), (ii + lo + 1).tolist()):
                 a = int(a)
-                b = int(b)
-                err = abs(xm * q - a - b * sqrt_d)
-                if err <= q * tol:
-                    key = (Fraction(a, q), Fraction(b, q))
-                    if key not in found:
-                        found[key] = QuadExt(key[0], key[1], d if b else 0)
-                        if len(found) > 1:
-                            raise Ambiguous(xf, sorted(found.values(), key=float))
+                # (k*a, k*b, k*q) names the same value as (a, b, q); its error
+                # and its bound both scale by k, and its slack is no looser per
+                # unit of q, so when a multiple survives, its reduced triple
+                # survived in an earlier row.  Checking reduced triples only
+                # keeps every value's first occurrence, and distinct reduced
+                # triples are distinct values.  The gcd is on Python ints: a
+                # can pass 2**63.
+                if gcd(a, b, q) == 1 and abs(xm * q - a - b * sqrt_d) <= q * tol:
+                    found.append(QuadExt(Fraction(a, q), Fraction(b, q), d if b else 0))
+                    if len(found) > 1:
+                        raise Ambiguous(xf, sorted(found, key=float))
         if not found:
             raise NoCandidate(f"{xf!r} has no exact match with denominator <= {denom_bound}")
-        return next(iter(found.values()))
+        return found[0]
 
 
 def guess_walls(

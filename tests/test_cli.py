@@ -291,9 +291,13 @@ def tetra_path(capsys, tmp_path):
         # sqrt(4) is rational, so one value would have several (a, b) keys
         ["geometrize", "{target}", "--d", "4"],
         ["geometrize", "{target}", "--d", "0", "--denom", "0"],
+        ["geometrize", "{target}", "--d", "0", "--seed", "-1"],
+        ["geometrize", "{target}", "--d", "0", "--tol", "nan"],
+        ["geometrize", "{target}", "--d", "0", "--tol=-1e-24"],
     ],
     ids=["modulus-zero", "modulus-past-int64", "max-len-one", "unparsable-bound",
-         "bound-discriminant", "negative-d", "square-d", "denom-zero"],
+         "bound-discriminant", "negative-d", "square-d", "denom-zero", "seed-negative",
+         "tol-nan", "tol-negative"],
 )
 def test_bad_parameter_is_clean_error(capsys, apollonian_path, hexpyr_gram_path, tetra_path, argv):
     paths = {"system": apollonian_path, "gram": str(hexpyr_gram_path), "target": str(tetra_path)}

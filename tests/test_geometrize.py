@@ -1,10 +1,16 @@
 """Numeric realization, exact snapping, and exact verification."""
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import guess_grid_oracle as oracle
 from packinglab.arithmetic import gram_matrix
+from packinglab.errors import ParameterError
 from packinglab.exactnum import QuadExt
 from packinglab.fixtures import (
     apollonian_system,
@@ -83,6 +89,16 @@ def test_dimension_guard():
         realize(spec)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"seed": -1}, {"tol": float("nan")}, {"tol": float("inf")}, {"tol": 0.0}, {"tol": -1e-24}],
+    ids=["seed-negative", "tol-nan", "tol-inf", "tol-zero", "tol-negative"],
+)
+def test_realize_bad_parameter_is_parameter_error(kwargs):
+    with pytest.raises(ParameterError):
+        realize(tetrahedron_target(), **kwargs)
+
+
 def test_damping_is_monotone():
     from packinglab.geometrize import _gauss_newton, _initial_walls
 
@@ -137,6 +153,88 @@ def test_guess_surd_coefficient_beyond_value_size(text, d):
         x = mpmath.mpf(want.rat.numerator) / want.rat.denominator
         x += mpmath.mpf(want.surd.numerator) / want.surd.denominator * mpmath.sqrt(d)
         assert algebraic_guess(x, d=d, denom_bound=64, tol=1e-18) == want
+
+
+@pytest.mark.parametrize("d", [0, 3, 6])
+@pytest.mark.parametrize(
+    "x", [float("nan"), float("inf"), float("-inf"), mpmath.mpf("1e400")],
+    ids=["nan", "inf", "-inf", "mpf-past-float"],
+)
+def test_guess_non_finite_value_has_no_candidate(x, d):
+    with pytest.raises(NoCandidate):
+        algebraic_guess(x, d=d, denom_bound=64, tol=1e-18)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-18])
+def test_guess_bad_tol_is_parameter_error(tol):
+    with pytest.raises(ParameterError):
+        algebraic_guess(0.5, d=3, denom_bound=6, tol=tol)
+
+
+def test_guess_zero_tol_asks_for_exact_match():
+    assert algebraic_guess(0.5, d=3, denom_bound=6, tol=0.0) == q(Fraction(1, 2))
+    with pytest.raises(NoCandidate):
+        algebraic_guess(0.1, d=0, denom_bound=64, tol=0.0)  # the float 0.1 is not 1/10
+
+
+def guess_outcome(guess, *args):
+    """What a guesser returns or raises, with every message and candidate."""
+    try:
+        return "value", guess(*args)
+    except Ambiguous as exc:
+        return "Ambiguous", str(exc), exc.candidates
+    except NoCandidate as exc:
+        return "NoCandidate", str(exc)
+
+
+@st.composite
+def guess_cases(draw):
+    d = draw(st.sampled_from([0, 2, 3, 5, 6, 7]))
+    denom_bound = draw(st.sampled_from([1, 2, 5, 16, 64, 80]))
+    tol = 10.0 ** draw(st.integers(-18, -2))
+    if draw(st.booleans()):
+        # q up to 90, so some values lie beyond the denominator bound
+        a, qq = draw(st.integers(-300, 300)), draw(st.integers(1, 90))
+        b = draw(st.integers(-300, 300)) if d else 0
+        shift = draw(st.sampled_from([-1, 1])) * draw(st.floats(0.1, 3.0)) * tol
+        with mpmath.workdps(60):
+            x = (a + b * mpmath.sqrt(d)) / qq + shift
+    else:
+        x = draw(st.floats(-1000.0, 1000.0))
+    return x, d, denom_bound, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(guess_cases())
+def test_guess_matches_grid_oracle(case):
+    assert guess_outcome(algebraic_guess, *case) == guess_outcome(oracle.algebraic_guess, *case)
+
+
+@pytest.mark.parametrize(
+    "x, d", [(1e17, 0), (1e300, 0), (10**20 + 1, 0), (12345.678, 2), (12345.678, 6)]
+)
+@pytest.mark.parametrize("tol", [1e-18, 1e-2])
+def test_guess_matches_grid_oracle_at_large_values(x, d, tol):
+    # a passes 2**63 at 1e300 and 10**20 + 1; at 12345.678 a row of the grid
+    # is wider than a block
+    case = (x, d, 64, tol)
+    assert guess_outcome(algebraic_guess, *case) == guess_outcome(oracle.algebraic_guess, *case)
+
+
+def test_guess_grid_memory_is_bounded():
+    # at |x| near 100 with d = 6 a row of the grid is about 5,400 cells wide,
+    # so a block holds only a few rows
+    with mpmath.workdps(60):
+        x = (500 + 3 * mpmath.sqrt(6)) / 5
+    algebraic_guess(x, d=6, denom_bound=64, tol=1e-18)
+    tracemalloc.start()
+    try:
+        got = algebraic_guess(x, d=6, denom_bound=64, tol=1e-18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == QuadExt.parse("100+3/5*sqrt(6)")
+    assert peak < 1 << 20
 
 
 # -- verify_realization ----------------------------------------------------------

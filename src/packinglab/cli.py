@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import serialize
 from .arithmetic import bends_conjugate, bends_vector, vinberg_test
-from .coxeter import gram_from_diagram, parse_diagram, print_diagram
+from .coxeter import GramMatrix, gram_from_diagram, parse_diagram, print_diagram
 from .errors import PackingLabError, ParameterError
 from .exactnum import QuadExt
 from .fixtures import REGISTRY
@@ -25,7 +25,7 @@ from .render import Viewport, render_svg
 from .structure import enumerate_decompositions
 
 
-_KINDS = {"system": WallSystem, "packing": Packing, "target": TargetSpec}
+_KINDS = {"system": WallSystem, "packing": Packing, "target": TargetSpec, "gram": GramMatrix}
 
 
 def _load(path: str, kind: str):
@@ -52,21 +52,13 @@ def _write_or_print(text: str, out: str | None) -> None:
 def _gram_from_path(path: str):
     if path.endswith(".cox"):
         return gram_from_diagram(parse_diagram(Path(path).read_text()))
-    doc = serialize.load(path)
-    from .coxeter import GramMatrix
-
-    if isinstance(doc, GramMatrix):
-        return doc
-    raise serialize.FormatError(f"{path} holds neither a diagram nor a gram document")
+    return _load(path, "gram")
 
 
 def cmd_parse(args) -> int:
     diagram = parse_diagram(Path(args.diagram).read_text())
     gram = gram_from_diagram(diagram)
-    if args.out:
-        serialize.save(gram, args.out)
-    else:
-        sys.stdout.write(serialize.dumps(gram))
+    _write_or_print(serialize.dumps(gram), args.out)
     return 0
 
 
@@ -130,10 +122,7 @@ def cmd_geometrize(args) -> int:
     else:
         cluster, cocluster = cluster_split(spec)
     out_system = WallSystem(walls=tuple(walls), cluster_idx=cluster, cocluster_idx=cocluster)
-    if args.out:
-        serialize.save(out_system, args.out)
-    else:
-        sys.stdout.write(serialize.dumps(out_system))
+    _write_or_print(serialize.dumps(out_system), args.out)
     print(
         json.dumps(
             {"residual": system.residual, "iterations": system.iterations, "verified": True},

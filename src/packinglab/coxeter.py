@@ -82,9 +82,6 @@ class CoxeterDiagram:
     vertex_count: int
     edges: dict[tuple[int, int], EdgeKind]
 
-    def edge(self, i: int, j: int) -> EdgeKind | None:
-        return self.edges.get((min(i, j), max(i, j)))
-
 
 @dataclass(frozen=True)
 class GramMatrix:

@@ -3,9 +3,9 @@
 A value is one canonical int triple over a discriminant: it reads
 (a + b*sqrt(disc)) / q with q > 0 and gcd(a, b, q) == 1, where disc is a
 square-free integer >= 2, or 0 with b == 0 for a plain rational.  This is the
-form the orbit kernel encodes vectors in (see orbit.encode).  Each operation
-works on the ints and reduces its result once by the gcd, so every value has
-one representation and equality is equality of the fields.  The rational and
+form the int code of vectors is built on (see inversive.encode).  Each
+operation works on the ints and reduces its result once by the gcd, so every
+value has one representation and equality is equality of the fields.  The rational and
 surd parts are read as Fractions through the rat and surd properties.
 
 A discriminant is split into its square-free part only where a value enters

@@ -26,6 +26,7 @@ from .inversive import InversiveVector, inversive_product, q_matrix
 
 _REFINE_DPS = 60
 _GRID_CELLS = 1 << 14  # cells in one numpy pass of algebraic_guess
+_ROW_CELLS = _GRID_CELLS << 10  # widest grid row algebraic_guess builds: 128 MB of floats
 
 
 class NoConvergence(PackingLabError):
@@ -256,24 +257,19 @@ def _residual_np(x: np.ndarray, pairs, values, pins=()) -> np.ndarray:
 
 
 def _jacobian_np(x: np.ndarray, pairs, pins=()) -> np.ndarray:
+    """Jacobian of _residual_np at a float64 x: d Q(x_i) = 2 x_i Q, and
+    d <x_i, x_j> = x_j Q at wall i and x_i Q at wall j."""
     k, width = x.shape
-    rows = k + len(pairs) + len(pins)
-    jac = np.zeros((rows, k * width))
-    for i in range(k):
-        jac[i, i * width + 0] = x[i, 1]
-        jac[i, i * width + 1] = x[i, 0]
-        jac[i, i * width + 2:i * width + width] = -2.0 * x[i, 2:]
-    for r, (i, j) in enumerate(pairs, start=k):
-        u, v = x[i], x[j]
-        jac[r, i * width + 0] = 0.5 * v[1]
-        jac[r, i * width + 1] = 0.5 * v[0]
-        jac[r, i * width + 2:i * width + width] = -v[2:]
-        jac[r, j * width + 0] = 0.5 * u[1]
-        jac[r, j * width + 1] = 0.5 * u[0]
-        jac[r, j * width + 2:j * width + width] = -u[2:]
+    xq = x @ _Q
+    jac = np.zeros((k + len(pairs) + len(pins), k, width))
+    jac[np.arange(k), np.arange(k)] = 2.0 * xq
+    if len(pairs):
+        rows = np.arange(k, k + len(pairs))
+        jac[rows, pairs[:, 0]] = xq[pairs[:, 1]]
+        jac[rows, pairs[:, 1]] = xq[pairs[:, 0]]
     for r, (i, c, _) in enumerate(pins, start=k + len(pairs)):
-        jac[r, i * width + c] = 1.0
-    return jac
+        jac[r, i, c] = 1.0
+    return jac.reshape(len(jac), k * width)
 
 
 def _gauss_newton(x, pairs, values, pins, max_iter, floor=1e-13):
@@ -354,7 +350,6 @@ def realize(
     seed: int = 0,
     tol: float = 1e-24,
     max_iter: int = 400,
-    init: Sequence[Sequence[float]] | None = None,
 ) -> FloatWallSystem:
     """Solve for wall coordinates meeting every exact target.
 
@@ -362,16 +357,14 @@ def realize(
     target Gram matrix (_initial_walls).  One damped Gauss-Newton loop with a
     minimum-norm least-squares step then runs in float64 and again on mpmath
     residuals; accepted steps decrease max |residual| monotonically, and the
-    reported residual is that norm.  Without an explicit init the Moebius
-    gauge is fixed by the first mutually tangent triple: after an unpinned
-    solve, one linear solve finds the Moebius map (det > 0, never a
-    reflection) taking the triple to the line y=0 and the unit circles
-    resting on it at the origin and at (2,0), and the polish keeps those
-    three walls pinned there.  This is what makes the solved coordinates land
-    on small algebraic numbers.  Which of two mirror-image configurations is
-    reached depends on the start.  An explicit init is polished in its own
-    frame, unpinned.  Free pairs are not constrained here; verify them after
-    guessing exact coordinates.
+    reported residual is that norm.  The Moebius gauge is fixed by the first
+    mutually tangent triple: after an unpinned solve, one linear solve finds
+    the Moebius map (det > 0, never a reflection) taking the triple to the
+    line y=0 and the unit circles resting on it at the origin and at (2,0),
+    and the polish keeps those three walls pinned there.  This is what makes
+    the solved coordinates land on small algebraic numbers.  Which of two
+    mirror-image configurations is reached depends on the start.  Free pairs
+    are not constrained here; verify them after guessing exact coordinates.
     """
     if seed < 0:
         raise ParameterError(f"seed must be non-negative, got {seed}")
@@ -383,29 +376,21 @@ def realize(
     pairs = np.array([(i, j) for i, j, _ in exact], dtype=int).reshape(-1, 2)
     values = np.array([float(v) for _, _, v in exact])
 
-    iterations = 0
-    if init is not None:
-        x = np.array(init, dtype=float)
-        if x.shape != (spec.wall_count, spec.dim + 2):
-            raise ValueError(f"init must be {spec.wall_count} x {spec.dim + 2}")
-        pins: list[tuple[int, int, float]] = []
+    ia, ic, ib, pins = _gauge_pins(spec)
+    rng = np.random.default_rng(seed)
+    if spec.init_hint is not None:
+        x = np.array(spec.init_hint) + rng.normal(0.0, 1e-4, (spec.wall_count, 4))
     else:
-        ia, ic, ib, pins = _gauge_pins(spec)
-        rng = np.random.default_rng(seed)
-        if spec.init_hint is not None:
-            x = np.array(spec.init_hint) + rng.normal(0.0, 1e-4, (spec.wall_count, 4))
-        else:
-            x = _initial_walls(spec, rng)
-        x, norm, its = _gauss_newton(x, pairs, values, (), max_iter)
-        iterations += its
-        if norm >= 1e-10:
-            raise NoConvergence(iterations, float(norm))
-        x = x @ _frame_map(x, ia, ic, ib)
-        drift = max(
-            np.linalg.norm(x[ic] - _E_CIRCLE), np.linalg.norm(x[ib] - _E_THIRD)
-        )
-        if drift > 0.75:
-            raise NoConvergence(iterations, float(drift))
+        x = _initial_walls(spec, rng)
+    x, norm, iterations = _gauss_newton(x, pairs, values, (), max_iter)
+    if norm >= 1e-10:
+        raise NoConvergence(iterations, float(norm))
+    x = x @ _frame_map(x, ia, ic, ib)
+    drift = max(
+        np.linalg.norm(x[ic] - _E_CIRCLE), np.linalg.norm(x[ib] - _E_THIRD)
+    )
+    if drift > 0.75:
+        raise NoConvergence(iterations, float(drift))
 
     x, norm, its = _gauss_newton(x, pairs, values, pins, max_iter)
     iterations += its
@@ -444,7 +429,9 @@ def algebraic_guess(value, d: int, denom_bound: int, tol: float) -> QuadExt:
     _GRID_CELLS cells that rounds q*x - b*sqrt(d) to the nearest a and keeps
     the cells within a float slack of it.  Survivors are visited in order of
     q, then b, and only a reduced triple, gcd(a, b, q) == 1, reaches the
-    exact mpmath check at _REFINE_DPS digits.
+    exact mpmath check at _REFINE_DPS digits.  The widest row, q =
+    denom_bound, grows with |x|; when it would pass _ROW_CELLS cells the
+    call raises ParameterError rather than allocate it.
     """
     if denom_bound < 1:
         raise ParameterError(f"denominator bound must be positive, got {denom_bound}")
@@ -463,11 +450,17 @@ def algebraic_guess(value, d: int, denom_bound: int, tol: float) -> QuadExt:
         xq = xf * qs
         slack = qs * tol * 1.125 + 1e-9
         if d:
-            # floats, exact below 2**53; a wider row could not be allocated
+            # floats, exact below 2**53, far past the _ROW_CELLS guard
             b_max = np.floor((np.abs(xq) + slack + 1.0) / sqrt_f) + 1 + denom_bound
         else:
             b_max = np.zeros(denom_bound)
-        rows = max(1, int(_GRID_CELLS // (2 * b_max[-1] + 1)))
+        widest = 2 * b_max[-1] + 1
+        if widest > _ROW_CELLS:
+            raise ParameterError(
+                f"{xf!r} needs grid rows of {widest:.0f} cells at d = {d} and denominator"
+                f" bound {denom_bound}, over the limit of {_ROW_CELLS}"
+            )
+        rows = max(1, int(_GRID_CELLS // widest))
         found: list[QuadExt] = []
         for lo in range(0, denom_bound, rows):
             hi = min(lo + rows, denom_bound)

@@ -8,12 +8,23 @@ block.  The product of two walls reads off their relative position:
 
     -1 same wall, 1 externally tangent, 0 orthogonal, > 1 disjoint,
     cos(theta) at intersection angle theta.
+
+The int code: a vector whose coordinates lie in one field Q(sqrt(d))
+(field_disc) is the tuple of its coordinates' QuadExt triples over one least
+common denominator (encode).  The code is canonical, so the orbit kernel uses
+it as its dedup key and runs its reflections on it.  Q(v) = -1 is decided on
+the code alone (q_is_minus_one), and InversiveVector.validate is the one
+place that decides it: reflection_matrix, verify_realization and the document
+loaders all ask validate.
 """
 
 from __future__ import annotations
 
+from math import lcm
+from typing import Iterable, Sequence
+
 from .errors import PackingLabError
-from .exactnum import ONE, ZERO, QuadExt
+from .exactnum import ONE, ZERO, DiscMismatch, QuadExt, from_triple
 from . import linalg
 from .linalg import Matrix, as_quad
 
@@ -78,7 +89,10 @@ class InversiveVector:
         )
 
     def validate(self) -> bool:
-        return self.q_norm() == -1
+        """Q(v) == -1, decided on the int code; coordinates in two different
+        quadratic fields raise DiscMismatch."""
+        coords = self.coords()
+        return q_is_minus_one(encode(coords), field_disc(coords))
 
     def reflect(self, wall: "InversiveVector") -> "InversiveVector":
         """Image of self under inversion through wall (right action v + 2<v,s>s)."""
@@ -102,6 +116,66 @@ class InversiveVector:
 
     def __repr__(self):
         return f"InversiveVector({self.cobend}, {self.bend}, {list(map(str, self.bz))})"
+
+
+def field_disc(values: Iterable[QuadExt]) -> int:
+    """The one square-free d > 0 among the values' fields, or 0 if all are
+    rational; two different nonzero discriminants raise DiscMismatch."""
+    d = 0
+    for x in values:
+        if x.disc and x.disc != d:
+            if d:
+                raise DiscMismatch(f"sqrt({d}) vs sqrt({x.disc})")
+            d = x.disc
+    return d
+
+
+def encode(values: Sequence[QuadExt]) -> tuple[int, ...]:
+    """(a_0, b_0, ..., a_k, b_k, den): value j is (a_j + b_j sqrt(d)) / den.
+
+    Each value's QuadExt triple (a, b, q) is put over the least common
+    denominator, so the numerators and den share no factor and the tuple is
+    canonical.  Every value must lie in one field.
+    """
+    triples = [x.triple for x in values]
+    den = lcm(*(q for _, _, q in triples))
+    out = []
+    for a, b, q in triples:
+        f = den // q
+        out += (a * f, b * f)
+    out.append(den)
+    return tuple(out)
+
+
+def _decoder(d: int):
+    """Encoded tuple -> tuple of QuadExt, memoized per coordinate."""
+    cache: dict[tuple[int, int, int], QuadExt] = {}
+
+    def decode(code: tuple[int, ...]) -> tuple[QuadExt, ...]:
+        den = code[-1]
+        out = []
+        for j in range(0, len(code) - 1, 2):
+            key = (code[j], code[j + 1], den)
+            x = cache.get(key)
+            if x is None:
+                x = cache[key] = from_triple(*key, d)
+            out.append(x)
+        return tuple(out)
+
+    return decode
+
+
+def q_is_minus_one(code: tuple[int, ...], d: int) -> bool:
+    """Q(v) == -1 for an encoded inversive vector: cobend*bend - |bz|^2."""
+    den = code[-1]
+    a0, b0, a1, b1 = code[:4]
+    qa = a0 * a1 + d * b0 * b1
+    qb = a0 * b1 + b0 * a1
+    for j in range(4, len(code) - 1, 2):
+        a, b = code[j], code[j + 1]
+        qa -= a * a + d * b * b
+        qb -= 2 * a * b
+    return qa == -den * den and qb == 0
 
 
 def sphere_from_center_radius(center, radius) -> InversiveVector:

@@ -8,13 +8,13 @@ word cap is reported unsaturated.
 
 The search runs on plain ints.  A closure fixes one field Q(sqrt(d)), taken
 from the walls and the bend bound (two different nonzero discriminants raise
-DiscMismatch), and encodes each inversive vector as its coordinates' QuadExt
-triples over one common denominator (see encode).  That form is canonical, so
-the tuple itself is the dedup key.  A reflection applies the wall's
-precomputed 2Qs by the field rule and divides out the gcd; the bend test and
-the final order are decided by exact sign analysis (exactnum.quad_sign).
-Walls are encoded on entry, and each kept sphere is decoded once, after
-sorting.
+DiscMismatch), and works on the int code that inversive.py owns: each vector
+is its coordinates' QuadExt triples over one common denominator
+(inversive.encode).  That form is canonical, so the tuple itself is the dedup
+key.  A reflection applies the wall's precomputed 2Qs by the field rule and
+divides out the gcd; the bend test and the final order are decided by exact
+sign analysis (exactnum.quad_sign).  Walls are encoded on entry, and each kept
+sphere is decoded once, after sorting.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cmp_to_key
-from math import gcd, lcm
-from typing import Iterable, Sequence
+from math import gcd
+from typing import Sequence
 
 from .errors import PackingLabError
-from .exactnum import DiscMismatch, QuadExt, from_triple, quad_sign
-from .inversive import InversiveVector
+from .exactnum import QuadExt, quad_sign
+from .inversive import InversiveVector, _decoder, encode, field_disc
 from .linalg import as_quad
 
 
@@ -88,66 +88,6 @@ class Packing:
     def bends_list(self) -> list[QuadExt]:
         """Sorted multiset of bends, one entry per retained sphere."""
         return sorted(rec.vector.bend for rec in self.spheres)
-
-
-def field_disc(values: Iterable[QuadExt]) -> int:
-    """The one square-free d > 0 among the values' fields, or 0 if all are
-    rational; two different nonzero discriminants raise DiscMismatch."""
-    d = 0
-    for x in values:
-        if x.disc and x.disc != d:
-            if d:
-                raise DiscMismatch(f"sqrt({d}) vs sqrt({x.disc})")
-            d = x.disc
-    return d
-
-
-def encode(values: Sequence[QuadExt]) -> tuple[int, ...]:
-    """(a_0, b_0, ..., a_k, b_k, den): value j is (a_j + b_j sqrt(d)) / den.
-
-    Each value's QuadExt triple (a, b, q) is put over the least common
-    denominator, so the numerators and den share no factor and the tuple is
-    canonical.  Every value must lie in one field.
-    """
-    triples = [x.triple for x in values]
-    den = lcm(*(q for _, _, q in triples))
-    out = []
-    for a, b, q in triples:
-        f = den // q
-        out += (a * f, b * f)
-    out.append(den)
-    return tuple(out)
-
-
-def _decoder(d: int):
-    """Encoded tuple -> tuple of QuadExt, memoized per coordinate."""
-    cache: dict[tuple[int, int, int], QuadExt] = {}
-
-    def decode(code: tuple[int, ...]) -> tuple[QuadExt, ...]:
-        den = code[-1]
-        out = []
-        for j in range(0, len(code) - 1, 2):
-            key = (code[j], code[j + 1], den)
-            x = cache.get(key)
-            if x is None:
-                x = cache[key] = from_triple(*key, d)
-            out.append(x)
-        return tuple(out)
-
-    return decode
-
-
-def q_is_minus_one(code: tuple[int, ...], d: int) -> bool:
-    """Q(v) == -1 for an encoded inversive vector: cobend*bend - |bz|^2."""
-    den = code[-1]
-    a0, b0, a1, b1 = code[:4]
-    qa = a0 * a1 + d * b0 * b1
-    qb = a0 * b1 + b0 * a1
-    for j in range(4, len(code) - 1, 2):
-        a, b = code[j], code[j + 1]
-        qa -= a * a + d * b * b
-        qb -= 2 * a * b
-    return qa == -den * den and qb == 0
 
 
 def _closure(

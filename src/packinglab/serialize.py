@@ -2,7 +2,13 @@
 
 Every exact value travels as its string form ("1/2", "2*sqrt(3)", ...) so
 files stay human-readable and nothing is lost to floats.  All documents carry
-"format": 1.
+"format": 1 and a string "kind".
+
+Every vector of a system or packing document (one wall or sphere) is checked
+on load by _vectors: its cobend, bend and bz coordinates are string literals,
+there are exactly dim + 2 of them for the document's dim, they lie in one
+quadratic field, and Q(v) = -1 (InversiveVector.validate).  A failure is a
+FormatError that names the wall or sphere.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from .errors import PackingLabError
 from .exactnum import DiscMismatch, QuadExt
 from .geometrize import DisjointFree, Exact, TargetSpec
 from .inversive import InversiveVector
-from .orbit import Packing, SphereRecord, WallSystem, encode, field_disc, q_is_minus_one
+from .orbit import Packing, SphereRecord, WallSystem
 
 FORMAT = 1
 
@@ -41,13 +47,24 @@ def _vector_to_obj(v: InversiveVector) -> dict:
     }
 
 
-def _vector_from_obj(obj: dict) -> InversiveVector:
-    try:
-        coords = [QuadExt.parse(obj["cobend"]), QuadExt.parse(obj["bend"])]
-        coords.extend(QuadExt.parse(s) for s in obj["bz"])
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"bad vector object: {exc}") from exc
-    return InversiveVector.from_coords(coords)
+def _vectors(objs, dim, what: str) -> list[InversiveVector]:
+    """The checked vectors of a document's wall or sphere objects."""
+    out = []
+    for i, obj in enumerate(objs, start=1):
+        try:
+            bz = obj["bz"]
+            if not isinstance(bz, list) or len(bz) != dim:
+                raise FormatError(f"{what} {i}: bz is not a list of dim = {dim!r} coordinates")
+            v = InversiveVector.from_coords(
+                [QuadExt.parse(s) for s in [obj["cobend"], obj["bend"], *bz]]
+            )
+            on_quadric = v.validate()
+        except (KeyError, TypeError, ValueError, DiscMismatch) as exc:
+            raise FormatError(f"{what} {i}: {type(exc).__name__}: {exc}") from exc
+        if not on_quadric:
+            raise FormatError(f"{what} {i}: Q(v) = {v.q_norm()} != -1")
+        out.append(v)
+    return out
 
 
 def system_to_obj(system: WallSystem) -> dict:
@@ -64,18 +81,13 @@ def system_to_obj(system: WallSystem) -> dict:
 def system_from_obj(doc: dict) -> WallSystem:
     _check_format(doc, "system")
     try:
-        walls = tuple(_vector_from_obj(o) for o in doc["walls"])
-        system = WallSystem(
-            walls=walls,
+        return WallSystem(
+            walls=_vectors(doc["walls"], doc["dim"], "wall"),
             cluster_idx=frozenset(doc["cluster"]),
             cocluster_idx=frozenset(doc["cocluster"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad system document: {type(exc).__name__}: {exc}") from exc
-    for i, w in enumerate(walls, start=1):
-        if not w.validate():
-            raise FormatError(f"wall {i}: Q(v) = {w.q_norm()} != -1")
-    return system
 
 
 def gram_to_obj(gram: GramMatrix) -> dict:
@@ -133,15 +145,16 @@ def packing_to_obj(packing: Packing) -> dict:
 def packing_from_obj(doc: dict) -> Packing:
     _check_format(doc, "packing")
     try:
+        vectors = _vectors(doc["spheres"], doc["dim"], "sphere")
         spheres = [
             SphereRecord(
-                vector=_vector_from_obj(o),
+                vector=v,
                 word_length=o["word_length"],
                 parent_generator=o["parent_generator"],
             )
-            for o in doc["spheres"]
+            for v, o in zip(vectors, doc["spheres"])
         ]
-        packing = Packing(
+        return Packing(
             spheres=spheres,
             saturated=doc["saturated"],
             bend_bound=QuadExt.parse(doc["bend_bound"]),
@@ -152,15 +165,6 @@ def packing_from_obj(doc: dict) -> Packing:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad packing document: {type(exc).__name__}: {exc}") from exc
-    for i, rec in enumerate(spheres, start=1):
-        coords = rec.vector.coords()
-        try:
-            d = field_disc(coords)
-        except DiscMismatch as exc:
-            raise FormatError(f"sphere {i}: {exc}") from exc
-        if not q_is_minus_one(encode(coords), d):
-            raise FormatError(f"sphere {i}: Q(v) = {rec.vector.q_norm()} != -1")
-    return packing
 
 
 def target_to_obj(spec: TargetSpec) -> dict:
@@ -225,9 +229,10 @@ def loads(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("kind") not in _LOADERS:
-        raise FormatError(f"unknown document kind {doc.get('kind') if isinstance(doc, dict) else None!r}")
-    return _LOADERS[doc["kind"]](doc)
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if not isinstance(kind, str) or kind not in _LOADERS:
+        raise FormatError(f"unknown document kind {kind!r}")
+    return _LOADERS[kind](doc)
 
 
 def save(obj, path) -> None:

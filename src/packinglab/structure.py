@@ -9,9 +9,10 @@ Pairs inside C-hat are unconstrained.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterator
 
-from .coxeter import Angle, Disjoint, GramMatrix, Tangent, classify_entry, UnclassifiableEntry
+from .coxeter import Angle, Disjoint, GramMatrix, Tangent, diagram_from_gram
 from .errors import PackingLabError
 
 
@@ -47,22 +48,6 @@ class DecompositionReport:
     violations: list[tuple[int, int, str]] = field(default_factory=list)
 
 
-def _classified(gram: GramMatrix):
-    """Edge kinds of every off-diagonal pair; raises UnclassifiableEntry."""
-    k = gram.size
-    kinds = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            if gram.is_placeholder(i, j):
-                kinds[(i, j)] = Disjoint(None)
-                continue
-            try:
-                kinds[(i, j)] = classify_entry(gram.entries[i][j])
-            except UnclassifiableEntry:
-                raise UnclassifiableEntry(i, j, gram.entries[i][j]) from None
-    return kinds
-
-
 def check_decomposition(gram: GramMatrix, decomposition: Decomposition) -> DecompositionReport:
     k = gram.size
     cluster, cocluster = decomposition.cluster, decomposition.cocluster
@@ -70,9 +55,10 @@ def check_decomposition(gram: GramMatrix, decomposition: Decomposition) -> Decom
         raise InvalidDecomposition("cluster must be nonempty")
     if cluster & cocluster or (cluster | cocluster) != frozenset(range(k)):
         raise InvalidDecomposition("cluster and cocluster must partition the walls")
-    kinds = _classified(gram)
+    edges = diagram_from_gram(gram).edges
     violations = []
-    for (i, j), kind in kinds.items():
+    for i, j in combinations(range(k), 2):
+        kind = edges.get((i, j))
         in_c = (i in cluster) + (j in cluster)
         if in_c == 2 and not isinstance(kind, (Tangent, Disjoint)):
             what = "orthogonal" if kind is None else f"angle pi/{kind.m}"
@@ -87,26 +73,23 @@ def iter_decompositions(gram: GramMatrix, wall_cap: int = 30) -> Iterator[Decomp
     k = gram.size
     if k > wall_cap:
         raise TooManyWalls(f"{k} walls exceeds cap {wall_cap}")
-    kinds = _classified(gram)
+    edges = diagram_from_gram(gram).edges
 
     # Any wall on an angle edge is forced into the cocluster; inside the
-    # remaining candidates only orthogonal pairs are forbidden.
+    # remaining candidates only orthogonal pairs, the absent edges, are
+    # forbidden.
     blocked = set()
-    for (i, j), kind in kinds.items():
+    for pair, kind in edges.items():
         if isinstance(kind, Angle):
-            blocked.update((i, j))
+            blocked.update(pair)
     candidates = [i for i in range(k) if i not in blocked]
-    compatible = {
-        (i, j): isinstance(kinds[(i, j)], (Tangent, Disjoint))
-        for (i, j) in kinds
-    }
 
     all_walls = frozenset(range(k))
 
     def extend(chosen: list[int], start: int) -> Iterator[Decomposition]:
         for idx in range(start, len(candidates)):
             w = candidates[idx]
-            if all(compatible[(min(c, w), max(c, w))] for c in chosen):
+            if all((min(c, w), max(c, w)) in edges for c in chosen):
                 chosen.append(w)
                 cluster = frozenset(chosen)
                 yield Decomposition(cluster, all_walls - cluster)

@@ -166,12 +166,21 @@ def test_missing_file_is_clean_error(capsys):
         # wall 5 is also in the cocluster
         (lambda doc: doc.update(cluster=[0, 1, 2, 3, 4]), ["orbit", "--bound", "3"]),
         (lambda doc: doc["walls"][3].update(bend="4"), ["orbit", "--bound", "3"]),  # Q(v) = 0
+        # wall 1 is (1, -1, 0, 0): without its last coordinate Q(v) is still -1
+        (lambda doc: doc["walls"][0].update(bz=["0"]), ["orbit", "--bound", "3"]),
+        (lambda doc: doc.update(dim=3), ["orbit", "--bound", "3"]),
+        # Q(v) = -1, but the coordinates lie in Q(sqrt(2)) and Q(sqrt(3))
+        (lambda doc: doc["walls"].__setitem__(
+            7, {"cobend": "1*sqrt(2)", "bend": "0", "bz": ["1/2*sqrt(3)", "1/2"]}),
+         ["orbit", "--bound", "3"]),
+        (lambda doc: doc.update(kind=["system"]), ["orbit", "--bound", "3"]),
         # a valid system document where another kind is expected
         (lambda doc: None, ["certify"]),
         (lambda doc: None, ["render"]),
         (lambda doc: None, ["geometrize", "--d", "0"]),
     ],
     ids=["missing-walls", "missing-cocluster", "overlapping-partition", "off-quadric-wall",
+         "short-wall", "wrong-dim", "two-field-wall", "list-kind",
          "certify-system", "render-system", "geometrize-system"],
 )
 def test_bad_system_file_is_clean_error(capsys, apollonian_path, tmp_path, edit, command):
@@ -181,6 +190,7 @@ def test_bad_system_file_is_clean_error(capsys, apollonian_path, tmp_path, edit,
     bad.write_text(json.dumps(doc))
     code, out, err = run(capsys, command[0], str(bad), *command[1:])
     assert code == 1 and out == ""
+    assert err.count("\n") == 1
     assert json.loads(err)["error"] == "FormatError"
 
 
@@ -218,6 +228,21 @@ def test_off_quadric_packing_is_clean_error(capsys, apollonian_path, tmp_path):
     payload = json.loads(err)
     assert payload["error"] == "FormatError"
     assert payload["message"] == f"sphere {outer + 1}: Q(v) = 0 != -1"
+
+
+@pytest.mark.parametrize("command", ["certify", "render"])
+def test_short_packing_sphere_is_clean_error(capsys, apollonian_path, tmp_path, command):
+    packing_path = tmp_path / "packing.json"
+    run(capsys, "orbit", apollonian_path, "--bound", "3", "--out", str(packing_path))
+    doc = json.loads(packing_path.read_text())
+    doc["spheres"][0]["bz"] = doc["spheres"][0]["bz"][:1]  # the outer circle, (1, -1, 0, 0)
+    packing_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(packing_path))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "FormatError"
+    assert payload["message"].startswith("sphere 1: ")
 
 
 @pytest.mark.parametrize(

@@ -42,10 +42,6 @@ def q(rat, surd=0, disc=0):
     return QuadExt(Fraction(rat), Fraction(surd), disc)
 
 
-def float_walls(system):
-    return [[float(x.rat) for x in w.coords()] for w in system.walls]
-
-
 # -- realize -------------------------------------------------------------------
 
 
@@ -59,13 +55,6 @@ def test_tetrahedron_realizes_to_descartes_gram():
     gram = w @ qm @ w.T
     cluster = gram[:4, :4]
     assert np.allclose(cluster, np.ones((4, 4)) - 2 * np.eye(4), atol=1e-10)
-
-
-def test_exact_input_needs_zero_steps():
-    spec = tetrahedron_target()
-    out = realize(spec, init=float_walls(apollonian_system()))
-    assert out.iterations == 0
-    assert out.residual < 1e-12
 
 
 def test_infeasible_targets_fail_honestly():
@@ -114,6 +103,40 @@ def test_damping_is_monotone():
         norms.append(norm)
     for a, b in zip(norms, norms[1:]):
         assert b <= a + 1e-15
+
+
+def _jacobian_by_loops(x, pairs, pins):
+    """The Jacobian of the residual written out entry by entry for Q."""
+    k, width = x.shape
+    jac = np.zeros((k + len(pairs) + len(pins), k * width))
+    for i in range(k):
+        jac[i, i * width + 0] = x[i, 1]
+        jac[i, i * width + 1] = x[i, 0]
+        jac[i, i * width + 2:i * width + width] = -2.0 * x[i, 2:]
+    for r, (i, j) in enumerate(pairs, start=k):
+        u, v = x[i], x[j]
+        jac[r, i * width + 0] = 0.5 * v[1]
+        jac[r, i * width + 1] = 0.5 * v[0]
+        jac[r, i * width + 2:i * width + width] = -v[2:]
+        jac[r, j * width + 0] = 0.5 * u[1]
+        jac[r, j * width + 1] = 0.5 * u[0]
+        jac[r, j * width + 2:j * width + width] = -u[2:]
+    for r, (i, c, _) in enumerate(pins, start=k + len(pairs)):
+        jac[r, i * width + c] = 1.0
+    return jac
+
+
+@pytest.mark.parametrize("target", [tetrahedron_target, cuboctahedron_target])
+def test_jacobian_matches_loop_reference(target):
+    from packinglab.geometrize import _gauge_pins, _jacobian_np
+
+    spec = target()
+    pairs = np.array([(i, j) for i, j, _ in spec.exact_pairs()], dtype=int).reshape(-1, 2)
+    pins = _gauge_pins(spec)[3]
+    x = np.random.default_rng(3).standard_normal((spec.wall_count, 4))
+    for p in (pins, ()):
+        # multiplying by 0.5, 1 or -1 and adding zeros is exact, so the two agree bit for bit
+        assert np.array_equal(_jacobian_np(x, pairs, p), _jacobian_by_loops(x, pairs, p))
 
 
 # -- algebraic_guess -----------------------------------------------------------
@@ -219,6 +242,12 @@ def test_guess_matches_grid_oracle_at_large_values(x, d, tol):
     # is wider than a block
     case = (x, d, 64, tol)
     assert guess_outcome(algebraic_guess, *case) == guess_outcome(oracle.algebraic_guess, *case)
+
+
+def test_guess_too_wide_row_is_parameter_error():
+    # the row at q = 64 would hold about 9e18 surd coefficients
+    with pytest.raises(ParameterError, match="over the limit of 16777216"):
+        algebraic_guess(1e17, d=2, denom_bound=64, tol=1e-18)
 
 
 def test_guess_grid_memory_is_bounded():

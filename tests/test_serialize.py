@@ -1,6 +1,7 @@
 """JSON round-trips for every document kind."""
 
 import json
+import random
 
 import pytest
 
@@ -108,3 +109,51 @@ def test_bad_number_strings_surface_clearly():
     doc["walls"][0]["bend"] = "not-a-number"
     with pytest.raises(Exception):
         serialize.loads(json.dumps(doc))
+
+
+def _sites(node, path=()):
+    """(path of the container, key) of every value in a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path, key
+        yield from _sites(child, path + (key,))
+
+
+_FUZZ_DOCS = {
+    "hexpyr-system": hexpyr_system,
+    "apollonian-packing": lambda: generate_packing(apollonian_system(), QuadExt(10), max_word=64),
+    "hexpyr-gram": hexpyr_expected_gram,
+    "tetrahedron-target": tetrahedron_target,
+}
+_DELETE = object()
+_EDITS = [_DELETE, None, 0, 1.5, "x", [], {}, ["0"], True]
+
+
+@pytest.mark.parametrize("name", sorted(_FUZZ_DOCS))
+def test_one_edit_loads_or_is_format_error(name):
+    text = serialize.dumps(_FUZZ_DOCS[name]())
+    sites = list(_sites(json.loads(text)))
+    rng = random.Random(f"one-edit {name}")
+    for _ in range(1000):
+        doc = json.loads(text)
+        path, key = rng.choice(sites)
+        edit = rng.choice(_EDITS)
+        node = doc
+        for k in path:
+            node = node[k]
+        if edit is _DELETE:
+            del node[key]
+        else:
+            node[key] = edit
+        try:
+            serialize.loads(json.dumps(doc))
+        except FormatError:
+            pass
+        except Exception as exc:
+            what = "deleted" if edit is _DELETE else f"set to {edit!r}"
+            pytest.fail(f"{[*path, key]} {what}: {type(exc).__name__}: {exc}")

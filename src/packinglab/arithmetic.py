@@ -87,9 +87,10 @@ def vinberg_test(gram: GramMatrix, max_len: int = 8) -> VinbergVerdict:
     """Scan cyclic products of 2*Gram for a non-integer value.
 
     Cycles run over distinct indices, length 2 through max_len, deduplicated
-    by rotation and reflection; the first violation in
-    (length, lexicographic) order is the reported witness.  A pass is only a
-    semi-decision up to max_len.
+    by rotation and reflection.  They are scanned by length, then by vertex
+    set in lexicographic order, then by the order of the cycle through that
+    set, and the first violation is the reported witness: (0,1,3,2) comes
+    before (0,1,2,4).  A pass is only a semi-decision up to max_len.
     """
     if max_len < 2:
         raise ParameterError("max_len must be at least 2")
@@ -105,11 +106,7 @@ def vinberg_test(gram: GramMatrix, max_len: int = 8) -> VinbergVerdict:
             prod = prod * doubled[a][b]
         return prod
 
-    for i, j in combinations(range(k), 2):
-        prod = cycle_product((i, j))
-        if prod is not None and not prod.is_rational_integer():
-            return VinbergVerdict(max_len, (i, j), prod)
-    for length in range(3, max_len + 1):
+    for length in range(2, max_len + 1):
         for subset in combinations(range(k), length):
             first, rest = subset[0], subset[1:]
             for perm in permutations(rest):

@@ -2,7 +2,9 @@
 
 The pipeline is: realize (start from the target's init hint, or else from an
 eigendecomposition of its Gram matrix, then one damped Gauss-Newton loop run in
-float64 and again on extended-precision mpmath residuals), algebraic_guess
+float64, one Moebius map that puts a tangent triple on the frame, whose three
+walls are then set exactly and held fixed, and the same loop again on
+extended-precision mpmath residuals for the other walls), algebraic_guess
 (per-value snap to (a + b*sqrt(d))/q with a bounded denominator: the (q, b)
 grid is prefiltered in numpy one block of denominators at a time, and only
 reduced triples, gcd(a, b, q) == 1, reach the mpmath check), and
@@ -79,7 +81,12 @@ class TargetSpec:
             norm[(min(i, j), max(i, j))] = t
         self.targets = norm
         if self.init_hint is not None:
-            self.init_hint = tuple(tuple(float(v) for v in row) for row in self.init_hint)
+            hint = self.init_hint = tuple(tuple(float(v) for v in row) for row in self.init_hint)
+            width = self.dim + 2
+            if len(hint) != self.wall_count or any(
+                len(row) != width or not all(map(isfinite, row)) for row in hint
+            ):
+                raise ValueError(f"init_hint needs {self.wall_count} rows of {width} finite floats")
 
     def exact_pairs(self) -> list[tuple[int, int, QuadExt]]:
         return sorted(
@@ -242,54 +249,52 @@ def _initial_walls(spec: TargetSpec, rng: np.random.Generator) -> np.ndarray:
 # -- solver ----------------------------------------------------------------
 
 
-def _residual_np(x: np.ndarray, pairs, values, pins=()) -> np.ndarray:
+def _residual_np(x: np.ndarray, pairs, values) -> np.ndarray:
     diag = x[:, 0] * x[:, 1] - (x[:, 2:] ** 2).sum(axis=1) + 1.0
-    parts = [diag]
-    if len(pairs):
-        ii = pairs[:, 0]
-        jj = pairs[:, 1]
-        u, v = x[ii], x[jj]
-        prod = 0.5 * (u[:, 0] * v[:, 1] + u[:, 1] * v[:, 0]) - (u[:, 2:] * v[:, 2:]).sum(axis=1)
-        parts.append(prod - values)
-    if pins:
-        parts.append(np.array([x[i, c] - t for i, c, t in pins]))
-    return np.concatenate(parts)
+    if not len(pairs):
+        return diag
+    u, v = x[pairs[:, 0]], x[pairs[:, 1]]
+    prod = 0.5 * (u[:, 0] * v[:, 1] + u[:, 1] * v[:, 0]) - (u[:, 2:] * v[:, 2:]).sum(axis=1)
+    return np.concatenate([diag, prod - values])
 
 
-def _jacobian_np(x: np.ndarray, pairs, pins=()) -> np.ndarray:
+def _jacobian_np(x: np.ndarray, pairs) -> np.ndarray:
     """Jacobian of _residual_np at a float64 x: d Q(x_i) = 2 x_i Q, and
     d <x_i, x_j> = x_j Q at wall i and x_i Q at wall j."""
     k, width = x.shape
     xq = x @ _Q
-    jac = np.zeros((k + len(pairs) + len(pins), k, width))
+    jac = np.zeros((k + len(pairs), k, width))
     jac[np.arange(k), np.arange(k)] = 2.0 * xq
     if len(pairs):
         rows = np.arange(k, k + len(pairs))
         jac[rows, pairs[:, 0]] = xq[pairs[:, 1]]
         jac[rows, pairs[:, 1]] = xq[pairs[:, 0]]
-    for r, (i, c, _) in enumerate(pins, start=k + len(pairs)):
-        jac[r, i, c] = 1.0
     return jac.reshape(len(jac), k * width)
 
 
-def _gauss_newton(x, pairs, values, pins, max_iter, floor=1e-13):
+def _gauss_newton(x, pairs, values, max_iter, fixed=(), floor=1e-13):
     """Damped Gauss-Newton on x, a float64 array or an object array of mpf
     with mpf values.  Steps are minimum-norm least-squares solutions of the
-    float64 system; a step is halved until max |residual| decreases, so
-    accepted steps decrease it monotonically."""
-    res = _residual_np(x, pairs, values, pins)
+    float64 system over the walls not in fixed, whose rows are never
+    changed; a step is halved until max |residual| decreases, so accepted
+    steps decrease it monotonically.  A residual that is not finite stops
+    the loop and is returned as it is."""
+    free = ~np.isin(np.arange(len(x)), fixed)
+    columns = np.repeat(free, x.shape[1])
+    res = _residual_np(x, pairs, values)
     norm = np.abs(res).max()
     iterations = 0
     for _ in range(max_iter):
-        if norm < floor:
+        if norm < floor or not isfinite(norm):
             break
         iterations += 1
-        jac = _jacobian_np(x.astype(float), pairs, pins)
-        step = np.linalg.lstsq(jac, -res.astype(float), rcond=None)[0].reshape(x.shape)
+        jac = _jacobian_np(x.astype(float), pairs)[:, columns]
+        step = np.zeros(x.shape)
+        step[free] = np.linalg.lstsq(jac, -res.astype(float), rcond=None)[0].reshape(-1, x.shape[1])
         alpha, improved = 1.0, False
         for _ in range(25):
             trial = x + alpha * step
-            trial_res = _residual_np(trial, pairs, values, pins)
+            trial_res = _residual_np(trial, pairs, values)
             trial_norm = np.abs(trial_res).max()
             if trial_norm < norm:
                 x, res, norm, improved = trial, trial_res, trial_norm, True
@@ -300,18 +305,20 @@ def _gauss_newton(x, pairs, values, pins, max_iter, floor=1e-13):
     return x, norm, iterations
 
 
-_E_LINE = np.array([0.0, 0.0, 0.0, -1.0])
-_E_CIRCLE = np.array([0.0, 1.0, 0.0, 1.0])
-_E_THIRD = np.array([4.0, 1.0, 2.0, 1.0])  # unit circle resting at (2,0)
-# the pinned walls plus the unit circle at (1,0), which is orthogonal to all three
-_FRAME = np.vstack([_E_LINE, _E_CIRCLE, _E_THIRD, [0.0, 1.0, 1.0, 0.0]])
+# the frame: the line y=0, the unit circle resting on it at the origin, the
+# unit circle resting at (2,0), and the unit circle at (1,0), which is
+# orthogonal to all three
+_FRAME = np.array(
+    [[0.0, 0.0, 0.0, -1.0], [0.0, 1.0, 0.0, 1.0], [4.0, 1.0, 2.0, 1.0], [0.0, 1.0, 1.0, 0.0]]
+)
 _Q = np.array(q_matrix(2), dtype=float)
 # x = y @ _TO_Q has Q(x) = y0^2 - y1^2 - y2^2 - y3^2
 _TO_Q = np.array([[1.0, 1.0, 0, 0], [1.0, -1.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0]])
 
 
 def _frame_map(x: np.ndarray, ia: int, ic: int, ib: int) -> np.ndarray:
-    """The matrix M with x @ M putting walls ia, ic, ib on the pinned frame.
+    """The matrix M with x @ M putting walls ia, ic, ib near the first three
+    rows of _FRAME (exactly, but for rounding).
 
     The three walls and the unit circle n orthogonal to them have the same
     Gram matrix as the rows of _FRAME, so the one solution of S M = _FRAME
@@ -324,25 +331,16 @@ def _frame_map(x: np.ndarray, ia: int, ic: int, ib: int) -> np.ndarray:
     return np.linalg.solve(src, _FRAME)
 
 
-def _gauge_pins(spec: TargetSpec) -> tuple[int, int, int, list[tuple[int, int, float]]]:
-    """First mutually tangent triple becomes the frame: the line y=0, the
-    unit circle resting on it at the origin, and the unit circle resting at
-    (2,0).  A tangent pair alone leaves a parabolic gauge freedom sliding
-    along the pair, so three walls are needed for rigidity."""
-    tangent: dict[tuple[int, int], bool] = {}
-    for i, j, v in spec.exact_pairs():
-        if v == 1:
-            tangent[(i, j)] = True
+def _frame_triple(spec: TargetSpec) -> tuple[int, int, int]:
+    """The first mutually tangent triple, which becomes the frame.  A
+    tangent pair alone leaves a parabolic gauge freedom sliding along the
+    pair, so three walls are needed for rigidity."""
+    tangent = {(i, j) for i, j, v in spec.exact_pairs() if v == 1}
     for (i, j) in sorted(tangent):
         for k in range(spec.wall_count):
-            if k in (i, j):
-                continue
-            if tangent.get((min(i, k), max(i, k))) and tangent.get((min(j, k), max(j, k))):
-                pins = [(i, c, float(t)) for c, t in enumerate(_E_LINE)]
-                pins += [(j, c, float(t)) for c, t in enumerate(_E_CIRCLE)]
-                pins += [(k, c, float(t)) for c, t in enumerate(_E_THIRD)]
-                return i, j, k, pins
-    raise GaugeDeficient("no mutually tangent triple available to pin the frame")
+            if k not in (i, j) and {(min(i, k), max(i, k)), (min(j, k), max(j, k))} <= tangent:
+                return i, j, k
+    raise GaugeDeficient("no mutually tangent triple available to fix the frame")
 
 
 def realize(
@@ -357,14 +355,16 @@ def realize(
     target Gram matrix (_initial_walls).  One damped Gauss-Newton loop with a
     minimum-norm least-squares step then runs in float64 and again on mpmath
     residuals; accepted steps decrease max |residual| monotonically, and the
-    reported residual is that norm.  The Moebius gauge is fixed by the first
-    mutually tangent triple: after an unpinned solve, one linear solve finds
-    the Moebius map (det > 0, never a reflection) taking the triple to the
-    line y=0 and the unit circles resting on it at the origin and at (2,0),
-    and the polish keeps those three walls pinned there.  This is what makes
-    the solved coordinates land on small algebraic numbers.  Which of two
-    mirror-image configurations is reached depends on the start.  Free pairs
-    are not constrained here; verify them after guessing exact coordinates.
+    reported residual is that norm.  The Moebius gauge is fixed once, by the
+    first mutually tangent triple: after the float64 solve, one linear solve
+    finds the Moebius map (det > 0, never a reflection) taking the triple to
+    the line y=0 and the unit circles resting on it at the origin and at
+    (2,0).  Those three walls are then set to the frame exactly and held
+    fixed while the mpmath polish solves for the other walls.  This is what
+    makes the solved coordinates land on small algebraic numbers.  Which of
+    two mirror-image configurations is reached depends on the start.  Free
+    pairs are not constrained here; verify them after guessing exact
+    coordinates.  A target value too large for a float is a ParameterError.
     """
     if seed < 0:
         raise ParameterError(f"seed must be non-negative, got {seed}")
@@ -374,28 +374,25 @@ def realize(
         raise GaugeDeficient("only planar targets are supported")
     exact = spec.exact_pairs()
     pairs = np.array([(i, j) for i, j, _ in exact], dtype=int).reshape(-1, 2)
-    values = np.array([float(v) for _, _, v in exact])
+    values = np.empty(len(exact))
+    for r, (i, j, v) in enumerate(exact):
+        try:
+            values[r] = float(v)
+        except OverflowError:
+            raise ParameterError(f"target of pair ({i},{j}) is too large for a float") from None
 
-    ia, ic, ib, pins = _gauge_pins(spec)
+    frame = _frame_triple(spec)
     rng = np.random.default_rng(seed)
     if spec.init_hint is not None:
         x = np.array(spec.init_hint) + rng.normal(0.0, 1e-4, (spec.wall_count, 4))
     else:
         x = _initial_walls(spec, rng)
-    x, norm, iterations = _gauss_newton(x, pairs, values, (), max_iter)
-    if norm >= 1e-10:
+    with np.errstate(over="ignore", invalid="ignore"):  # a residual past float range ends the solve
+        x, norm, iterations = _gauss_newton(x, pairs, values, max_iter)
+    if not norm < 1e-10:
         raise NoConvergence(iterations, float(norm))
-    x = x @ _frame_map(x, ia, ic, ib)
-    drift = max(
-        np.linalg.norm(x[ic] - _E_CIRCLE), np.linalg.norm(x[ib] - _E_THIRD)
-    )
-    if drift > 0.75:
-        raise NoConvergence(iterations, float(drift))
-
-    x, norm, its = _gauss_newton(x, pairs, values, pins, max_iter)
-    iterations += its
-    if norm >= 1e-10:
-        raise NoConvergence(iterations, float(norm))
+    x = x @ _frame_map(x, *frame)
+    x[list(frame)] = _FRAME[:3]
 
     # extended-precision polish: the same loop on mpf walls and targets,
     # converging far past double precision
@@ -403,10 +400,10 @@ def realize(
         fields = [(v.triple, v.disc) for _, _, v in exact]
         targets = np.array([(a + b * mpmath.sqrt(d)) / q for (a, b, q), d in fields], dtype=object)
         xm, norm, its = _gauss_newton(
-            np.frompyfunc(mpmath.mpf, 1, 1)(x), pairs, targets, pins, 20, floor=tol
+            np.frompyfunc(mpmath.mpf, 1, 1)(x), pairs, targets, 20, fixed=frame, floor=tol
         )
     iterations += its
-    if norm > tol:
+    if not norm <= tol:
         raise NoConvergence(iterations, float(norm))
     return FloatWallSystem(walls=xm.tolist(), residual=float(norm), iterations=iterations)
 
@@ -520,7 +517,7 @@ def verify_realization(walls, spec: TargetSpec) -> VerificationReport:
         return VerificationReport(False, [f"expected {spec.wall_count} walls, got {len(walls)}"])
     for i, w in enumerate(walls):
         if not w.validate():
-            mismatches.append(f"wall {i + 1}: Q(v) = {w.q_norm()} != -1")
+            mismatches.append(f"wall {i + 1}: Q(v) = {inversive_product(w, w)} != -1")
     for (i, j), t in sorted(spec.targets.items()):
         prod = inversive_product(walls[i], walls[j])
         if isinstance(t, Exact):

@@ -83,11 +83,6 @@ class InversiveVector:
             raise ZeroRadius("a plane has no radius")
         return self.bend.inverse()
 
-    def q_norm(self) -> QuadExt:
-        return self.cobend * self.bend - sum(
-            (x * x for x in self.bz), ZERO
-        )
-
     def validate(self) -> bool:
         """Q(v) == -1, decided on the int code; coordinates in two different
         quadratic fields raise DiscMismatch."""

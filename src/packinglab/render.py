@@ -7,8 +7,9 @@ packings always produce byte-identical documents.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf, isfinite
 
-from .errors import PackingLabError
+from .errors import PackingLabError, ParameterError
 from .orbit import Packing
 
 
@@ -60,6 +61,12 @@ def render_svg(
     if packing.dim != 2:
         raise UnsupportedDimension(f"can only draw planar packings, got dim {packing.dim}")
     vp = viewport or Viewport()
+    if not (0 < vp.half_width < inf and 0 < vp.size_px < inf):
+        raise ParameterError(f"half_width and size_px must be positive and finite: {vp}")
+    if not all(map(isfinite, (*vp.center, vp.min_radius_px, stroke_width))):
+        raise ParameterError(
+            f"center, min_radius_px and stroke_width must be finite: {vp}, {stroke_width=}"
+        )
     size = float(vp.size_px)
     scale = size / (2.0 * vp.half_width)
     cx0, cy0 = vp.center

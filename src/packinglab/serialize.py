@@ -20,7 +20,7 @@ from .coxeter import GramMatrix
 from .errors import PackingLabError
 from .exactnum import DiscMismatch, QuadExt
 from .geometrize import DisjointFree, Exact, TargetSpec
-from .inversive import InversiveVector
+from .inversive import InversiveVector, inversive_product
 from .orbit import Packing, SphereRecord, WallSystem
 
 FORMAT = 1
@@ -62,7 +62,7 @@ def _vectors(objs, dim, what: str) -> list[InversiveVector]:
         except (KeyError, TypeError, ValueError, DiscMismatch) as exc:
             raise FormatError(f"{what} {i}: {type(exc).__name__}: {exc}") from exc
         if not on_quadric:
-            raise FormatError(f"{what} {i}: Q(v) = {v.q_norm()} != -1")
+            raise FormatError(f"{what} {i}: Q(v) = {inversive_product(v, v)} != -1")
         out.append(v)
     return out
 

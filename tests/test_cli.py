@@ -201,8 +201,12 @@ def test_bad_system_file_is_clean_error(capsys, apollonian_path, tmp_path, edit,
         lambda doc: doc.pop("wall_count"),
         lambda doc: doc["targets"][0].pop("value"),
         lambda doc: doc["targets"][0].update(i=99),
+        lambda doc: doc.update(wall_count=9),  # the hint still has 8 rows
+        lambda doc: doc["init_hint"][0].pop(),
+        lambda doc: doc["init_hint"][0].__setitem__(0, 1e309),  # written as Infinity
     ],
-    ids=["missing-targets", "missing-wall-count", "target-without-value", "pair-out-of-range"],
+    ids=["missing-targets", "missing-wall-count", "target-without-value", "pair-out-of-range",
+         "hint-rows-short", "hint-row-short", "hint-past-float"],
 )
 def test_bad_target_file_is_clean_error(capsys, tmp_path, edit):
     target = tmp_path / "tetra.json"
@@ -212,7 +216,27 @@ def test_bad_target_file_is_clean_error(capsys, tmp_path, edit):
     target.write_text(json.dumps(doc))
     code, out, err = run(capsys, "geometrize", str(target), "--d", "0")
     assert code == 1 and out == ""
+    assert err.count("\n") == 1
     assert json.loads(err)["error"] == "FormatError"
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (lambda doc: doc["targets"][0].update(value="1" + "0" * 400), "ParameterError"),
+        # the residual of the hint overflows
+        (lambda doc: doc["init_hint"].__setitem__(0, [1e308] * 4), "NoConvergence"),
+    ],
+    ids=["value-past-float", "hint-row-overflows"],
+)
+def test_unsolvable_target_is_clean_error(capsys, tetra_path, edit, error):
+    doc = json.loads(tetra_path.read_text())
+    edit(doc)
+    tetra_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "geometrize", str(tetra_path), "--d", "0")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == error
 
 
 def test_off_quadric_packing_is_clean_error(capsys, apollonian_path, tmp_path):
@@ -319,13 +343,20 @@ def tetra_path(capsys, tmp_path):
         ["geometrize", "{target}", "--d", "0", "--seed", "-1"],
         ["geometrize", "{target}", "--d", "0", "--tol", "nan"],
         ["geometrize", "{target}", "--d", "0", "--tol=-1e-24"],
+        ["render", "{packing}", "--half-width", "0"],
+        ["render", "{packing}", "--half-width", "nan"],
+        ["render", "{packing}", "--size", "0"],
     ],
     ids=["modulus-zero", "modulus-past-int64", "max-len-one", "unparsable-bound",
          "bound-discriminant", "negative-d", "square-d", "denom-zero", "seed-negative",
-         "tol-nan", "tol-negative"],
+         "tol-nan", "tol-negative", "half-width-zero", "half-width-nan", "size-zero"],
 )
-def test_bad_parameter_is_clean_error(capsys, apollonian_path, hexpyr_gram_path, tetra_path, argv):
-    paths = {"system": apollonian_path, "gram": str(hexpyr_gram_path), "target": str(tetra_path)}
+def test_bad_parameter_is_clean_error(capsys, apollonian_path, hexpyr_gram_path, tetra_path,
+                                      tmp_path, argv):
+    packing = tmp_path / "packing.json"
+    run(capsys, "orbit", apollonian_path, "--bound", "3", "--out", str(packing))
+    paths = {"system": apollonian_path, "gram": str(hexpyr_gram_path), "target": str(tetra_path),
+             "packing": str(packing)}
     code, out, err = run(capsys, *(a.format(**paths) for a in argv))
     assert code == 1 and out == ""
     assert err.count("\n") == 1

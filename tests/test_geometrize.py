@@ -1,5 +1,7 @@
 """Numeric realization, exact snapping, and exact verification."""
 
+import hashlib
+import json
 import tracemalloc
 
 import mpmath
@@ -66,7 +68,7 @@ def test_infeasible_targets_fail_honestly():
 
 
 def test_unpinnable_gauge_reported():
-    # a single tangent pair admits no tangent triple to pin the frame
+    # a single tangent pair admits no tangent triple to fix the frame
     spec = TargetSpec(2, {(0, 1): Exact(q(1))})
     with pytest.raises(GaugeDeficient):
         realize(spec)
@@ -99,16 +101,16 @@ def test_damping_is_monotone():
     x0 = np.asarray(spec.init_hint) + 1e-4 * rng.standard_normal((spec.wall_count, 4))
     norms = []
     for k in range(1, 14):
-        _, norm, _ = _gauss_newton(x0.copy(), pairs, values, (), k)
+        _, norm, _ = _gauss_newton(x0.copy(), pairs, values, k)
         norms.append(norm)
     for a, b in zip(norms, norms[1:]):
         assert b <= a + 1e-15
 
 
-def _jacobian_by_loops(x, pairs, pins):
+def _jacobian_by_loops(x, pairs):
     """The Jacobian of the residual written out entry by entry for Q."""
     k, width = x.shape
-    jac = np.zeros((k + len(pairs) + len(pins), k * width))
+    jac = np.zeros((k + len(pairs), k * width))
     for i in range(k):
         jac[i, i * width + 0] = x[i, 1]
         jac[i, i * width + 1] = x[i, 0]
@@ -121,22 +123,29 @@ def _jacobian_by_loops(x, pairs, pins):
         jac[r, j * width + 0] = 0.5 * u[1]
         jac[r, j * width + 1] = 0.5 * u[0]
         jac[r, j * width + 2:j * width + width] = -u[2:]
-    for r, (i, c, _) in enumerate(pins, start=k + len(pairs)):
-        jac[r, i * width + c] = 1.0
     return jac
 
 
 @pytest.mark.parametrize("target", [tetrahedron_target, cuboctahedron_target])
 def test_jacobian_matches_loop_reference(target):
-    from packinglab.geometrize import _gauge_pins, _jacobian_np
+    from packinglab.geometrize import _jacobian_np
 
     spec = target()
     pairs = np.array([(i, j) for i, j, _ in spec.exact_pairs()], dtype=int).reshape(-1, 2)
-    pins = _gauge_pins(spec)[3]
     x = np.random.default_rng(3).standard_normal((spec.wall_count, 4))
-    for p in (pins, ()):
-        # multiplying by 0.5, 1 or -1 and adding zeros is exact, so the two agree bit for bit
-        assert np.array_equal(_jacobian_np(x, pairs, p), _jacobian_by_loops(x, pairs, p))
+    # multiplying by 0.5, 1 or -1 and adding zeros is exact, so the two agree bit for bit
+    assert np.array_equal(_jacobian_np(x, pairs), _jacobian_by_loops(x, pairs))
+
+
+@pytest.mark.parametrize(
+    "target, frame", [(tetrahedron_target, (0, 1, 2)), (cuboctahedron_target, (0, 1, 4))],
+    ids=["tetrahedron", "cuboctahedron"],
+)
+def test_frame_walls_are_exact(target, frame):
+    # the first mutually tangent triple is set on the frame and held there:
+    # the line y=0 and the unit circles resting on it at the origin and at (2,0)
+    walls = realize(target()).walls
+    assert [walls[i] for i in frame] == [[0, 0, 0, -1], [0, 1, 0, 1], [4, 1, 2, 1]]
 
 
 # -- algebraic_guess -----------------------------------------------------------
@@ -335,13 +344,36 @@ def test_gram_targets_and_frame_independent_of_seed():
         exact = guess_walls(realize(spec), d=d, denom_bound=64, tol=1e-18)
         rep = verify_realization(exact, spec)
         assert rep.ok, rep.mismatches
-    # the pinned frame fixes the gauge completely, whatever the starting point
+    # the frame fixes the gauge completely, whatever the starting point
     for spec, d in ((tetrahedron_target(), 0), (cuboctahedron_target(), 6)):
         first, *others = (
             guess_walls(realize(spec, seed=s), d=d, denom_bound=64, tol=1e-18) for s in range(4)
         )
         assert verify_realization(first, spec).ok
         assert all(walls == first for walls in others)
+
+
+def _walls_sha256(walls):
+    text = json.dumps([[str(c) for c in w.coords()] for w in walls])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "gram, d, digest",
+    [
+        (lambda: gram_matrix(apollonian_system().walls), 0,
+         "7870527d91b2014caf1316b985e3bddb1c21765bc6219adaab0710b12ef1820d"),
+        (hexpyr_expected_gram, 3,
+         "e5b2b85a0ccc76140756212ba1b04a17ddb89642447fe69b4c5bd700acf63fa4"),
+    ],
+    ids=["apollonian", "hexpyr"],
+)
+@pytest.mark.parametrize("seed", range(4))
+def test_gram_target_walls_do_not_move(gram, d, digest, seed):
+    # digests of the guessed exact walls, recorded while realize still pinned
+    # the frame with residual rows through a second float64 stage
+    system = realize(target_from_gram(gram()), seed=seed)
+    assert _walls_sha256(guess_walls(system, d=d, denom_bound=64, tol=1e-18)) == digest
 
 
 @pytest.mark.parametrize(

@@ -13,24 +13,21 @@ from pathlib import Path
 
 from . import serialize
 from .arithmetic import bends_conjugate, bends_vector, vinberg_test
-from .coxeter import GramMatrix, gram_from_diagram, parse_diagram, print_diagram
+from .coxeter import gram_from_diagram, parse_diagram, print_diagram
 from .errors import PackingLabError, ParameterError
 from .exactnum import QuadExt
 from .fixtures import REGISTRY
-from .geometrize import TargetSpec, cluster_split, guess_walls, realize, verify_realization
+from .geometrize import cluster_split, guess_walls, realize, verify_realization
 from .inversive import reflection_matrix
 from .localglobal import missing_bends, residue_orbit
-from .orbit import Packing, WallSystem, certify_integral, generate_packing, generate_superpacking
+from .orbit import WallSystem, certify_integral, generate_packing, generate_superpacking
 from .render import Viewport, render_svg
 from .structure import enumerate_decompositions
 
 
-_KINDS = {"system": WallSystem, "packing": Packing, "target": TargetSpec, "gram": GramMatrix}
-
-
 def _load(path: str, kind: str):
     doc = serialize.load(path)
-    if not isinstance(doc, _KINDS[kind]):
+    if not isinstance(doc, serialize.KINDS[kind][0]):
         raise serialize.FormatError(f"{path} does not hold a {kind} document")
     return doc
 

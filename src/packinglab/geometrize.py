@@ -7,7 +7,7 @@ walls are then set exactly and held fixed, and the same loop again on
 extended-precision mpmath residuals for the other walls), algebraic_guess
 (per-value snap to (a + b*sqrt(d))/q with a bounded denominator: the (q, b)
 grid is prefiltered in numpy one block of denominators at a time, and only
-reduced triples, gcd(a, b, q) == 1, reach the mpmath check), and
+reduced triples, gcd(a, b, q) == 1, reach the exact check on ints), and
 verify_realization (exact re-check of every target against the guessed walls).
 """
 
@@ -20,10 +20,11 @@ from typing import Sequence
 
 import mpmath
 import numpy as np
+from mpmath.libmp import to_rational
 
 from .coxeter import _PLACEHOLDER_SEPARATION
 from .errors import PackingLabError, ParameterError
-from .exactnum import QuadExt
+from .exactnum import QuadExt, quad_sign
 from .inversive import InversiveVector, inversive_product, q_matrix
 
 _REFINE_DPS = 60
@@ -74,10 +75,14 @@ class TargetSpec:
     init_hint: tuple[tuple[float, ...], ...] | None = None  # starting walls for realize
 
     def __post_init__(self):
+        if type(self.wall_count) is not int:
+            raise ParameterError(f"wall_count must be an int, got {self.wall_count!r}")
         norm = {}
         for (i, j), t in self.targets.items():
-            if not (0 <= i < self.wall_count and 0 <= j < self.wall_count) or i == j:
-                raise ValueError(f"bad target pair ({i},{j})")
+            if type(i) is not int or type(j) is not int or not (
+                0 <= i < self.wall_count and 0 <= j < self.wall_count and i != j
+            ):
+                raise ParameterError(f"bad target pair ({i},{j})")
             norm[(min(i, j), max(i, j))] = t
         self.targets = norm
         if self.init_hint is not None:
@@ -418,7 +423,9 @@ def algebraic_guess(value, d: int, denom_bound: int, tol: float) -> QuadExt:
     NoCandidate when none does; a value that is not finite has no candidate.
     d must be 0 or a non-square positive integer: a rational sqrt(d) would
     give one value several (a, b) keys.  tol must be finite and >= 0, and
-    tol == 0 asks for an exact match.
+    tol == 0 asks for an exact match.  The acceptance test is exact:
+    |q*x - a - b*sqrt(d)| <= q*tol is decided on ints (exactnum.quad_sign)
+    for the exact value of x (an mpf, float or int) and of tol.
 
     The grid is every q <= denom_bound and every |b| <= b_max(q), with
     b_max(q) just past |q*x| / sqrt(d) + denom_bound (b = 0 when d == 0).
@@ -426,12 +433,14 @@ def algebraic_guess(value, d: int, denom_bound: int, tol: float) -> QuadExt:
     _GRID_CELLS cells that rounds q*x - b*sqrt(d) to the nearest a and keeps
     the cells within a float slack of it.  Survivors are visited in order of
     q, then b, and only a reduced triple, gcd(a, b, q) == 1, reaches the
-    exact mpmath check at _REFINE_DPS digits.  The widest row, q =
-    denom_bound, grows with |x|; when it would pass _ROW_CELLS cells the
-    call raises ParameterError rather than allocate it.
+    exact test.  The widest row, q = denom_bound, grows with |x|; when it
+    would pass _ROW_CELLS cells, or denom_bound itself does, the call raises
+    ParameterError rather than allocate it.
     """
     if denom_bound < 1:
         raise ParameterError(f"denominator bound must be positive, got {denom_bound}")
+    if denom_bound > _ROW_CELLS:
+        raise ParameterError(f"denominator bound {denom_bound} is over the limit of {_ROW_CELLS}")
     if d < 0 or (d and isqrt(d) ** 2 == d):
         raise ParameterError(f"d must be 0 or a positive non-square, got {d}")
     if not 0 <= tol < inf:
@@ -441,8 +450,12 @@ def algebraic_guess(value, d: int, denom_bound: int, tol: float) -> QuadExt:
         xf = float(xm)
         if not isfinite(xf):
             raise NoCandidate(f"{xf!r} has no exact match with denominator <= {denom_bound}")
-        sqrt_d = mpmath.sqrt(d) if d else mpmath.mpf(0)
-        sqrt_f = float(sqrt_d)
+        # x = xn/xd and tol = tn/td exactly (xm is value when value is an mpf);
+        # |q*x - a - b*sqrt(d)| <= q*tol times xd*td is |r - s*sqrt(d)| <= c
+        # for r = (q*xn - a*xd)*td, s = b*xd*td and c = q*tn*xd
+        xn, xd = to_rational(xm._mpf_) if xm is value else Fraction(value).as_integer_ratio()
+        tn, td = Fraction(tol).as_integer_ratio()
+        sqrt_f = float(mpmath.sqrt(d))
         qs = np.arange(1, denom_bound + 1)
         xq = xf * qs
         slack = qs * tol * 1.125 + 1e-9
@@ -472,15 +485,13 @@ def algebraic_guess(value, d: int, denom_bound: int, tol: float) -> QuadExt:
             ii, jj = ii[inside], jj[inside]
             rounded = np.round(approx[ii, jj]).tolist()
             for a, b, q in zip(rounded, bs[jj].tolist(), (ii + lo + 1).tolist()):
-                a = int(a)
-                # (k*a, k*b, k*q) names the same value as (a, b, q); its error
-                # and its bound both scale by k, and its slack is no looser per
-                # unit of q, so when a multiple survives, its reduced triple
-                # survived in an earlier row.  Checking reduced triples only
-                # keeps every value's first occurrence, and distinct reduced
-                # triples are distinct values.  The gcd is on Python ints: a
-                # can pass 2**63.
-                if gcd(a, b, q) == 1 and abs(xm * q - a - b * sqrt_d) <= q * tol:
+                a = int(a)  # a Python int: it can pass 2**63
+                # the test is unchanged when (a, b, q) is scaled, so a value's
+                # reduced triple, its first occurrence, decides it
+                if gcd(a, b, q) != 1:
+                    continue
+                r, s, c = (q * xn - a * xd) * td, b * xd * td, q * tn * xd
+                if quad_sign(c - r, s, d) >= 0 and quad_sign(c + r, -s, d) >= 0:
                     found.append(QuadExt(Fraction(a, q), Fraction(b, q), d if b else 0))
                     if len(found) > 1:
                         raise Ambiguous(xf, sorted(found, key=float))

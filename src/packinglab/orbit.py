@@ -25,7 +25,7 @@ from functools import cmp_to_key
 from math import gcd
 from typing import Sequence
 
-from .errors import PackingLabError
+from .errors import PackingLabError, ParameterError
 from .exactnum import QuadExt, quad_sign
 from .inversive import InversiveVector, _decoder, encode, field_disc
 from .linalg import as_quad
@@ -42,6 +42,9 @@ class WallSystem:
     cocluster_idx: tuple[int, ...]
 
     def __post_init__(self):
+        for i in (*self.cluster_idx, *self.cocluster_idx):
+            if type(i) is not int:
+                raise ParameterError(f"cluster and cocluster indices must be ints, got {i!r}")
         object.__setattr__(self, "walls", tuple(self.walls))
         object.__setattr__(self, "cluster_idx", tuple(sorted(self.cluster_idx)))
         object.__setattr__(self, "cocluster_idx", tuple(sorted(self.cocluster_idx)))
@@ -50,9 +53,9 @@ class WallSystem:
             len(self.cluster_idx) + len(self.cocluster_idx) != len(self.walls)
             or seen != set(range(len(self.walls)))
         ):
-            raise ValueError("cluster and cocluster must partition the walls")
+            raise ParameterError("cluster and cocluster must partition the walls")
         if not self.cluster_idx:
-            raise ValueError("cluster must be nonempty")
+            raise ParameterError("cluster must be nonempty")
 
     @property
     def dim(self) -> int:

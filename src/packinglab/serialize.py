@@ -4,6 +4,13 @@ Every exact value travels as its string form ("1/2", "2*sqrt(3)", ...) so
 files stay human-readable and nothing is lost to floats.  All documents carry
 "format": 1 and a string "kind".
 
+KINDS is the one table of document kinds: kind -> (class, *_to_obj,
+*_from_obj).  dumps finds the dumper by class; loads is the only place that
+reads a document's kind and format marker, and the only place that turns a
+KeyError, TypeError or ValueError raised by a loader (a missing key, a value
+of the wrong type, a constructor's check) into FormatError("bad <kind>
+document: ...").  Each loader is a plain constructor call.
+
 Every vector of a system or packing document (one wall or sphere) is checked
 on load by _vectors: its cobend, bend and bz coordinates are string literals,
 there are exactly dim + 2 of them for the document's dim, they lie in one
@@ -28,15 +35,6 @@ FORMAT = 1
 
 class FormatError(PackingLabError):
     pass
-
-
-def _check_format(doc: dict, expected_kind: str) -> None:
-    if not isinstance(doc, dict):
-        raise FormatError("document is not a JSON object")
-    if doc.get("format") != FORMAT:
-        raise FormatError(f"unsupported format marker {doc.get('format')!r}")
-    if doc.get("kind") != expected_kind:
-        raise FormatError(f"expected kind {expected_kind!r}, got {doc.get('kind')!r}")
 
 
 def _vector_to_obj(v: InversiveVector) -> dict:
@@ -79,15 +77,11 @@ def system_to_obj(system: WallSystem) -> dict:
 
 
 def system_from_obj(doc: dict) -> WallSystem:
-    _check_format(doc, "system")
-    try:
-        return WallSystem(
-            walls=_vectors(doc["walls"], doc["dim"], "wall"),
-            cluster_idx=frozenset(doc["cluster"]),
-            cocluster_idx=frozenset(doc["cocluster"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad system document: {type(exc).__name__}: {exc}") from exc
+    return WallSystem(
+        walls=_vectors(doc["walls"], doc["dim"], "wall"),
+        cluster_idx=frozenset(doc["cluster"]),
+        cocluster_idx=frozenset(doc["cocluster"]),
+    )
 
 
 def gram_to_obj(gram: GramMatrix) -> dict:
@@ -102,7 +96,6 @@ def gram_to_obj(gram: GramMatrix) -> dict:
 
 
 def gram_from_obj(doc: dict) -> GramMatrix:
-    _check_format(doc, "gram")
     entries = doc.get("entries")
     k = len(entries) if isinstance(entries, list) else -1
     if k < 0 or any(
@@ -110,16 +103,13 @@ def gram_from_obj(doc: dict) -> GramMatrix:
         for row in entries
     ):
         raise FormatError("bad gram document: 'entries' must be a square list of lists of strings")
-    try:
-        rows = [[QuadExt.parse(s) for s in row] for row in entries]
-        placeholders = frozenset((i, j) for i, j in doc.get("placeholders", []))
-        for i, j in placeholders:
-            if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < k and 0 <= j < k):
-                raise FormatError(f"placeholder pair [{i}, {j}] out of range for {k} walls")
-        return GramMatrix.from_rows(rows, placeholders=placeholders,
-                                    signature_hint=doc.get("signature_hint"))
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"bad gram document: {type(exc).__name__}: {exc}") from exc
+    rows = [[QuadExt.parse(s) for s in row] for row in entries]
+    placeholders = frozenset((i, j) for i, j in doc.get("placeholders", []))
+    for i, j in placeholders:
+        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < k and 0 <= j < k):
+            raise FormatError(f"placeholder pair [{i}, {j}] out of range for {k} walls")
+    return GramMatrix.from_rows(rows, placeholders=placeholders,
+                                signature_hint=doc.get("signature_hint"))
 
 
 def packing_to_obj(packing: Packing) -> dict:
@@ -143,28 +133,24 @@ def packing_to_obj(packing: Packing) -> dict:
 
 
 def packing_from_obj(doc: dict) -> Packing:
-    _check_format(doc, "packing")
-    try:
-        vectors = _vectors(doc["spheres"], doc["dim"], "sphere")
-        spheres = [
-            SphereRecord(
-                vector=v,
-                word_length=o["word_length"],
-                parent_generator=o["parent_generator"],
-            )
-            for v, o in zip(vectors, doc["spheres"])
-        ]
-        return Packing(
-            spheres=spheres,
-            saturated=doc["saturated"],
-            bend_bound=QuadExt.parse(doc["bend_bound"]),
-            max_word=doc["max_word"],
-            generator_idx=tuple(doc["generators"]),
-            dim=doc["dim"],
-            boundary_walls=doc.get("boundary_walls", 0),
+    vectors = _vectors(doc["spheres"], doc["dim"], "sphere")
+    spheres = [
+        SphereRecord(
+            vector=v,
+            word_length=o["word_length"],
+            parent_generator=o["parent_generator"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad packing document: {type(exc).__name__}: {exc}") from exc
+        for v, o in zip(vectors, doc["spheres"])
+    ]
+    return Packing(
+        spheres=spheres,
+        saturated=doc["saturated"],
+        bend_bound=QuadExt.parse(doc["bend_bound"]),
+        max_word=doc["max_word"],
+        generator_idx=tuple(doc["generators"]),
+        dim=doc["dim"],
+        boundary_walls=doc.get("boundary_walls", 0),
+    )
 
 
 def target_to_obj(spec: TargetSpec) -> dict:
@@ -185,40 +171,29 @@ def target_to_obj(spec: TargetSpec) -> dict:
 
 
 def target_from_obj(doc: dict) -> TargetSpec:
-    _check_format(doc, "target")
     targets: dict[tuple[int, int], Exact | DisjointFree] = {}
+    for o in doc["targets"]:
+        key = (o["i"], o["j"])
+        targets[key] = DisjointFree() if o["value"] == "free" else Exact(QuadExt.parse(o["value"]))
     hint = doc.get("init_hint")
-    try:
-        for o in doc["targets"]:
-            key = (o["i"], o["j"])
-            targets[key] = DisjointFree() if o["value"] == "free" else Exact(QuadExt.parse(o["value"]))
-        return TargetSpec(
-            doc["wall_count"],
-            targets,
-            dim=doc.get("dim", 2),
-            init_hint=tuple(map(tuple, hint)) if hint else None,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad target document: {type(exc).__name__}: {exc}") from exc
+    return TargetSpec(
+        doc["wall_count"],
+        targets,
+        dim=doc.get("dim", 2),
+        init_hint=tuple(map(tuple, hint)) if hint else None,
+    )
 
 
-_DUMPERS = {
-    WallSystem: system_to_obj,
-    GramMatrix: gram_to_obj,
-    Packing: packing_to_obj,
-    TargetSpec: target_to_obj,
-}
-
-_LOADERS = {
-    "system": system_from_obj,
-    "gram": gram_from_obj,
-    "packing": packing_from_obj,
-    "target": target_from_obj,
+KINDS = {
+    "system": (WallSystem, system_to_obj, system_from_obj),
+    "gram": (GramMatrix, gram_to_obj, gram_from_obj),
+    "packing": (Packing, packing_to_obj, packing_from_obj),
+    "target": (TargetSpec, target_to_obj, target_from_obj),
 }
 
 
 def dumps(obj) -> str:
-    for cls, dump in _DUMPERS.items():
+    for cls, dump, _ in KINDS.values():
         if isinstance(obj, cls):
             return json.dumps(dump(obj), indent=2, sort_keys=True) + "\n"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -230,9 +205,14 @@ def loads(text: str):
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}") from exc
     kind = doc.get("kind") if isinstance(doc, dict) else None
-    if not isinstance(kind, str) or kind not in _LOADERS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise FormatError(f"unknown document kind {kind!r}")
-    return _LOADERS[kind](doc)
+    if doc.get("format") != FORMAT:
+        raise FormatError(f"unsupported format marker {doc.get('format')!r}")
+    try:
+        return KINDS[kind][2](doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad {kind} document: {type(exc).__name__}: {exc}") from exc
 
 
 def save(obj, path) -> None:

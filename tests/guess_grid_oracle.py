@@ -1,11 +1,12 @@
 """The grid guesser that the blocked algebraic_guess replaced, as an oracle.
 
 One pass per denominator q, a numpy prefilter over the row's surd
-coefficients, and an mpmath check and a pair of Fractions for every
-survivor, multiples of an earlier triple included.  The guesser under test
-walks the same grid in blocks of rows and checks reduced triples only; the
-two must agree on the value, the exception class, the Ambiguous candidates
-and every message.
+coefficients, and for every survivor, multiples of an earlier triple
+included, an exact check |q*x - a - b*sqrt(d)| <= q*tol in the Fraction
+QuadExt of fraction_quadext_oracle and a pair of Fractions.  The guesser
+under test walks the same grid in blocks of rows and checks reduced triples
+only, on ints; the two must agree on the value, the exception class, the
+Ambiguous candidates and every message.
 """
 
 from fractions import Fraction
@@ -13,10 +14,19 @@ from math import isqrt
 
 import mpmath
 import numpy as np
+from fraction_quadext_oracle import QuadExt as FractionQuadExt
 
 from packinglab.errors import ParameterError
 from packinglab.exactnum import QuadExt
 from packinglab.geometrize import _REFINE_DPS, Ambiguous, NoCandidate
+
+
+def _exact(value) -> Fraction:
+    """The exact value of an mpf, a float or an int."""
+    if isinstance(value, mpmath.mpf):
+        sign, man, exp, _ = value._mpf_
+        return (-1) ** sign * man * Fraction(2) ** exp
+    return Fraction(value)
 
 
 def algebraic_guess(value, d: int, denom_bound: int, tol: float) -> QuadExt:
@@ -33,8 +43,8 @@ def algebraic_guess(value, d: int, denom_bound: int, tol: float) -> QuadExt:
     with mpmath.workdps(_REFINE_DPS):
         xm = mpmath.mpf(value) if not isinstance(value, mpmath.mpf) else value
         xf = float(xm)
-        sqrt_d = mpmath.sqrt(d) if d else mpmath.mpf(0)
-        sqrt_f = float(sqrt_d)
+        x, bound = _exact(value), Fraction(tol)
+        sqrt_f = float(mpmath.sqrt(d))
         found: dict[tuple[Fraction, Fraction], QuadExt] = {}
         for q in range(1, denom_bound + 1):
             xq = xf * q
@@ -50,8 +60,7 @@ def algebraic_guess(value, d: int, denom_bound: int, tol: float) -> QuadExt:
             for b, a in zip(bs[keep], a_round[keep]):
                 a = int(a)
                 b = int(b)
-                err = abs(xm * q - a - b * sqrt_d)
-                if err <= q * tol:
+                if abs(FractionQuadExt(q * x - a, -b, d)) <= q * bound:
                     key = (Fraction(a, q), Fraction(b, q))
                     if key not in found:
                         found[key] = QuadExt(key[0], key[1], d if b else 0)

@@ -174,14 +174,18 @@ def test_missing_file_is_clean_error(capsys):
             7, {"cobend": "1*sqrt(2)", "bend": "0", "bz": ["1/2*sqrt(3)", "1/2"]}),
          ["orbit", "--bound", "3"]),
         (lambda doc: doc.update(kind=["system"]), ["orbit", "--bound", "3"]),
+        # 0.0 == 0, so the partition check alone lets a float index through
+        (lambda doc: doc.update(cluster=[0.0, 1, 2, 3]), ["orbit", "--bound", "3"]),
+        (lambda doc: doc.update(cluster=[0.0, 1, 2, 3]),
+         ["lg-scan", "--bound", "10", "--modulus", "24", "--scan-bound", "10"]),
         # a valid system document where another kind is expected
         (lambda doc: None, ["certify"]),
         (lambda doc: None, ["render"]),
         (lambda doc: None, ["geometrize", "--d", "0"]),
     ],
     ids=["missing-walls", "missing-cocluster", "overlapping-partition", "off-quadric-wall",
-         "short-wall", "wrong-dim", "two-field-wall", "list-kind",
-         "certify-system", "render-system", "geometrize-system"],
+         "short-wall", "wrong-dim", "two-field-wall", "list-kind", "float-cluster-orbit",
+         "float-cluster-lg-scan", "certify-system", "render-system", "geometrize-system"],
 )
 def test_bad_system_file_is_clean_error(capsys, apollonian_path, tmp_path, edit, command):
     doc = json.loads(Path(apollonian_path).read_text())
@@ -204,9 +208,12 @@ def test_bad_system_file_is_clean_error(capsys, apollonian_path, tmp_path, edit,
         lambda doc: doc.update(wall_count=9),  # the hint still has 8 rows
         lambda doc: doc["init_hint"][0].pop(),
         lambda doc: doc["init_hint"][0].__setitem__(0, 1e309),  # written as Infinity
+        lambda doc: doc["targets"][0].update(i=0.0),
+        lambda doc: (doc.pop("init_hint"), doc.update(wall_count=8.5)),
     ],
     ids=["missing-targets", "missing-wall-count", "target-without-value", "pair-out-of-range",
-         "hint-rows-short", "hint-row-short", "hint-past-float"],
+         "hint-rows-short", "hint-row-short", "hint-past-float", "float-pair-index",
+         "float-wall-count"],
 )
 def test_bad_target_file_is_clean_error(capsys, tmp_path, edit):
     target = tmp_path / "tetra.json"
@@ -343,13 +350,18 @@ def tetra_path(capsys, tmp_path):
         ["geometrize", "{target}", "--d", "0", "--seed", "-1"],
         ["geometrize", "{target}", "--d", "0", "--tol", "nan"],
         ["geometrize", "{target}", "--d", "0", "--tol=-1e-24"],
+        # at d = 0 a grid row is one cell wide, so only the bound itself is too large
+        ["geometrize", "{target}", "--d", "0", "--denom", "1000000000000"],
+        ["geometrize", "{target}", "--d", "0", "--cluster", "0", "99"],
+        ["geometrize", "{target}", "--d", "0", "--cluster", "0", "0", "1"],
         ["render", "{packing}", "--half-width", "0"],
         ["render", "{packing}", "--half-width", "nan"],
         ["render", "{packing}", "--size", "0"],
     ],
     ids=["modulus-zero", "modulus-past-int64", "max-len-one", "unparsable-bound",
          "bound-discriminant", "negative-d", "square-d", "denom-zero", "seed-negative",
-         "tol-nan", "tol-negative", "half-width-zero", "half-width-nan", "size-zero"],
+         "tol-nan", "tol-negative", "denom-too-large", "cluster-out-of-range",
+         "cluster-repeated", "half-width-zero", "half-width-nan", "size-zero"],
 )
 def test_bad_parameter_is_clean_error(capsys, apollonian_path, hexpyr_gram_path, tetra_path,
                                       tmp_path, argv):

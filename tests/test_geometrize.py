@@ -7,7 +7,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import guess_grid_oracle as oracle
@@ -236,8 +236,17 @@ def guess_cases(draw):
     return x, d, denom_bound, tol
 
 
+def _tolerance_edge():
+    # 1 + sqrt(2) - tol at 60 digits: exactly, |x - (1 + sqrt(2))| is tol plus
+    # about 1e-61, so no candidate fits, though a 60-digit check of the
+    # multiple (2, 2, 2) accepts it
+    with mpmath.workdps(60):
+        return (1 + mpmath.sqrt(2)) - 1e-4, 2, 5, 1e-4
+
+
 @settings(max_examples=300, deadline=None)
 @given(guess_cases())
+@example(_tolerance_edge())
 def test_guess_matches_grid_oracle(case):
     assert guess_outcome(algebraic_guess, *case) == guess_outcome(oracle.algebraic_guess, *case)
 

@@ -104,6 +104,28 @@ def test_unknown_kind_rejected():
         serialize.loads(json.dumps({"format": 1, "kind": "mystery"}))
 
 
+@pytest.mark.parametrize(
+    "build, edit, prefix",
+    [
+        (apollonian_system, lambda doc: doc.update(cluster=[0.0, 1, 2, 3]),
+         "bad system document: ParameterError: "),
+        (hexpyr_expected_gram, lambda doc: doc["entries"][0].__setitem__(1, "2"),
+         "bad gram document: ValueError: "),
+        (lambda: generate_packing(apollonian_system(), QuadExt(3), max_word=64),
+         lambda doc: doc.pop("saturated"), "bad packing document: KeyError: "),
+        (tetrahedron_target, lambda doc: doc["targets"][0].update(value=1),
+         "bad target document: TypeError: "),
+    ],
+    ids=["system", "gram", "packing", "target"],
+)
+def test_loader_error_names_the_kind(build, edit, prefix):
+    doc = json.loads(serialize.dumps(build()))
+    edit(doc)
+    with pytest.raises(FormatError) as exc:
+        serialize.loads(json.dumps(doc))
+    assert str(exc.value).startswith(prefix)
+
+
 def test_bad_number_strings_surface_clearly():
     doc = json.loads(serialize.dumps(apollonian_system()))
     doc["walls"][0]["bend"] = "not-a-number"

@@ -145,13 +145,18 @@ def cmd_render(args) -> int:
 
 def cmd_lg_scan(args) -> int:
     system = _load(args.system, "system")
+    bound = _bound(args.bound)
+    if args.scan_bound > bound:
+        # bends over --bound are never generated, so the scan would call them missing
+        raise ParameterError(f"--scan-bound {args.scan_bound} exceeds --bound {bound}")
     cluster = system.cluster_walls()
     refls = [reflection_matrix(w) for w in system.cocluster_walls()]
     gens = [bends_conjugate(r, cluster) for r in refls]
-    packing = generate_packing(system, _bound(args.bound), max_word=args.max_word)
+    packing = generate_packing(system, bound, max_word=args.max_word)
     bends = [b for b in packing.bends_list() if b.sign() > 0]
     orbit = residue_orbit(gens, bends_vector(cluster), args.modulus)
-    missing = missing_bends(bends, orbit, bound=args.scan_bound)
+    # an unsaturated packing may lack bends under the bound, so none are called missing
+    missing = missing_bends(bends, orbit, bound=args.scan_bound) if packing.saturated else None
     doc = {
         "modulus": args.modulus,
         "admissible_residues": sorted(orbit.residues),

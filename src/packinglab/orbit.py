@@ -85,6 +85,26 @@ class Packing:
     dim: int
     boundary_walls: int = 0  # spheres kept only because they are planes
 
+    def __post_init__(self):
+        # dumps writes these ints and bools as they are, so each must be one
+        for name in ("max_word", "dim", "boundary_walls"):
+            if type(getattr(self, name)) is not int:
+                raise ParameterError(f"{name} must be an int, got {getattr(self, name)!r}")
+        if type(self.saturated) is not bool:
+            raise ParameterError(f"saturated must be true or false, got {self.saturated!r}")
+        for g in self.generator_idx:
+            if type(g) is not int:
+                raise ParameterError(f"generators must be ints, got {g!r}")
+        generators = set(self.generator_idx)
+        for i, rec in enumerate(self.spheres, start=1):
+            n, g = rec.word_length, rec.parent_generator
+            if type(n) is not int or n < 0:
+                raise ParameterError(f"sphere {i}: word_length must be an int >= 0, got {n!r}")
+            if g is not None and not (type(g) is int and g in generators):
+                raise ParameterError(
+                    f"sphere {i}: parent_generator must be null or one of the generators, got {g!r}"
+                )
+
     def vectors(self) -> list[InversiveVector]:
         return [rec.vector for rec in self.spheres]
 

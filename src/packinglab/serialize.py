@@ -2,25 +2,38 @@
 
 Every exact value travels as its string form ("1/2", "2*sqrt(3)", ...) so
 files stay human-readable and nothing is lost to floats.  All documents carry
-"format": 1 and a string "kind".
+"format": 1 and a string "kind", and are laid out as json.dumps(doc,
+indent=2, sort_keys=True) lays them out.
 
-KINDS is the one table of document kinds: kind -> (class, *_to_obj,
-*_from_obj).  dumps finds the dumper by class; loads is the only place that
+KINDS is the one table of document kinds: kind -> (class, *_text,
+*_from_obj).  dumps finds the writer by class; loads is the only place that
 reads a document's kind and format marker, and the only place that turns a
 KeyError, TypeError or ValueError raised by a loader (a missing key, a value
 of the wrong type, a constructor's check) into FormatError("bad <kind>
 document: ...").  Each loader is a plain constructor call.
 
+The walls of a system and the spheres of a packing are most of a document,
+and one vector writer, _with_vectors, lays them out: only the small document
+head goes through json.dumps, and each vector is written directly, with one
+str() and one string encoding per distinct coordinate value.  The tests hold
+it byte for byte to the dict-plus-json.dumps layout it replaced
+(tests/serialize_oracle.py).
+
 Every vector of a system or packing document (one wall or sphere) is checked
-on load by _vectors: its cobend, bend and bz coordinates are string literals,
-there are exactly dim + 2 of them for the document's dim, they lie in one
-quadratic field, and Q(v) = -1 (InversiveVector.validate).  A failure is a
-FormatError that names the wall or sphere.
+on load by _vectors, which parses each distinct literal of the document once:
+its cobend, bend and bz coordinates are string literals, there are exactly
+dim + 2 of them for the document's dim, they lie in one quadratic field,
+and Q(v) = -1 (InversiveVector.validate, run on every vector).  A failure
+is a FormatError that names the wall or sphere.  The other fields of a
+packing (its ints, its saturated flag, each sphere's word_length and
+parent_generator) are checked by the Packing constructor.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import zip_longest
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .coxeter import GramMatrix
@@ -37,25 +50,54 @@ class FormatError(PackingLabError):
     pass
 
 
-def _vector_to_obj(v: InversiveVector) -> dict:
-    return {
-        "cobend": str(v.cobend),
-        "bend": str(v.bend),
-        "bz": [str(c) for c in v.bz],
-    }
+def _text(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# one wall or sphere at depth 2 of a document: bend, bz, cobend, then the tail
+_VECTOR = '    {\n      "bend": %s,\n      "bz": %s,\n      "cobend": %s%s\n    }'
+_SPHERE_TAIL = ',\n      "parent_generator": %s,\n      "word_length": %s'
+
+
+def _with_vectors(head: dict, key: str, vectors, tails=()) -> str:
+    """The text of head with head[key] the list of vectors; tails[i], if
+    given, is the text of vector i's keys that sort after "cobend"."""
+    text = _text({**head, key: []})
+    if not vectors:
+        return text
+    literals: dict[QuadExt, str] = {}
+
+    def literal(x: QuadExt) -> str:
+        s = literals.get(x)
+        if s is None:
+            s = literals[x] = encode_basestring_ascii(str(x))
+        return s
+
+    items = []
+    for v, tail in zip_longest(vectors, tails, fillvalue=""):
+        bz = ",\n        ".join(map(literal, v.bz))
+        bz = f"[\n        {bz}\n      ]" if bz else "[]"
+        items.append(_VECTOR % (literal(v.bend), bz, literal(v.cobend), tail))
+    before, opening, after = text.partition(f'\n  "{key}": [')  # after starts with "]"
+    return before + opening + "\n" + ",\n".join(items) + "\n  " + after
 
 
 def _vectors(objs, dim, what: str) -> list[InversiveVector]:
     """The checked vectors of a document's wall or sphere objects."""
+    parsed: dict[str, QuadExt] = {}
     out = []
     for i, obj in enumerate(objs, start=1):
         try:
             bz = obj["bz"]
             if not isinstance(bz, list) or len(bz) != dim:
                 raise FormatError(f"{what} {i}: bz is not a list of dim = {dim!r} coordinates")
-            v = InversiveVector.from_coords(
-                [QuadExt.parse(s) for s in [obj["cobend"], obj["bend"], *bz]]
-            )
+            coords = []
+            for s in (obj["cobend"], obj["bend"], *bz):
+                x = parsed.get(s) if type(s) is str else None
+                if x is None:
+                    x = parsed[s] = QuadExt.parse(s)  # a non-string raises TypeError
+                coords.append(x)
+            v = InversiveVector.from_coords(coords)
             on_quadric = v.validate()
         except (KeyError, TypeError, ValueError, DiscMismatch) as exc:
             raise FormatError(f"{what} {i}: {type(exc).__name__}: {exc}") from exc
@@ -65,15 +107,15 @@ def _vectors(objs, dim, what: str) -> list[InversiveVector]:
     return out
 
 
-def system_to_obj(system: WallSystem) -> dict:
-    return {
+def system_text(system: WallSystem) -> str:
+    head = {
         "format": FORMAT,
         "kind": "system",
         "dim": system.dim,
-        "walls": [_vector_to_obj(w) for w in system.walls],
         "cluster": sorted(system.cluster_idx),
         "cocluster": sorted(system.cocluster_idx),
     }
+    return _with_vectors(head, "walls", system.walls)
 
 
 def system_from_obj(doc: dict) -> WallSystem:
@@ -84,15 +126,15 @@ def system_from_obj(doc: dict) -> WallSystem:
     )
 
 
-def gram_to_obj(gram: GramMatrix) -> dict:
-    return {
+def gram_text(gram: GramMatrix) -> str:
+    return _text({
         "format": FORMAT,
         "kind": "gram",
         "size": gram.size,
         "entries": [[str(e) for e in row] for row in gram.entries],
         "placeholders": sorted([i, j] for (i, j) in gram.placeholders),
         "signature_hint": gram.signature_hint,
-    }
+    })
 
 
 def gram_from_obj(doc: dict) -> GramMatrix:
@@ -112,14 +154,8 @@ def gram_from_obj(doc: dict) -> GramMatrix:
                                 signature_hint=doc.get("signature_hint"))
 
 
-def packing_to_obj(packing: Packing) -> dict:
-    spheres = []
-    for rec in packing.spheres:
-        obj = _vector_to_obj(rec.vector)
-        obj["word_length"] = rec.word_length
-        obj["parent_generator"] = rec.parent_generator
-        spheres.append(obj)
-    return {
+def packing_text(packing: Packing) -> str:
+    head = {
         "format": FORMAT,
         "kind": "packing",
         "dim": packing.dim,
@@ -128,8 +164,12 @@ def packing_to_obj(packing: Packing) -> dict:
         "saturated": packing.saturated,
         "boundary_walls": packing.boundary_walls,
         "generators": sorted(packing.generator_idx),
-        "spheres": spheres,
     }
+    tails = [
+        _SPHERE_TAIL % ("null" if r.parent_generator is None else r.parent_generator, r.word_length)
+        for r in packing.spheres
+    ]
+    return _with_vectors(head, "spheres", packing.vectors(), tails)
 
 
 def packing_from_obj(doc: dict) -> Packing:
@@ -153,7 +193,7 @@ def packing_from_obj(doc: dict) -> Packing:
     )
 
 
-def target_to_obj(spec: TargetSpec) -> dict:
+def target_text(spec: TargetSpec) -> str:
     targets = []
     for (i, j), t in sorted(spec.targets.items()):
         value = str(t.value) if isinstance(t, Exact) else "free"
@@ -167,7 +207,7 @@ def target_to_obj(spec: TargetSpec) -> dict:
     }
     if spec.init_hint is not None:
         doc["init_hint"] = [list(row) for row in spec.init_hint]
-    return doc
+    return _text(doc)
 
 
 def target_from_obj(doc: dict) -> TargetSpec:
@@ -185,17 +225,17 @@ def target_from_obj(doc: dict) -> TargetSpec:
 
 
 KINDS = {
-    "system": (WallSystem, system_to_obj, system_from_obj),
-    "gram": (GramMatrix, gram_to_obj, gram_from_obj),
-    "packing": (Packing, packing_to_obj, packing_from_obj),
-    "target": (TargetSpec, target_to_obj, target_from_obj),
+    "system": (WallSystem, system_text, system_from_obj),
+    "gram": (GramMatrix, gram_text, gram_from_obj),
+    "packing": (Packing, packing_text, packing_from_obj),
+    "target": (TargetSpec, target_text, target_from_obj),
 }
 
 
 def dumps(obj) -> str:
     for cls, dump, _ in KINDS.values():
         if isinstance(obj, cls):
-            return json.dumps(dump(obj), indent=2, sort_keys=True) + "\n"
+            return dump(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

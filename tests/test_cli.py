@@ -142,6 +142,15 @@ def test_lg_scan(capsys, apollonian_path):
     assert doc["missing"] == [78]
 
 
+def test_lg_scan_unsaturated_reports_no_missing(capsys, apollonian_path):
+    code, out, _ = run(capsys, "lg-scan", apollonian_path, "--bound", "60",
+                       "--max-word", "2", "--modulus", "24", "--scan-bound", "60")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["saturated"] is False
+    assert doc["missing"] is None
+
+
 def test_outputs_byte_stable(capsys, apollonian_path, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     _, out1, _ = run(capsys, "orbit", apollonian_path, "--bound", "20",
@@ -277,6 +286,44 @@ def test_short_packing_sphere_is_clean_error(capsys, apollonian_path, tmp_path, 
 
 
 @pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc["spheres"][2].update(word_length="two"),
+         "ParameterError: sphere 3: word_length"),
+        (lambda doc: doc["spheres"][2].update(word_length=-1),
+         "ParameterError: sphere 3: word_length"),
+        (lambda doc: doc["spheres"][2].update(parent_generator=1.5),
+         "ParameterError: sphere 3: parent_generator"),
+        # wall 1 is a cluster wall, not a generator
+        (lambda doc: doc["spheres"][2].update(parent_generator=0),
+         "ParameterError: sphere 3: parent_generator"),
+        (lambda doc: doc.update(saturated="yes"), "ParameterError: saturated"),
+        (lambda doc: doc.update(max_word=[3]), "ParameterError: max_word"),
+        (lambda doc: doc.update(dim=2.0), "ParameterError: dim"),
+        (lambda doc: doc.update(boundary_walls="0"), "ParameterError: boundary_walls"),
+        (lambda doc: doc["generators"].__setitem__(0, 4.0), "ParameterError: generators"),
+    ],
+    ids=["word-length-string", "word-length-negative", "parent-float", "parent-not-generator",
+         "saturated-string", "max-word-list", "dim-float", "boundary-walls-string",
+         "generator-float"],
+)
+@pytest.mark.parametrize("command", ["certify", "render"])
+def test_bad_packing_field_is_clean_error(capsys, apollonian_path, tmp_path, edit, message,
+                                         command):
+    packing_path = tmp_path / "packing.json"
+    run(capsys, "orbit", apollonian_path, "--bound", "3", "--out", str(packing_path))
+    doc = json.loads(packing_path.read_text())
+    edit(doc)
+    packing_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(packing_path))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "FormatError"
+    assert message in payload["message"]
+
+
+@pytest.mark.parametrize(
     "kind, edit, message",
     [
         ("system", lambda doc: doc["walls"][1].update(cobend=0.1), "must be a string, not float"),
@@ -357,11 +404,15 @@ def tetra_path(capsys, tmp_path):
         ["render", "{packing}", "--half-width", "0"],
         ["render", "{packing}", "--half-width", "nan"],
         ["render", "{packing}", "--size", "0"],
+        # bends over --bound are never generated, so a scan past it would call them missing
+        ["lg-scan", "{system}", "--bound", "30", "--max-word", "600", "--modulus", "24",
+         "--scan-bound", "60"],
     ],
     ids=["modulus-zero", "modulus-past-int64", "max-len-one", "unparsable-bound",
          "bound-discriminant", "negative-d", "square-d", "denom-zero", "seed-negative",
          "tol-nan", "tol-negative", "denom-too-large", "cluster-out-of-range",
-         "cluster-repeated", "half-width-zero", "half-width-nan", "size-zero"],
+         "cluster-repeated", "half-width-zero", "half-width-nan", "size-zero",
+         "scan-past-bound"],
 )
 def test_bad_parameter_is_clean_error(capsys, apollonian_path, hexpyr_gram_path, tetra_path,
                                       tmp_path, argv):

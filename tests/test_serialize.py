@@ -7,17 +7,28 @@ import pytest
 
 from packinglab import serialize
 from packinglab.coxeter import gram_from_diagram, parse_diagram
+from packinglab.errors import ParameterError
 from packinglab.exactnum import QuadExt
 from packinglab.fixtures import (
     COX6_DIAGRAM,
+    REGISTRY,
     apollonian_system,
     cuboctahedron_target,
     hexpyr_expected_gram,
     hexpyr_system,
     tetrahedron_target,
 )
-from packinglab.orbit import generate_packing
+from packinglab.inversive import plane_from_normal_offset, sphere_from_center_radius
+from packinglab.orbit import (
+    Packing,
+    SphereRecord,
+    WallSystem,
+    generate_packing,
+    generate_superpacking,
+)
 from packinglab.serialize import FormatError
+
+from serialize_oracle import oracle_dumps
 
 
 def test_system_round_trip_rational():
@@ -54,6 +65,56 @@ def test_packing_round_trip():
     assert again.saturated == p.saturated
     assert again.bend_bound == p.bend_bound
     assert again.generator_idx == p.generator_idx
+
+
+def _dim3_system():
+    sqrt3 = QuadExt.sqrt(3)
+    spheres = [sphere_from_center_radius(c, 1) for c in [(0, 0, 0), (2, 0, 0), (1, sqrt3, 0)]]
+    planes = [plane_from_normal_offset(n, 1) for n in [(0, 0, 1), (0, 0, -1)]]
+    return WallSystem(walls=(*spheres, *planes), cluster_idx=(0, 1, 2), cocluster_idx=(3, 4))
+
+
+_ORACLE_DOCS = {
+    **{f"apollonian-{b}": (lambda b=b: generate_packing(apollonian_system(), QuadExt(b), max_word=600))
+       for b in (1, 3, 10, 50, 200)},
+    "hexpyr-packing": lambda: generate_packing(hexpyr_system(), QuadExt(30), max_word=64),
+    "hexpyr-super": lambda: generate_superpacking(hexpyr_system(), QuadExt(30), max_word=3),
+    "no-spheres": lambda: Packing(spheres=[], saturated=True, bend_bound=QuadExt(0), max_word=0,
+                                  generator_idx=(), dim=2),
+    "dim3-system": _dim3_system,
+    "dim3-packing": lambda: generate_packing(_dim3_system(), QuadExt(1), max_word=3),
+    **{f"fixture-{f.name}": f.build for f in REGISTRY.values() if f.kind == "system"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_DOCS))
+def test_dumps_matches_oracle_layout(name):
+    x = _ORACLE_DOCS[name]()
+    text = serialize.dumps(x)
+    assert text == oracle_dumps(x)
+    again = serialize.loads(text)
+    assert serialize.dumps(again) == text
+    if isinstance(x, Packing):
+        assert again.spheres == x.spheres
+    else:
+        assert again == x
+
+
+@pytest.mark.parametrize(
+    "word_length, parent, message",
+    [
+        (True, None, "sphere 5: word_length"),
+        (1.0, None, "sphere 5: word_length"),
+        (1, "4", "sphere 5: parent_generator"),
+        (1, 4.0, "sphere 5: parent_generator"),
+    ],
+)
+def test_packing_refuses_record_fields_dumps_cannot_write(word_length, parent, message):
+    p = generate_packing(apollonian_system(), QuadExt(3), max_word=64)
+    assert len(p.spheres) == 5
+    p.spheres[-1] = SphereRecord(p.spheres[-1].vector, word_length, parent)
+    with pytest.raises(ParameterError, match=message):
+        Packing(**vars(p))
 
 
 def test_target_round_trip_with_hint():
@@ -179,3 +240,55 @@ def test_one_edit_loads_or_is_format_error(name):
         except Exception as exc:
             what = "deleted" if edit is _DELETE else f"set to {edit!r}"
             pytest.fail(f"{[*path, key]} {what}: {type(exc).__name__}: {exc}")
+
+
+_LITERAL_EDITS = [None, 0, 1.5, [], {}, "x", "1/0", "1*sqrt(2)", "1*sqrt(10000000000037)", "-0"]
+
+
+def _load_error(doc):
+    try:
+        serialize.loads(json.dumps(doc))
+    except FormatError as exc:
+        return str(exc)
+    return None
+
+
+def test_one_edit_literal_shared_with_other_spheres():
+    """A literal edited where its old value stays unedited in other spheres,
+    so the loader's per-document parse memo already holds that value.  A
+    literal that does not parse fails with the parser's own error; any other
+    edit fails as the edited sphere fails alone.  The first sphere that
+    fails is the one named."""
+    text = serialize.dumps(generate_packing(apollonian_system(), QuadExt(10), max_word=64))
+    sites: dict[str, list] = {}
+    for i, o in enumerate(json.loads(text)["spheres"]):
+        for key in ("cobend", "bend"):
+            sites.setdefault(o[key], []).append((i, key, None))
+        for j, s in enumerate(o["bz"]):
+            sites.setdefault(s, []).append((i, "bz", j))
+    # two edits leave a value that sits in three spheres unedited in one of them
+    shared = sorted(v for v, at in sites.items() if len({i for i, _, _ in at}) >= 3)
+    rng = random.Random("shared literal")
+    for _ in range(300):
+        old = rng.choice(shared)
+        new = rng.choice(_LITERAL_EDITS + sorted(sites))
+        places = sorted(rng.sample(sites[old], rng.choice([1, 2])))
+        doc = json.loads(text)
+        for i, key, j in places:
+            if j is None:
+                doc["spheres"][i][key] = new
+            else:
+                doc["spheres"][i][key][j] = new
+        try:
+            QuadExt.parse(new)
+        except (TypeError, ValueError) as exc:
+            want = f"sphere {places[0][0] + 1}: {type(exc).__name__}: {exc}"
+        else:
+            want = None
+            for i in sorted({i for i, _, _ in places}):
+                err = _load_error(dict(doc, spheres=[doc["spheres"][i]]))
+                if err is not None:
+                    assert err.startswith("sphere 1: "), err
+                    want = f"sphere {i + 1}: {err[len('sphere 1: '):]}"
+                    break
+        assert _load_error(doc) == want, (old, new, places)

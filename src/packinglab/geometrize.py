@@ -5,10 +5,13 @@ eigendecomposition of its Gram matrix, then one damped Gauss-Newton loop run in
 float64, one Moebius map that puts a tangent triple on the frame, whose three
 walls are then set exactly and held fixed, and the same loop again on
 extended-precision mpmath residuals for the other walls), algebraic_guess
-(per-value snap to (a + b*sqrt(d))/q with a bounded denominator: the (q, b)
-grid is prefiltered in numpy one block of denominators at a time, and only
-reduced triples, gcd(a, b, q) == 1, reach the exact check on ints), and
-verify_realization (exact re-check of every target against the guessed walls).
+(snap a value to (a + b*sqrt(d))/q with a bounded denominator: the b that a
+float prefilter can keep in row q lie where frac(b*sqrt(d)) is near
+frac(q*x), so two searchsorted calls into those fractions, sorted once per
+segment of b, find them, and only reduced triples, gcd(a, b, q) == 1, reach
+the exact check on ints; guess_walls runs one such pass over every value of
+a system), and verify_realization (exact re-check of every target against
+the guessed walls, on the int code of each wall).
 """
 
 from __future__ import annotations
@@ -24,12 +27,27 @@ from mpmath.libmp import to_rational
 
 from .coxeter import _PLACEHOLDER_SEPARATION
 from .errors import PackingLabError, ParameterError
-from .exactnum import QuadExt, quad_sign
-from .inversive import InversiveVector, inversive_product, q_matrix
+from .exactnum import QuadExt, from_triple, quad_sign
+from .inversive import (
+    InversiveVector,
+    encode,
+    field_disc,
+    inversive_product,
+    q_is_minus_one,
+    q_matrix,
+)
 
 _REFINE_DPS = 60
-_GRID_CELLS = 1 << 14  # cells in one numpy pass of algebraic_guess
-_ROW_CELLS = _GRID_CELLS << 10  # widest grid row algebraic_guess builds: 128 MB of floats
+_CHUNK = 1 << 14  # expected candidates in one numpy pass of algebraic_guess
+_ROW_CELLS = 1 << 24  # widest row of surd coefficients b algebraic_guess takes on
+# _FractionTable sorts frac(b*sqrt(d)) over segments of 1024 consecutive b,
+# segment k starting at b = k*_SEGMENT - _SEGMENT_BASE, and keys a fraction
+# by its first 36 bits
+_SEGMENT_BITS = 10
+_SEGMENT = 1 << _SEGMENT_BITS
+_SEGMENT_BASE = _SEGMENT // 2
+_FRAC_BITS = 36
+_KEY_SEGMENT = _FRAC_BITS + _SEGMENT_BITS
 
 
 class NoConvergence(PackingLabError):
@@ -419,24 +437,72 @@ def realize(
 def algebraic_guess(value, d: int, denom_bound: int, tol: float) -> QuadExt:
     """Snap a float to (a + b*sqrt(d))/q with q <= denom_bound.
 
-    Raises Ambiguous when several distinct exact values fit within tol and
-    NoCandidate when none does; a value that is not finite has no candidate.
-    d must be 0 or a non-square positive integer: a rational sqrt(d) would
-    give one value several (a, b) keys.  tol must be finite and >= 0, and
-    tol == 0 asks for an exact match.  The acceptance test is exact:
-    |q*x - a - b*sqrt(d)| <= q*tol is decided on ints (exactnum.quad_sign)
-    for the exact value of x (an mpf, float or int) and of tol.
+    value is an mpf, a float (numpy float64 included) or an int; any other
+    type is a ParameterError.  Raises Ambiguous when several distinct exact
+    values fit within tol and NoCandidate when none does; a value that is
+    not finite has no candidate.  d must be 0 or a non-square positive
+    integer: a rational sqrt(d) would give one value several (a, b) keys.
+    tol must be finite and >= 0, and tol == 0 asks for an exact match.  The
+    acceptance test is exact: |q*x - a - b*sqrt(d)| <= q*tol is decided on
+    ints (exactnum.quad_sign) for the exact value of x and of tol.
 
-    The grid is every q <= denom_bound and every |b| <= b_max(q), with
-    b_max(q) just past |q*x| / sqrt(d) + denom_bound (b = 0 when d == 0).
-    It is walked in blocks of consecutive q, each one numpy pass of about
-    _GRID_CELLS cells that rounds q*x - b*sqrt(d) to the nearest a and keeps
-    the cells within a float slack of it.  Survivors are visited in order of
-    q, then b, and only a reduced triple, gcd(a, b, q) == 1, reaches the
-    exact test.  The widest row, q = denom_bound, grows with |x|; when it
-    would pass _ROW_CELLS cells, or denom_bound itself does, the call raises
-    ParameterError rather than allocate it.
+    The candidates are every q <= denom_bound and every |b| <= b_max(q),
+    with b_max(q) just past |q*x| / sqrt(d) + denom_bound (b = 0 when
+    d == 0), and a the integer nearest q*x - b*sqrt(d).  A float prefilter
+    keeps a candidate when q*x - b*sqrt(d) lies within a slack of a; the
+    kept ones are visited in order of q, then b, and only a reduced triple,
+    gcd(a, b, q) == 1, reaches the exact test.  The prefilter does not
+    visit every b: a kept b has frac(b*sqrt(d)) within the slack of
+    frac(q*x), so two searchsorted calls into frac(b*sqrt(d)), sorted once
+    per segment of b (_FractionTable), find the only b that can be kept,
+    and the float test then decides them as it would on the whole row.  The
+    walk is lazy in q: the table grows only as the rows reached need wider
+    b, candidates come in bounded chunks, and the walk stops at the first
+    Ambiguous.  When the widest row, q = denom_bound, would pass _ROW_CELLS
+    values of b, or denom_bound itself does, the call raises ParameterError.
+    guess_walls runs the same pass over every value of a system at once.
     """
+    return _guess_values([value], d, denom_bound, tol)[0]
+
+
+def guess_walls(
+    system: FloatWallSystem, d: int, denom_bound: int, tol: float
+) -> list[InversiveVector]:
+    """algebraic_guess on every coordinate of a realized float system, in one
+    pass that shares one fraction table; it returns or raises what a
+    row-major loop of algebraic_guess would."""
+    coords = iter(_guess_values([v for row in system.walls for v in row], d, denom_bound, tol))
+    return [InversiveVector.from_coords([next(coords) for _ in row]) for row in system.walls]
+
+
+def _read_value(value) -> tuple[float, int, int]:
+    """A value to guess as its float and its exact ratio xn/xd, or (x, 0, 1)
+    when the float x is not finite: an mpf, a float or an int."""
+    if isinstance(value, mpmath.mpf):
+        xm = value
+    elif isinstance(value, (float, int)):
+        xm = mpmath.mpf(value)
+    else:
+        raise ParameterError(
+            f"a value to guess must be an mpf, a float or an int, not {type(value).__name__}"
+        )
+    xf = float(xm)
+    if not isfinite(xf):
+        return xf, 0, 1
+    if xm is value:
+        return xf, *to_rational(value._mpf_)
+    return xf, *Fraction(value).as_integer_ratio()
+
+
+def _b_max(xq, slack, sqrt_f: float, denom_bound: int):
+    """The widest |b| of a row with q*x = xq: floats, exact below 2**53, far
+    past the _ROW_CELLS guard."""
+    return np.floor((np.abs(xq) + slack + 1.0) / sqrt_f) + 1 + denom_bound
+
+
+def _guess_values(values, d: int, denom_bound: int, tol: float) -> list[QuadExt]:
+    """algebraic_guess on each value in turn: the first value that fails
+    raises, and the values after it are not walked."""
     if denom_bound < 1:
         raise ParameterError(f"denominator bound must be positive, got {denom_bound}")
     if denom_bound > _ROW_CELLS:
@@ -446,69 +512,225 @@ def algebraic_guess(value, d: int, denom_bound: int, tol: float) -> QuadExt:
     if not 0 <= tol < inf:
         raise ParameterError(f"tol must be finite and non-negative, got {tol}")
     with mpmath.workdps(_REFINE_DPS):
-        xm = mpmath.mpf(value) if not isinstance(value, mpmath.mpf) else value
-        xf = float(xm)
-        if not isfinite(xf):
-            raise NoCandidate(f"{xf!r} has no exact match with denominator <= {denom_bound}")
-        # x = xn/xd and tol = tn/td exactly (xm is value when value is an mpf);
-        # |q*x - a - b*sqrt(d)| <= q*tol times xd*td is |r - s*sqrt(d)| <= c
-        # for r = (q*xn - a*xd)*td, s = b*xd*td and c = q*tn*xd
-        xn, xd = to_rational(xm._mpf_) if xm is value else Fraction(value).as_integer_ratio()
-        tn, td = Fraction(tol).as_integer_ratio()
         sqrt_f = float(mpmath.sqrt(d))
-        qs = np.arange(1, denom_bound + 1)
-        xq = xf * qs
-        slack = qs * tol * 1.125 + 1e-9
+        # a value's checks before the walk, in order; the first failure waits
+        # until the values before it are walked
+        xfs, ratios, failed = [], [], None
+        for value in values:
+            try:
+                xf, xn, xd = _read_value(value)
+                if not isfinite(xf):
+                    raise NoCandidate(f"{xf!r} has no exact match with denominator <= {denom_bound}")
+            except PackingLabError as exc:
+                failed = exc
+                break
+            xfs.append(xf)
+            ratios.append((xn, xd))
+        # the row guard: the widest row of a value is its row q = denom_bound
+        caps = np.zeros(len(xfs))
         if d:
-            # floats, exact below 2**53, far past the _ROW_CELLS guard
-            b_max = np.floor((np.abs(xq) + slack + 1.0) / sqrt_f) + 1 + denom_bound
-        else:
-            b_max = np.zeros(denom_bound)
-        widest = 2 * b_max[-1] + 1
-        if widest > _ROW_CELLS:
-            raise ParameterError(
-                f"{xf!r} needs grid rows of {widest:.0f} cells at d = {d} and denominator"
-                f" bound {denom_bound}, over the limit of {_ROW_CELLS}"
+            slack = denom_bound * tol * 1.125 + 1e-9
+            caps = _b_max(np.array(xfs) * denom_bound, slack, sqrt_f, denom_bound)
+        over = np.flatnonzero(2 * caps + 1 > _ROW_CELLS)
+        if len(over):
+            i = over[0]
+            failed = ParameterError(
+                f"{xfs[i]!r} needs grid rows of {2 * caps[i] + 1:.0f} cells at d = {d} and"
+                f" denominator bound {denom_bound}, over the limit of {_ROW_CELLS}"
             )
-        rows = max(1, int(_GRID_CELLS // widest))
-        found: list[QuadExt] = []
-        for lo in range(0, denom_bound, rows):
-            hi = min(lo + rows, denom_bound)
-            top = int(b_max[hi - 1])
-            bs = np.arange(-top, top + 1)
-            approx = xq[lo:hi, None] - bs * sqrt_f
-            dev = np.round(approx)
-            dev -= approx
-            np.abs(dev, out=dev)
-            ii, jj = np.divmod(np.flatnonzero(dev <= slack[lo:hi, None]), bs.size)
-            inside = np.abs(bs[jj]) <= b_max[lo + ii]
-            ii, jj = ii[inside], jj[inside]
-            rounded = np.round(approx[ii, jj]).tolist()
-            for a, b, q in zip(rounded, bs[jj].tolist(), (ii + lo + 1).tolist()):
+            del xfs[i:], ratios[i:]
+        found = _walk(xfs, ratios, int(caps[:len(xfs)].max(initial=0)), d, sqrt_f, denom_bound, tol)
+        out = []
+        for xf, hits in zip(xfs, found):
+            if len(hits) > 1:
+                raise Ambiguous(xf, sorted(hits, key=float))
+            if not hits:
+                raise NoCandidate(f"{xf!r} has no exact match with denominator <= {denom_bound}")
+            out.append(hits[0])
+        if failed is not None:
+            raise failed
+        return out
+
+
+def _segment(b: int) -> int:
+    """The segment of _FractionTable that holds b."""
+    return (b + _SEGMENT_BASE) // _SEGMENT
+
+
+class _FractionTable:
+    """frac(b*sqrt(d)) for |b| <= cap, sorted within segments of _SEGMENT
+    consecutive b, the segments in order.
+
+    Segment k holds the b with (b + _SEGMENT_BASE) // _SEGMENT == k, so a
+    row with |b| under _SEGMENT_BASE spans one segment.  Each b is one int64
+    key, k*2**_KEY_SEGMENT + floor(frac*2**_FRAC_BITS)*_SEGMENT + (b - the
+    first b of segment k), with |k| under 2**14 below the _ROW_CELLS guard,
+    so one searchsorted finds the b of segment k whose fraction lies in a
+    range.  The fraction is read off fl(b*sqrt_f), the product the
+    prefilter subtracts from q*x: y - floor(y) is exact for a float y, but
+    for a rounding of at most 2**-53 when y is a tiny negative number.  The
+    table holds the segments lo..hi, and it grows, at least doubling on the
+    side that needs it, only when asked for a segment outside them."""
+
+    def __init__(self, sqrt_f: float, cap: int):
+        self.sqrt_f, self.cap = sqrt_f, cap
+        self.lo, self.hi = 0, -1
+        self.keys = np.empty(0, dtype=np.int64)
+
+    def cover(self, lo: int, hi: int) -> np.ndarray:
+        """The keys, grown to hold segments lo..hi."""
+        if self.lo <= lo and hi <= self.hi:
+            return self.keys
+        span = self.hi - self.lo + 1
+        if span:
+            lo = min(lo, self.lo - span) if lo < self.lo else self.lo
+            hi = max(hi, self.hi + span) if hi > self.hi else self.hi
+        lo, hi = max(lo, _segment(-self.cap)), min(hi, _segment(self.cap))
+        if span:
+            parts = [self._segments(lo, self.lo - 1), self.keys, self._segments(self.hi + 1, hi)]
+            self.keys = np.concatenate(parts)
+        else:
+            self.keys = self._segments(lo, hi)
+        self.lo, self.hi = lo, hi
+        return self.keys
+
+    def _segments(self, lo: int, hi: int) -> np.ndarray:
+        """The sorted keys of segments lo..hi, built _CHUNK values of b at
+        a time."""
+        first = max(lo * _SEGMENT - _SEGMENT_BASE, -self.cap)
+        stop = min(hi * _SEGMENT + _SEGMENT_BASE, self.cap + 1)
+        keys = np.empty(max(stop - first, 0), dtype=np.int64)
+        for at in range(first, stop, _CHUNK):
+            b = np.arange(at, min(at + _CHUNK, stop))
+            frac = b * self.sqrt_f
+            frac -= np.floor(frac)
+            frac *= 2.0**_FRAC_BITS
+            key = keys[at - first:at - first + len(b)]
+            np.minimum(frac, (1 << _FRAC_BITS) - 1, out=key, casting="unsafe")
+            key <<= _SEGMENT_BITS
+            b += _SEGMENT_BASE
+            key += b & (_SEGMENT - 1)
+            b //= _SEGMENT
+            b *= 1 << _KEY_SEGMENT
+            key += b
+        keys.sort()
+        return keys
+
+
+def _walk(xfs, ratios, cap: int, d: int, sqrt_f: float, denom_bound: int, tol: float):
+    """The candidates that pass the exact test, per value, in the order of q
+    then b.  The rows (value, q) are walked value by value, and the walk ends
+    when a value has two, so that every value before it is complete."""
+    found: list[list[QuadExt]] = [[] for _ in xfs]
+    if not xfs:
+        return found
+    xs = np.array(xfs)
+    # x = xn/xd and tol = tn/td exactly; |q*x - a - b*sqrt(d)| <= q*tol times
+    # xd*td is |r - sb*sqrt(d)| <= c for r = (q*xn - a*xd)*td, sb = b*xd*td
+    # and c = q*tn*xd
+    tn, td = Fraction(tol).as_integer_ratio()
+    # (a + b*sqrt(d)) / q is (a + b*s*sqrt(f)) / q for square-free f
+    root = QuadExt.sqrt(d) if d else QuadExt(0)
+    s, f = root.triple[1], root.disc
+    table = _FractionTable(sqrt_f, cap)
+    top = 1 << _FRAC_BITS
+    row_segments = _segment(cap) - _segment(-cap) + 1
+    # expected cells in the next chunk: it starts small, so that a value
+    # that is Ambiguous in its first rows costs little, and doubles
+    budget = 64
+    n_rows, r0 = len(xfs) * denom_bound, 0
+    while r0 < n_rows:
+        r1 = min(r0 + max(1, budget // row_segments), n_rows)
+        value, q = np.divmod(np.arange(r0, r1), denom_bound)
+        r0 = r1
+        q += 1
+        xq = xs[value] * q
+        slack = q * tol * 1.125 + 1e-9
+        b_max = _b_max(xq, slack, sqrt_f, denom_bound) if d else np.zeros(len(q))
+        # the window on frac(b*sqrt(d)) about frac(q*x): the slack, widened
+        # by eight times the rounding of the float q*x - b*sqrt(d) and of
+        # the window's own ends, so that it holds every b the float test
+        # keeps; as fraction keys it is width keys from first, mod top
+        half = np.minimum(slack + 2.0**-50 * (np.abs(xq) + b_max * sqrt_f + 4), 0.5)
+        center = np.where(half < 0.5, xq - np.floor(xq), 0.0)
+        first = np.floor((center - half) * top)
+        width = np.minimum(np.floor((center + half) * top) - first + 1, top).astype(np.int64)
+        first = first.astype(np.int64) & (top - 1)
+        # key ranges [first, end) and [0, end - top) within a segment; the
+        # second is empty unless the window wraps past 1
+        window = np.zeros((len(q), 4), dtype=np.int64)
+        window[:, 0] = first
+        window[:, 1] = np.minimum(first + width, top)
+        window[:, 3] = first + width - top
+        window *= _SEGMENT
+        # one pair (row, segment) per segment of b a row spans, in order
+        k_lo = np.floor((_SEGMENT_BASE - b_max) / _SEGMENT).astype(np.int64)
+        n_seg = np.floor((b_max + _SEGMENT_BASE) / _SEGMENT).astype(np.int64) - k_lo + 1
+        row = np.repeat(np.arange(len(q)), n_seg)
+        seg = np.arange(len(row)) - np.repeat(np.cumsum(n_seg) - n_seg, n_seg) + k_lo[row]
+        expected = np.cumsum(np.minimum(2 * half[row], 1.0) * min(_SEGMENT, 2 * cap + 1) + 1)
+        start = 0
+        while start < len(row):
+            end = int(np.searchsorted(expected, budget + (expected[start - 1] if start else 0)))
+            end = max(end, start + 1)
+            budget = min(2 * budget, _CHUNK)
+            cells = _chunk_candidates(
+                table, row[start:end], seg[start:end], (q, xq, slack, b_max, window), sqrt_f
+            )
+            start = end
+            if cells is None:
+                continue
+            at, a, b = cells
+            for v, qq, a, b in zip(value[at].tolist(), q[at].tolist(), a.tolist(), b.tolist()):
                 a = int(a)  # a Python int: it can pass 2**63
                 # the test is unchanged when (a, b, q) is scaled, so a value's
                 # reduced triple, its first occurrence, decides it
-                if gcd(a, b, q) != 1:
+                if gcd(a, b, qq) != 1:
                     continue
-                r, s, c = (q * xn - a * xd) * td, b * xd * td, q * tn * xd
-                if quad_sign(c - r, s, d) >= 0 and quad_sign(c + r, -s, d) >= 0:
-                    found.append(QuadExt(Fraction(a, q), Fraction(b, q), d if b else 0))
-                    if len(found) > 1:
-                        raise Ambiguous(xf, sorted(found, key=float))
-        if not found:
-            raise NoCandidate(f"{xf!r} has no exact match with denominator <= {denom_bound}")
-        return found[0]
+                xn, xd = ratios[v]
+                r, sb, c = (qq * xn - a * xd) * td, b * xd * td, qq * tn * xd
+                if quad_sign(c - r, sb, d) >= 0 and quad_sign(c + r, -sb, d) >= 0:
+                    hits = found[v]
+                    hits.append(from_triple(a, b * s, qq, f))
+                    if len(hits) > 1:
+                        return found
+    return found
 
 
-def guess_walls(
-    system: FloatWallSystem, d: int, denom_bound: int, tol: float
-) -> list[InversiveVector]:
-    """Entrywise algebraic_guess over a realized float system."""
-    out = []
-    for row in system.walls:
-        coords = [algebraic_guess(v, d, denom_bound, tol) for v in row]
-        out.append(InversiveVector.from_coords(coords))
-    return out
+def _chunk_candidates(table, row, seg, rows, sqrt_f):
+    """The cells (row, a, b) that the float test keeps in the pairs (row,
+    seg), in order of row then b, less those an int64 gcd shows are not
+    reduced; None when the window finds no cell.  rows holds the block's q,
+    q*x, slack, b_max and fraction window per row."""
+    q, xq, slack, b_max, window = rows
+    keys = table.cover(int(seg.min()), int(seg.max()))
+    bounds = window[row]
+    bounds += (seg * (1 << _KEY_SEGMENT))[:, None]
+    at = np.searchsorted(keys, bounds).reshape(-1, 2)
+    count = at[:, 1] - at[:, 0]
+    np.maximum(count, 0, out=count)
+    total = int(count.sum())
+    if not total:
+        return None
+    index = np.arange(total) + np.repeat(at[:, 0] - (np.cumsum(count) - count), count)
+    # the cells sorted by pair, then by b within the pair's segment
+    cell = np.repeat(np.arange(len(count)) >> 1, count) << _SEGMENT_BITS
+    cell |= keys[index] & (_SEGMENT - 1)
+    cell.sort()
+    pair = cell >> _SEGMENT_BITS
+    b = (cell & (_SEGMENT - 1)) + (seg[pair] * _SEGMENT - _SEGMENT_BASE)
+    r = row[pair]
+    # the float test, as on the whole row
+    approx = xq[r] - b * sqrt_f
+    dev = np.round(approx)
+    dev -= approx
+    np.abs(dev, out=dev)
+    keep = (dev <= slack[r]) & (np.abs(b) <= b_max[r])
+    r, b = r[keep], b[keep]
+    a = np.round(approx[keep])
+    small = np.abs(a) < 2.0**62
+    keep = ~small | (np.gcd(np.gcd(np.where(small, a, 0).astype(np.int64), b), q[r]) == 1)
+    return r[keep], a[keep], b[keep]
 
 
 @dataclass
@@ -520,21 +742,55 @@ class VerificationReport:
 def verify_realization(walls, spec: TargetSpec) -> VerificationReport:
     """Exact check: unit diagonal, every exact target met, free pairs disjoint.
 
-    Accepts a WallSystem or any sequence of exact wall vectors.
+    Accepts a WallSystem or any sequence of exact wall vectors.  Each wall is
+    encoded once (inversive.encode), and every check is decided on the ints:
+    the product of two walls is a numerator over 2*den_u*den_v, compared
+    with the target's triple, or signed against 1 by quad_sign for a free
+    pair.  A QuadExt is built only to write a mismatch.  Two walls of
+    different dimensions or fields are multiplied as QuadExt, which raises
+    InvalidWall or DiscMismatch as it meets them.
     """
     walls = list(getattr(walls, "walls", walls))
-    mismatches = []
     if len(walls) != spec.wall_count:
         return VerificationReport(False, [f"expected {spec.wall_count} walls, got {len(walls)}"])
+    mismatches = []
+    codes = []
     for i, w in enumerate(walls):
-        if not w.validate():
+        coords = w.coords()
+        d = field_disc(coords)
+        code = encode(coords)
+        if not q_is_minus_one(code, d):
             mismatches.append(f"wall {i + 1}: Q(v) = {inversive_product(w, w)} != -1")
+        codes.append((code, d))
     for (i, j), t in sorted(spec.targets.items()):
-        prod = inversive_product(walls[i], walls[j])
-        if isinstance(t, Exact):
-            if prod != t.value:
-                mismatches.append(f"pair ({i + 1},{j + 1}): {prod} != {t.value}")
+        (u, du), (v, dv) = codes[i], codes[j]
+        if len(u) == len(v) and (du == dv or not du or not dv):
+            d = du or dv
+            na, nb = _product_numerator(u, v, d)
+            den = 2 * u[-1] * v[-1]
         else:
-            if not prod > 1:
-                mismatches.append(f"pair ({i + 1},{j + 1}): {prod} is not > 1")
+            prod = inversive_product(walls[i], walls[j])
+            (na, nb, den), d = prod.triple, prod.disc
+        if isinstance(t, Exact):
+            ta, tb, tq = t.value.triple
+            if na * tq != ta * den or nb * tq != tb * den or (tb and t.value.disc != d):
+                prod = from_triple(na, nb, den, d)
+                mismatches.append(f"pair ({i + 1},{j + 1}): {prod} != {t.value}")
+        elif quad_sign(na - den, nb, d) <= 0:
+            prod = from_triple(na, nb, den, d)
+            mismatches.append(f"pair ({i + 1},{j + 1}): {prod} is not > 1")
     return VerificationReport(not mismatches, mismatches)
+
+
+def _product_numerator(u: tuple[int, ...], v: tuple[int, ...], d: int) -> tuple[int, int]:
+    """The inversive product of two int codes over one field Q(sqrt(d)) as
+    (a, b), for the value (a + b*sqrt(d)) / (2*den_u*den_v)."""
+    a0, b0, a1, b1 = u[:4]
+    c0, e0, c1, e1 = v[:4]
+    na = a0 * c1 + a1 * c0 + d * (b0 * e1 + b1 * e0)
+    nb = a0 * e1 + b0 * c1 + a1 * e0 + b1 * c0
+    for j in range(4, len(u) - 1, 2):
+        a, b, c, e = u[j], u[j + 1], v[j], v[j + 1]
+        na -= 2 * (a * c + d * b * e)
+        nb -= 2 * (a * e + b * c)
+    return na, nb

@@ -13,9 +13,9 @@ The int code: a vector whose coordinates lie in one field Q(sqrt(d))
 (field_disc) is the tuple of its coordinates' QuadExt triples over one least
 common denominator (encode).  The code is canonical, so the orbit kernel uses
 it as its dedup key and runs its reflections on it.  Q(v) = -1 is decided on
-the code alone (q_is_minus_one), and InversiveVector.validate is the one
-place that decides it: reflection_matrix, verify_realization and the document
-loaders all ask validate.
+the code alone, by q_is_minus_one and nowhere else: InversiveVector.validate
+asks it for one vector, for reflection_matrix and the document loaders, and
+verify_realization asks it for the codes it has already built.
 """
 
 from __future__ import annotations

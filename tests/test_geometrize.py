@@ -1,5 +1,6 @@
 """Numeric realization, exact snapping, and exact verification."""
 
+import functools
 import hashlib
 import json
 import tracemalloc
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import guess_grid_oracle as oracle
+import verify_oracle
 from packinglab.arithmetic import gram_matrix
 from packinglab.errors import ParameterError
 from packinglab.exactnum import QuadExt
@@ -25,6 +27,7 @@ from packinglab.geometrize import (
     Ambiguous,
     DisjointFree,
     Exact,
+    FloatWallSystem,
     GaugeDeficient,
     NoCandidate,
     NoConvergence,
@@ -37,6 +40,7 @@ from packinglab.geometrize import (
     target_from_gram,
     verify_realization,
 )
+from packinglab.inversive import InversiveVector
 from fractions import Fraction
 
 
@@ -209,6 +213,27 @@ def test_guess_zero_tol_asks_for_exact_match():
         algebraic_guess(0.1, d=0, denom_bound=64, tol=0.0)  # the float 0.1 is not 1/10
 
 
+@pytest.mark.parametrize(
+    "value",
+    [Fraction(1, 2), np.float32(0.5), np.int64(1), mpmath.mpc(1, 0), "0.1"],
+    ids=["Fraction", "float32", "int64", "mpc", "str"],
+)
+def test_guess_value_of_another_type_is_parameter_error(value):
+    # these left as a TypeError from mpmath, and a str was read as a binary
+    # mpf by the prefilter but as a decimal Fraction by the exact test
+    with pytest.raises(ParameterError, match=f"not {type(value).__name__}$"):
+        algebraic_guess(value, d=0, denom_bound=64, tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "value, want",
+    [(np.float64(0.5), q(Fraction(1, 2))), (3, q(3)), (mpmath.mpf(0.5), q(Fraction(1, 2)))],
+    ids=["float64", "int", "mpf"],
+)
+def test_guess_reads_mpf_float_and_int(value, want):
+    assert algebraic_guess(value, d=3, denom_bound=6, tol=0.0) == want
+
+
 def guess_outcome(guess, *args):
     """What a guesser returns or raises, with every message and candidate."""
     try:
@@ -284,6 +309,89 @@ def test_guess_grid_memory_is_bounded():
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize(
+    "d, tol, error, limit_mb", [(2, 1e-2, Ambiguous, 4), (6, 1e-18, NoCandidate, 32)]
+)
+def test_guess_worst_case_memory_is_bounded(d, tol, error, limit_mb):
+    # at q = 64 a row holds about 1.1M (d = 2) or 645k (d = 6) surd
+    # coefficients; at d = 2 the float test keeps every b of the rows q >= 45,
+    # but the first row is already Ambiguous
+    def guess():
+        with pytest.raises(error):
+            algebraic_guess(12345.678, d=d, denom_bound=64, tol=tol)
+
+    guess()
+    tracemalloc.start()
+    try:
+        guess()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb << 20
+
+
+# -- guess_walls -----------------------------------------------------------------
+
+_TARGETS = {"tetrahedron": (tetrahedron_target, 0), "cuboctahedron": (cuboctahedron_target, 6)}
+
+
+@functools.lru_cache(maxsize=None)
+def _realized(name, seed=0):
+    return realize(_TARGETS[name][0](), seed=seed)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", sorted(_TARGETS))
+def test_guess_walls_matches_a_loop_of_the_grid_oracle(name, seed):
+    system, d = _realized(name, seed), _TARGETS[name][1]
+    loop = [
+        InversiveVector.from_coords([oracle.algebraic_guess(v, d, 64, 1e-18) for v in row])
+        for row in system.walls
+    ]
+    assert guess_walls(system, d, 64, 1e-18) == loop
+
+
+_NAN = "nan has no exact match with denominator <= 64"
+_INF = "inf has no exact match with denominator <= 64"
+
+
+@pytest.mark.parametrize("position", range(4))
+@pytest.mark.parametrize(
+    "name, bad, denom_bound, tol, error, message",
+    [
+        ("tetrahedron", float("nan"), 64, 1e-18, NoCandidate, _NAN),
+        ("cuboctahedron", float("nan"), 64, 1e-18, NoCandidate, _NAN),
+        ("tetrahedron", float("inf"), 64, 1e-18, NoCandidate, _INF),
+        ("cuboctahedron", float("-inf"), 64, 1e-18, NoCandidate, "-" + _INF),
+        ("tetrahedron", mpmath.mpf("1e400"), 64, 1e-18, NoCandidate, _INF),
+        (
+            "cuboctahedron", 1e17, 64, 1e-18, ParameterError,
+            "1e+17 needs grid rows of 5225578117937446912 cells at d = 6 and denominator"
+            " bound 64, over the limit of 16777216",
+        ),
+        (
+            "tetrahedron", 3.9999, 5001, 1e-3, Ambiguous,
+            "3.9999 matches several exact values within tolerance: 20003/5001, 4",
+        ),
+    ],
+    ids=["nan-d0", "nan-d6", "inf-d0", "-inf-d6", "mpf-past-float-d0", "row-guard-d6", "ambiguous-d0"],
+)
+def test_guess_walls_fails_where_the_per_value_loop_fails(
+    name, bad, denom_bound, tol, error, message, position
+):
+    # one bad value in the second row, and a later one that a loop never
+    # reaches; the outcomes are the ones a loop of algebraic_guess gave
+    system, d = _realized(name), _TARGETS[name][1]
+    walls = [list(row) for row in system.walls]
+    walls[1][position] = bad
+    walls[-1][-1] = float("nan")
+    with pytest.raises(error) as info:
+        guess_walls(FloatWallSystem(walls, system.residual, system.iterations), d, denom_bound, tol)
+    assert type(info.value) is error and str(info.value) == message
+    if error is Ambiguous:
+        assert info.value.candidates == [QuadExt.parse("20003/5001"), q(4)]
+
+
 # -- verify_realization ----------------------------------------------------------
 
 
@@ -309,6 +417,69 @@ def test_perturbed_fixture_fails_verification():
     rep = verify_realization(walls, tetrahedron_target())
     assert not rep.ok
     assert any("2" in m for m in rep.mismatches)
+
+
+@functools.lru_cache(maxsize=None)
+def _guessed(name):
+    return tuple(guess_walls(_realized(name), _TARGETS[name][1], 64, 1e-18))
+
+
+@st.composite
+def edited_systems(draw):
+    """A guessed system and its target with one to three edits."""
+    name = draw(st.sampled_from(sorted(_TARGETS)))
+    walls, spec = list(_guessed(name)), _TARGETS[name][0]()
+    targets, count = dict(spec.targets), spec.wall_count
+    exact = sorted(p for p, t in targets.items() if isinstance(t, Exact))
+    free = sorted(p for p, t in targets.items() if isinstance(t, DisjointFree))
+    index = st.integers(0, count - 1)
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["swap", "off quadric", "nudge", "tangent", "field", "count"]))
+        if edit == "swap":
+            i, j = draw(st.lists(index, min_size=2, max_size=2, unique=True))
+            walls[i], walls[j] = walls[j], walls[i]
+        elif edit == "off quadric":
+            i = draw(index)
+            coords = list(walls[i].coords())
+            k = draw(st.integers(0, len(coords) - 1))
+            coords[k] += Fraction(draw(st.sampled_from([-1, 1])), draw(st.integers(1, 64)))
+            walls[i] = InversiveVector.from_coords(coords)
+        elif edit == "nudge":
+            pair = draw(st.sampled_from(exact))
+            step = Fraction(draw(st.sampled_from([-1, 1])), draw(st.integers(1, 64)))
+            targets[pair] = Exact(targets[pair].value + step)
+        elif edit == "tangent":
+            # wall j becomes a copy of a wall tangent to wall i
+            i, j = draw(st.sampled_from(free))
+            touching = [k for k in range(count) if targets.get((min(i, k), max(i, k))) == Exact(q(1))]
+            walls[j] = walls[draw(st.sampled_from(touching))]
+        elif edit == "field":
+            pair = draw(st.sampled_from(exact))
+            disc = draw(st.sampled_from([2, 3, 5, 6, 7]))
+            targets[pair] = Exact(QuadExt(targets[pair].value.rat, draw(st.integers(1, 3)), disc))
+        else:  # the last edit: the indices above assume count walls
+            if draw(st.booleans()):
+                del walls[draw(index)]
+            else:
+                walls.append(walls[draw(index)])
+            break
+    return walls, TargetSpec(count, targets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edited_systems())
+def test_verify_matches_quadext_oracle(case):
+    walls, spec = case
+    got, want = verify_realization(walls, spec), verify_oracle.verify_realization(walls, spec)
+    assert (got.ok, got.mismatches) == (want.ok, want.mismatches)
+
+
+def test_target_in_another_field_is_a_mismatch():
+    walls = _guessed("cuboctahedron")
+    spec = cuboctahedron_target()
+    spec.targets[(0, 1)] = Exact(QuadExt.sqrt(2))
+    rep = verify_realization(walls, spec)
+    assert rep.mismatches == ["pair (1,2): 1 != 1*sqrt(2)"]
 
 
 def test_free_pairs_must_be_separated():

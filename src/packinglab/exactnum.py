@@ -3,7 +3,7 @@
 A value is one canonical int triple over a discriminant: it reads
 (a + b*sqrt(disc)) / q with q > 0 and gcd(a, b, q) == 1, where disc is a
 square-free integer >= 2, or 0 with b == 0 for a plain rational.  This is the
-form the int code of vectors is built on (see inversive.encode).  Each
+form the int code of vectors and matrices is built on (encode, below).  Each
 operation works on the ints and reduces its result once by the gcd, so every
 value has one representation and equality is equality of the fields.  The rational and
 surd parts are read as Fractions through the rat and surd properties.
@@ -372,6 +372,34 @@ def _parse(text: str) -> QuadExt:
 
 ZERO = _raw(0, 0, 1, 0)
 ONE = _raw(1, 0, 1, 0)
+
+
+def field_disc(values) -> int:
+    """The one square-free d > 0 among the values' fields, or 0 if all are
+    rational; two different nonzero discriminants raise DiscMismatch."""
+    d = 0
+    for x in values:
+        if x._d and x._d != d:
+            if d:
+                raise DiscMismatch(f"sqrt({d}) vs sqrt({x._d})")
+            d = x._d
+    return d
+
+
+def encode(values) -> tuple[int, ...]:
+    """(a_0, b_0, ..., a_k, b_k, den): value j is (a_j + b_j sqrt(d)) / den.
+
+    Each value's triple (a, b, q) is put over the least common denominator,
+    so the numerators and den share no factor and the tuple is canonical.
+    Every value must lie in one field (field_disc).
+    """
+    den = lcm(*(x._q for x in values))
+    out = []
+    for x in values:
+        f = den // x._q
+        out += (x._a * f, x._b * f)
+    out.append(den)
+    return tuple(out)
 
 
 def compare(x, y) -> int:

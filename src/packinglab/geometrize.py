@@ -30,6 +30,8 @@ from .errors import PackingLabError, ParameterError
 from .exactnum import QuadExt, from_triple, quad_sign
 from .inversive import (
     InversiveVector,
+    _pair_field,
+    _product_numerator,
     encode,
     field_disc,
     inversive_product,
@@ -526,20 +528,23 @@ def _guess_values(values, d: int, denom_bound: int, tol: float) -> list[QuadExt]
                 break
             xfs.append(xf)
             ratios.append((xn, xd))
-        # the row guard: the widest row of a value is its row q = denom_bound
-        caps = np.zeros(len(xfs))
-        if d:
-            slack = denom_bound * tol * 1.125 + 1e-9
-            caps = _b_max(np.array(xfs) * denom_bound, slack, sqrt_f, denom_bound)
-        over = np.flatnonzero(2 * caps + 1 > _ROW_CELLS)
-        if len(over):
-            i = over[0]
-            failed = ParameterError(
-                f"{xfs[i]!r} needs grid rows of {2 * caps[i] + 1:.0f} cells at d = {d} and"
-                f" denominator bound {denom_bound}, over the limit of {_ROW_CELLS}"
-            )
-            del xfs[i:], ratios[i:]
-        found = _walk(xfs, ratios, int(caps[:len(xfs)].max(initial=0)), d, sqrt_f, denom_bound, tol)
+        # a q*x past the float range is inf or nan: its cap is over the guard,
+        # and its row keeps no candidate
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the row guard: the widest row of a value is its row q = denom_bound
+            caps = np.zeros(len(xfs))
+            if d:
+                slack = denom_bound * tol * 1.125 + 1e-9
+                caps = _b_max(np.array(xfs) * denom_bound, slack, sqrt_f, denom_bound)
+            over = np.flatnonzero(2 * caps + 1 > _ROW_CELLS)
+            if len(over):
+                i = over[0]
+                failed = ParameterError(
+                    f"{xfs[i]!r} needs grid rows of {2 * caps[i] + 1:.0f} cells at d = {d} and"
+                    f" denominator bound {denom_bound}, over the limit of {_ROW_CELLS}"
+                )
+                del xfs[i:], ratios[i:]
+            found = _walk(xfs, ratios, int(caps[:len(xfs)].max(initial=0)), d, sqrt_f, denom_bound, tol)
         out = []
         for xf, hits in zip(xfs, found):
             if len(hits) > 1:
@@ -744,11 +749,11 @@ def verify_realization(walls, spec: TargetSpec) -> VerificationReport:
 
     Accepts a WallSystem or any sequence of exact wall vectors.  Each wall is
     encoded once (inversive.encode), and every check is decided on the ints:
-    the product of two walls is a numerator over 2*den_u*den_v, compared
-    with the target's triple, or signed against 1 by quad_sign for a free
-    pair.  A QuadExt is built only to write a mismatch.  Two walls of
-    different dimensions or fields are multiplied as QuadExt, which raises
-    InvalidWall or DiscMismatch as it meets them.
+    the product of two walls is a numerator over 2*den_u*den_v
+    (inversive._product_numerator), compared with the target's triple, or
+    signed against 1 by quad_sign for a free pair.  A QuadExt is built only
+    to write a mismatch.  A target pair of walls of different dimensions or
+    fields raises InvalidWall or DiscMismatch.
     """
     walls = list(getattr(walls, "walls", walls))
     if len(walls) != spec.wall_count:
@@ -764,13 +769,9 @@ def verify_realization(walls, spec: TargetSpec) -> VerificationReport:
         codes.append((code, d))
     for (i, j), t in sorted(spec.targets.items()):
         (u, du), (v, dv) = codes[i], codes[j]
-        if len(u) == len(v) and (du == dv or not du or not dv):
-            d = du or dv
-            na, nb = _product_numerator(u, v, d)
-            den = 2 * u[-1] * v[-1]
-        else:
-            prod = inversive_product(walls[i], walls[j])
-            (na, nb, den), d = prod.triple, prod.disc
+        d = _pair_field(u, du, v, dv)
+        na, nb = _product_numerator(u, v, d)
+        den = 2 * u[-1] * v[-1]
         if isinstance(t, Exact):
             ta, tb, tq = t.value.triple
             if na * tq != ta * den or nb * tq != tb * den or (tb and t.value.disc != d):
@@ -780,17 +781,3 @@ def verify_realization(walls, spec: TargetSpec) -> VerificationReport:
             prod = from_triple(na, nb, den, d)
             mismatches.append(f"pair ({i + 1},{j + 1}): {prod} is not > 1")
     return VerificationReport(not mismatches, mismatches)
-
-
-def _product_numerator(u: tuple[int, ...], v: tuple[int, ...], d: int) -> tuple[int, int]:
-    """The inversive product of two int codes over one field Q(sqrt(d)) as
-    (a, b), for the value (a + b*sqrt(d)) / (2*den_u*den_v)."""
-    a0, b0, a1, b1 = u[:4]
-    c0, e0, c1, e1 = v[:4]
-    na = a0 * c1 + a1 * c0 + d * (b0 * e1 + b1 * e0)
-    nb = a0 * e1 + b0 * c1 + a1 * e0 + b1 * c0
-    for j in range(4, len(u) - 1, 2):
-        a, b, c, e = u[j], u[j + 1], v[j], v[j + 1]
-        na -= 2 * (a * c + d * b * e)
-        nb -= 2 * (a * e + b * c)
-    return na, nb

@@ -11,22 +11,26 @@ block.  The product of two walls reads off their relative position:
 
 The int code: a vector whose coordinates lie in one field Q(sqrt(d))
 (field_disc) is the tuple of its coordinates' QuadExt triples over one least
-common denominator (encode).  The code is canonical, so the orbit kernel uses
-it as its dedup key and runs its reflections on it.  Q(v) = -1 is decided on
-the code alone, by q_is_minus_one and nowhere else: InversiveVector.validate
-asks it for one vector, for reflection_matrix and the document loaders, and
-verify_realization asks it for the codes it has already built.
+common denominator (encode; both live in exactnum, below linalg, whose
+IntMatrix rows are the same code).  The code is canonical, so the orbit
+kernel uses it as its dedup key and runs its reflections on it.  Q(v) = -1
+is decided on the code alone, by q_is_minus_one and nowhere else:
+InversiveVector.validate asks it for one vector (the document loaders call
+validate), and reflection_matrix and verify_realization ask it for the
+codes they have already built.  Every product of two walls is _product_numerator on their
+codes: inversive_product, InversiveVector.reflect, arithmetic.gram_matrix
+and verify_realization.  reflection_matrix builds I + 2 Q s^T s on the
+wall's code, and a ReflectionMatrix keeps that int form beside its QuadExt
+entries, so apply encodes only the vector.  QuadExt values are built once,
+at each function's return.
 """
 
 from __future__ import annotations
 
-from math import lcm
-from typing import Iterable, Sequence
-
 from .errors import PackingLabError
-from .exactnum import ONE, ZERO, DiscMismatch, QuadExt, from_triple
+from .exactnum import ONE, ZERO, QuadExt, _field, encode, field_disc, from_triple
 from . import linalg
-from .linalg import Matrix, as_quad
+from .linalg import IntMatrix, Matrix, as_quad
 
 _HALF = ONE / 2
 
@@ -90,12 +94,18 @@ class InversiveVector:
         return q_is_minus_one(encode(coords), field_disc(coords))
 
     def reflect(self, wall: "InversiveVector") -> "InversiveVector":
-        """Image of self under inversion through wall (right action v + 2<v,s>s)."""
-        p = inversive_product(self, wall) * 2
-        return InversiveVector(
-            self.cobend + p * wall.cobend,
-            self.bend + p * wall.bend,
-            tuple(x + p * y for x, y in zip(self.bz, wall.bz)),
+        """Image of self under inversion through wall (right action v + 2<v,s>s).
+
+        On the codes u/du and s/ds, 2<v,s> = (na + nb sqrt(d)) / (du ds),
+        so coordinate j is (u_j ds^2 + (na + nb sqrt(d)) s_j) / (du ds^2).
+        """
+        u, s, d = _codes(self, wall)
+        na, nb = _product_numerator(u, s, d)
+        sq = s[-1] * s[-1]
+        den = u[-1] * sq
+        return InversiveVector.from_coords(
+            from_triple(ua * sq + na * sa + d * nb * sb, ub * sq + na * sb + nb * sa, den, d)
+            for ua, ub, sa, sb in zip(u[0:-1:2], u[1:-1:2], s[0:-1:2], s[1:-1:2])
         )
 
     def __neg__(self):
@@ -111,35 +121,6 @@ class InversiveVector:
 
     def __repr__(self):
         return f"InversiveVector({self.cobend}, {self.bend}, {list(map(str, self.bz))})"
-
-
-def field_disc(values: Iterable[QuadExt]) -> int:
-    """The one square-free d > 0 among the values' fields, or 0 if all are
-    rational; two different nonzero discriminants raise DiscMismatch."""
-    d = 0
-    for x in values:
-        if x.disc and x.disc != d:
-            if d:
-                raise DiscMismatch(f"sqrt({d}) vs sqrt({x.disc})")
-            d = x.disc
-    return d
-
-
-def encode(values: Sequence[QuadExt]) -> tuple[int, ...]:
-    """(a_0, b_0, ..., a_k, b_k, den): value j is (a_j + b_j sqrt(d)) / den.
-
-    Each value's QuadExt triple (a, b, q) is put over the least common
-    denominator, so the numerators and den share no factor and the tuple is
-    canonical.  Every value must lie in one field.
-    """
-    triples = [x.triple for x in values]
-    den = lcm(*(q for _, _, q in triples))
-    out = []
-    for a, b, q in triples:
-        f = den // q
-        out += (a * f, b * f)
-    out.append(den)
-    return tuple(out)
 
 
 def _decoder(d: int):
@@ -192,10 +173,38 @@ def plane_from_normal_offset(normal, offset) -> InversiveVector:
 
 
 def inversive_product(u: InversiveVector, v: InversiveVector) -> QuadExt:
-    if u.dim != v.dim:
+    cu, cv, d = _codes(u, v)
+    na, nb = _product_numerator(cu, cv, d)
+    return from_triple(na, nb, 2 * cu[-1] * cv[-1], d)
+
+
+def _codes(u: InversiveVector, v: InversiveVector) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The int codes of two walls and the field of their product."""
+    cu, cv = u.coords(), v.coords()
+    eu, ev = encode(cu), encode(cv)
+    return eu, ev, _pair_field(eu, field_disc(cu), ev, field_disc(cv))
+
+
+def _pair_field(u: tuple[int, ...], du: int, v: tuple[int, ...], dv: int) -> int:
+    """The field of the product of two codes in Q(sqrt(du)) and Q(sqrt(dv));
+    codes of two dimensions raise InvalidWall, two fields DiscMismatch."""
+    if len(u) != len(v):
         raise InvalidWall("mixed ambient dimensions")
-    out = (u.cobend * v.bend + u.bend * v.cobend) * _HALF
-    return out - sum((x * y for x, y in zip(u.bz, v.bz)), ZERO)
+    return _field(du, dv)
+
+
+def _product_numerator(u: tuple[int, ...], v: tuple[int, ...], d: int) -> tuple[int, int]:
+    """The inversive product of two int codes over one field Q(sqrt(d)) as
+    (a, b), for the value (a + b*sqrt(d)) / (2*den_u*den_v)."""
+    a0, b0, a1, b1 = u[:4]
+    c0, e0, c1, e1 = v[:4]
+    na = a0 * c1 + a1 * c0 + d * (b0 * e1 + b1 * e0)
+    nb = a0 * e1 + b0 * c1 + a1 * e0 + b1 * c0
+    for j in range(4, len(u) - 1, 2):
+        a, b, c, e = u[j], u[j + 1], v[j], v[j + 1]
+        na -= 2 * (a * c + d * b * e)
+        nb -= 2 * (a * e + b * c)
+    return na, nb
 
 
 def q_matrix(n: int) -> Matrix:
@@ -209,16 +218,19 @@ def q_matrix(n: int) -> Matrix:
 
 
 class ReflectionMatrix:
-    """Right-action matrix of the inversion through one wall."""
+    """Right-action matrix of the inversion through one wall: its QuadExt
+    entries and their int form (linalg.IntMatrix), built once."""
 
-    __slots__ = ("entries", "dim")
+    __slots__ = ("entries", "dim", "code")
 
-    def __init__(self, entries: Matrix, dim: int):
+    def __init__(self, entries: Matrix, dim: int, code: IntMatrix | None = None):
         self.entries = entries
         self.dim = dim
+        self.code = IntMatrix.encode(entries) if code is None else code
 
     def apply(self, v: InversiveVector) -> InversiveVector:
-        return InversiveVector.from_coords(linalg.vec_mat(v.coords(), self.entries))
+        coords = v.coords()
+        return InversiveVector.from_coords(self.code.left_mul(encode(coords), field_disc(coords)))
 
     def preserves_form(self) -> bool:
         q = q_matrix(self.dim)
@@ -229,14 +241,24 @@ class ReflectionMatrix:
 
 
 def reflection_matrix(wall: InversiveVector) -> ReflectionMatrix:
-    """I + 2 Q s^T s for a wall s with Q(s) = -1; an exact involution."""
-    if not wall.validate():
-        raise InvalidWall("wall does not satisfy Q(v) = -1")
+    """I + 2 Q s^T s for a wall s with Q(s) = -1; an exact involution.
+
+    On the wall's code c/den, 2 Q s is (c_1, c_0, -2 c_2, ...)/den, so entry
+    (i, j) is (delta_ij den^2 + (2 Q c)_i c_j) / den^2 in pair arithmetic.
+    """
     s = wall.coords()
-    k = len(s)
-    qs = [s[1] * _HALF, s[0] * _HALF] + [-x for x in s[2:]]
-    ident = linalg.identity(k)
-    entries = tuple(
-        tuple(ident[i][j] + 2 * qs[i] * s[j] for j in range(k)) for i in range(k)
-    )
-    return ReflectionMatrix(entries, wall.dim)
+    d = field_disc(s)
+    code = encode(s)
+    if not q_is_minus_one(code, d):
+        raise InvalidWall("wall does not satisfy Q(v) = -1")
+    sq = code[-1] * code[-1]
+    pairs = list(zip(code[0:-1:2], code[1:-1:2]))
+    twice_qs = [pairs[1], pairs[0]] + [(-2 * a, -2 * b) for a, b in pairs[2:]]
+    rows = []
+    for i, (ta, tb) in enumerate(twice_qs):
+        row = []
+        for j, (a, b) in enumerate(pairs):
+            row += (ta * a + d * tb * b + (sq if i == j else 0), ta * b + tb * a)
+        rows.append(row)
+    m = IntMatrix(rows, sq, d)
+    return ReflectionMatrix(m.decode(), wall.dim, m)

@@ -146,6 +146,12 @@ def gram_from_obj(doc: dict) -> GramMatrix:
     ):
         raise FormatError("bad gram document: 'entries' must be a square list of lists of strings")
     rows = [[QuadExt.parse(s) for s in row] for row in entries]
+    discs = sorted({x.disc for row in rows for x in row} - {0})
+    if len(discs) > 1:
+        raise FormatError(
+            "bad gram document: entries need more than one quadratic field: "
+            + ", ".join(f"sqrt({d})" for d in discs)
+        )
     placeholders = frozenset((i, j) for i, j in doc.get("placeholders", []))
     for i, j in placeholders:
         if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < k and 0 <= j < k):

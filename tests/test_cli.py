@@ -446,3 +446,16 @@ def test_bad_gram_file_is_clean_error(capsys, hexpyr_gram_path, edit):
     code, out, err = run(capsys, "arith", str(hexpyr_gram_path))
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "FormatError"
+
+
+@pytest.mark.parametrize("argv", [["arith", "--max-len", "2"], ["decompose"]], ids=["arith", "decompose"])
+def test_gram_in_two_fields_is_clean_error(capsys, tmp_path, argv):
+    # sqrt(2) at (1,2) and sqrt(3) at (2,3): one Gram matrix needs one field
+    entries = [["-1", "1*sqrt(2)", "0"], ["1*sqrt(2)", "-1", "1*sqrt(3)"], ["0", "1*sqrt(3)", "-1"]]
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"format": 1, "kind": "gram", "size": 3, "entries": entries}))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 1 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "FormatError"
+    assert error["message"].endswith("more than one quadratic field: sqrt(2), sqrt(3)")

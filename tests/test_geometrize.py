@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -189,6 +190,14 @@ def test_guess_surd_coefficient_beyond_value_size(text, d):
         x = mpmath.mpf(want.rat.numerator) / want.rat.denominator
         x += mpmath.mpf(want.surd.numerator) / want.surd.denominator * mpmath.sqrt(d)
         assert algebraic_guess(x, d=d, denom_bound=64, tol=1e-18) == want
+
+
+def test_guess_past_float_range_warns_nothing():
+    # q*x overflows the float range in the rows q > 1; numpy must not warn
+    x = mpmath.mpf("1e307")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert algebraic_guess(x, 0, 64, 1e-18) == q(int(x))
 
 
 @pytest.mark.parametrize("d", [0, 3, 6])

@@ -187,6 +187,13 @@ def test_loader_error_names_the_kind(build, edit, prefix):
     assert str(exc.value).startswith(prefix)
 
 
+def test_gram_in_two_fields_is_refused():
+    doc = json.loads(serialize.dumps(hexpyr_expected_gram()))
+    doc["entries"][0][1] = doc["entries"][1][0] = "1*sqrt(2)"
+    with pytest.raises(FormatError, match=r"more than one quadratic field: sqrt\(2\), sqrt\(3\)$"):
+        serialize.loads(json.dumps(doc))
+
+
 def test_bad_number_strings_surface_clearly():
     doc = json.loads(serialize.dumps(apollonian_system()))
     doc["walls"][0]["bend"] = "not-a-number"

@@ -105,8 +105,10 @@ def vinberg_test(gram: GramMatrix, max_len: int = 8) -> VinbergVerdict:
     scan otherwise), and the doubled entries are int triples.  Each vertex
     set is walked depth-first (_cycles) in the order itertools.permutations
     gives its other vertices: a prefix's product is shared by every cycle
-    that extends it, and a zero edge prunes them all.  Only the witness's
-    product becomes a QuadExt.
+    that extends it, and a zero edge prunes them all.  A set of three or more
+    vertices is skipped, with no walk, when one of its vertices has fewer
+    than two nonzero edges inside it.  Only the witness's product becomes a
+    QuadExt.
     """
     if type(max_len) is not int:
         raise ParameterError(f"max_len must be an int, not {type(max_len).__name__}")
@@ -114,8 +116,18 @@ def vinberg_test(gram: GramMatrix, max_len: int = 8) -> VinbergVerdict:
         raise ParameterError("max_len must be at least 2")
     d = field_disc([x for row in gram.entries for x in row])
     edges = [[(x * 2).triple if x else None for x in row] for row in gram.entries]
+    loose = []
     for length in range(2, max_len + 1):
+        if length == 3:
+            # bit u of near[v]: a nonzero edge v-u; only a vertex with a zero
+            # edge can have fewer than two edges inside a set of three or more
+            near = [sum(1 << u for u, e in enumerate(row) if e is not None and u != v) for v, row in enumerate(edges)]
+            loose = [v for v in range(gram.size) if near[v] | 1 << v != (1 << gram.size) - 1]
         for subset in combinations(range(gram.size), length):
+            if loose:
+                inside = sum(1 << v for v in subset)
+                if any((near[v] & inside).bit_count() < 2 for v in loose if inside >> v & 1):
+                    continue  # a cycle through every vertex needs two edges at each
             for cycle, (a, b, q) in _cycles(edges, d, subset):
                 if b or a % q:
                     return VinbergVerdict(max_len, cycle, from_triple(a, b, q, d))

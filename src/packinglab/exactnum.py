@@ -23,6 +23,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+import numpy as np
+
 from .errors import PackingLabError
 
 # trial division of a discriminant this size takes milliseconds; 10**13
@@ -65,6 +67,18 @@ def quad_sign(a: int, b: int, d: int) -> int:
         return -1
     t = a * a - b * b * d  # nonzero: sqrt(d) is irrational
     return 1 if (t > 0) == (a > 0) else -1
+
+
+def quad_sign_array(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
+    """quad_sign elementwise, as an int8 array, for int64 or object arrays a
+    and b of one shape.  For d > 0 it squares every entry, so an int64
+    caller must know that a*a and b*b*d fit."""
+    sa = (a > 0).astype(np.int8) - (a < 0)
+    if not d:
+        return sa
+    sb = (b > 0).astype(np.int8) - (b < 0)
+    t = a * a - b * b * d
+    return np.where(sa * sb >= 0, np.sign(sa + sb), ((t > 0).astype(np.int8) - (t < 0)) * sa)
 
 
 _new = object.__new__

@@ -21,7 +21,8 @@ codes they have already built.  Every product of two walls is _product_numerator
 codes: inversive_product, InversiveVector.reflect, arithmetic.gram_matrix
 and verify_realization.  reflection_matrix builds I + 2 Q s^T s on the
 wall's code, and a ReflectionMatrix keeps that int form beside its QuadExt
-entries, so apply encodes only the vector.  QuadExt values are built once,
+entries, so apply encodes only the vector and preserves_form multiplies
+M Q M^T on it.  QuadExt values are built once,
 at each function's return.
 """
 
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 from .errors import PackingLabError
 from .exactnum import ONE, ZERO, QuadExt, _field, encode, field_disc, from_triple
-from . import linalg
 from .linalg import IntMatrix, Matrix, as_quad
 
 _HALF = ONE / 2
@@ -233,11 +233,10 @@ class ReflectionMatrix:
         return InversiveVector.from_coords(self.code.left_mul(encode(coords), field_disc(coords)))
 
     def preserves_form(self) -> bool:
-        q = q_matrix(self.dim)
-        lhs = linalg.mat_mul(
-            linalg.mat_mul(self.entries, q), linalg.transpose(self.entries)
-        )
-        return lhs == q
+        """M Q M^T == Q, on the int form."""
+        q = IntMatrix.encode(q_matrix(self.dim))
+        lhs = self.code @ q @ self.code.transpose()
+        return (lhs.rows, lhs.den) == (q.rows, q.den)
 
 
 def reflection_matrix(wall: InversiveVector) -> ReflectionMatrix:

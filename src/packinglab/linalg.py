@@ -86,6 +86,10 @@ class IntMatrix:
             for row in self.rows
         )
 
+    def transpose(self) -> "IntMatrix":
+        cols = range(0, len(self.rows[0]), 2)
+        return IntMatrix([[x for row in self.rows for x in row[j : j + 2]] for j in cols], self.den, self.d)
+
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         d = _field(self.d, other.d)
         cols = list(zip(*other.rows))

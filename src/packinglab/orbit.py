@@ -6,27 +6,53 @@ cap, i.e. every frontier child either appeared already or exceeded the bend
 bound.  Saturation is the completeness certificate; a run that needed the
 word cap is reported unsaturated.
 
-The search runs on plain ints.  A closure fixes one field Q(sqrt(d)), taken
-from the walls and the bend bound (two different nonzero discriminants raise
+The search runs on ints.  A closure fixes one field Q(sqrt(d)), taken from
+the walls and the bend bound (two different nonzero discriminants raise
 DiscMismatch), and works on the int code that inversive.py owns: each vector
-is its coordinates' QuadExt triples over one common denominator
-(inversive.encode).  That form is canonical, so the tuple itself is the dedup
-key.  A reflection applies the wall's precomputed 2Qs by the field rule and
-divides out the gcd; the bend test and the final order are decided by exact
-sign analysis (exactnum.quad_sign).  Walls are encoded on entry, and each kept
-sphere is decoded once, after sorting.
+is its coordinates' QuadExt triples over one common denominator,
+(a_0, b_0, ..., a_k, b_k, den) (inversive.encode).  That form is canonical,
+so the tuple itself is the dedup key.
+
+Level loop.  The closure expands one breadth-first level at a time.  The
+frontier is an (m, 2k+3) array of codes, and every generator's 2Qs, s and
+den(s)^2 are stacked into arrays once.  One matmul gives every product
+p = v . 2Qs of the level, and broadcasting gives every child
+(v den(s)^2 + p s) / (den(v) den(s)^2).  A child with p = 0 is its parent,
+and the generator that made the parent maps it back to the grandparent;
+both are dropped before any other work.  The plane and |bend| <= bound tests
+are decided for the whole level by exactnum.quad_sign_array, the survivors
+are reduced by their gcd, and one Python pass over them, parent by parent
+and generator by generator (the order a FIFO queue pops them), does the
+dedup, records (word_length, parent_generator) and raises FrontierOverflow
+when the level's unexpanded parents plus the next level exceed the cap.  A
+child over the bound is dropped without a key: the bound test is a function
+of the code, so a repeat would be dropped again.
+
+dtype rule.  numpy int64 arithmetic wraps silently, so a level runs in int64
+only when _level_dtype proves, from the largest frontier entry, the largest
+2Qs entry, the largest den(s)^2, k, d and the bound's triple, that no
+product, child entry or square in the sign test can reach 2**63.  Otherwise
+it runs the same expressions on Python ints in dtype=object arrays.
+
+Verified order.  The kept spheres are sorted by (bend,) + coords.  One
+np.lexsort on float64 values proposes the order, and every adjacent pair is
+confirmed by the exact int compare, which proves the whole order.  If a pair
+fails or a value overflows a float, the exact comparison sort decides; floats
+never decide the order unverified.  Each kept sphere is decoded once, after
+sorting.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass, field
 from functools import cmp_to_key
-from math import gcd
 from typing import Sequence
 
+import numpy as np
+
 from .errors import PackingLabError, ParameterError
-from .exactnum import QuadExt, quad_sign
+from .exactnum import QuadExt, quad_sign, quad_sign_array
 from .inversive import InversiveVector, _decoder, encode, field_disc
 from .linalg import as_quad
 
@@ -124,80 +150,75 @@ def _closure(
     d = field_disc([bend_bound] + [x for w in walls for x in w.coords()])
     codes = [encode(w.coords()) for w in walls]
     n = len(codes[0]) - 1  # numerators; the denominator is code[n]
-    generators = []
-    for g in generator_idx:
-        s = codes[g]
-        # 2Qs for Q = [[0, 1/2], [1/2, 0]] + (-I): (s1, s0, -2 s2, ...)
+    gen_count = len(generator_idx)
+    # per generator g with code s: 2Qs for Q = [[0, 1/2], [1/2, 0]] + (-I)
+    # is (s1, s0, -2 s2, ...); p = v . 2Qs is one matmul with twice_qs, whose
+    # column g holds pa's coefficients and column gen_count + g pb's, and
+    # the child v den(s)^2 + p s is v * s2 + pa * s_pa + pb * s_pb by rows
+    twice_qs = np.zeros((n, 2 * gen_count), dtype=object)
+    s_pa = np.zeros((gen_count, n + 1), dtype=object)
+    s_pb = np.zeros((gen_count, n + 1), dtype=object)
+    s2 = np.empty(gen_count, dtype=object)
+    gen_max = 0
+    for g, wall in enumerate(generator_idx):
+        s = codes[wall]
         w = s[2:4] + s[0:2] + tuple(-2 * x for x in s[4:n])
-        generators.append((g, w, s[:n], s[n] * s[n]))
-    ba, bb, bden = encode((bend_bound,))
-
-    def within_bound(a: int, b: int, den: int) -> bool:
-        if quad_sign(a, b, d) < 0:
-            a, b = -a, -b
-        return quad_sign(a * bden - ba * den, b * bden - bb * den, d) <= 0
+        gen_max = max(gen_max, *map(abs, w))
+        twice_qs[0::2, g], twice_qs[1::2, g] = w[0::2], [d * x for x in w[1::2]]
+        twice_qs[0::2, gen_count + g], twice_qs[1::2, gen_count + g] = w[1::2], w[0::2]
+        s_pa[g, 0:n:2], s_pa[g, 1:n:2] = s[0:n:2], s[1:n:2]
+        s_pb[g, 0:n:2], s_pb[g, 1:n:2] = [d * x for x in s[1:n:2]], s[0:n:2]
+        s2[g] = s[n] * s[n]
+    tables = {object: (twice_qs, s_pa, s_pb, s2)}
+    s2_max = max(s2, default=0)
+    bound = encode((bend_bound,))
 
     kept: dict[tuple[int, ...], tuple[int, int | None]] = {}
-    seen_over_bound: set[tuple[int, ...]] = set()
-    queue: deque[tuple[tuple[int, ...], int]] = deque()
     for i in seed_idx:
-        key = codes[i]
-        if key not in kept:
-            kept[key] = (0, None)
-            queue.append((key, 0))
-    pairs = range(0, n, 2)
+        kept.setdefault(codes[i], (0, None))
+    frontier = np.array(list(kept), dtype=object)
+    made_by = np.full(len(frontier), -1)  # generator position per row; -1 for seeds
     plane_count = 0
     capped = False
-    while queue:
-        v, length = queue.popleft()
+    length = 0
+    while len(frontier):
         if length >= max_word:
             capped = True
-            continue
-        vden = v[n]
-        for g, w, s, s2 in generators:
-            # v' = v + 2<v,s> s = (v*s2 + p*s) / (vden*s2), p = v . 2Qs
-            pa = pb = 0
-            for j in pairs:
-                va, vb, wa, wb = v[j], v[j + 1], w[j], w[j + 1]
-                pa += va * wa + d * vb * wb
-                pb += va * wb + vb * wa
-            if not (pa or pb):
-                continue  # v' == v, already kept
-            pbd = pb * d
-            child = []
-            for j in pairs:
-                sa, sb = s[j], s[j + 1]
-                child.append(v[j] * s2 + pa * sa + pbd * sb)
-                child.append(v[j + 1] * s2 + pa * sb + pb * sa)
-            child.append(vden * s2)
-            h = gcd(*child)
-            key = tuple(x // h for x in child) if h != 1 else tuple(child)
-            if key in kept or key in seen_over_bound:
+            break
+        dtype = _level_dtype(int(np.abs(frontier).max()), gen_max, s2_max, n // 2, d, bound)
+        if dtype not in tables:
+            tables[dtype] = tuple(x.astype(dtype) for x in tables[object])
+        twice_qs, s_pa, s_pb, s2 = tables[dtype]
+        frontier = frontier.astype(dtype, copy=False)
+        p = frontier[:, :n] @ twice_qs
+        pa, pb = p[:, :gen_count], p[:, gen_count:]
+        # pa = pb = 0 maps v to itself; the generator that made v maps it
+        # back to its parent; both are kept already
+        live = ((pa != 0) | (pb != 0)) & (made_by[:, None] != np.arange(gen_count))
+        rows, gens = np.nonzero(live)  # parent-major, generator-minor: the queue's order
+        pa, pb = pa[rows, gens][:, None], pb[rows, gens][:, None]
+        children = frontier[rows] * s2[gens][:, None] + pa * s_pa[gens] + pb * s_pb[gens]
+        plane, keep = _bend_test(children[:, 2], children[:, 3], children[:, n], d, bound)
+        children, rows, gens, plane = children[keep], rows[keep], gens[keep], plane[keep]
+        children //= np.gcd.reduce(children, axis=1)[:, None]
+        # the dedup, and the cap on a FIFO queue, which would hold the level's
+        # parents not yet expanded plus the next level so far
+        nxt = []
+        last = len(frontier) - 1
+        for r, (key, row, g) in enumerate(zip(map(tuple, children.tolist()), rows.tolist(), gens.tolist())):
+            if key in kept:
                 continue
-            is_plane = not (key[2] or key[3])
-            if is_plane or within_bound(key[2], key[3], key[n]):
-                plane_count += is_plane
-                kept[key] = (length + 1, g)
-                queue.append((key, length + 1))
-                if len(queue) > frontier_cap:
-                    raise FrontierOverflow(f"frontier exceeded {frontier_cap} spheres")
-            else:
-                seen_over_bound.add(key)
-
-    # order by (bend,) + coords, compared exactly; bend sits at numerators 2, 3
-    order = (2,) + tuple(range(0, n, 2))
-
-    def compare(x: tuple[int, ...], y: tuple[int, ...]) -> int:
-        xd, yd = x[n], y[n]
-        for j in order:
-            s = quad_sign(x[j] * yd - y[j] * xd, x[j + 1] * yd - y[j + 1] * xd, d)
-            if s:
-                return s
-        return 0
+            kept[key] = (length + 1, generator_idx[g])
+            nxt.append(r)
+            if last - row + len(nxt) > frontier_cap:
+                raise FrontierOverflow(f"frontier exceeded {frontier_cap} spheres")
+        plane_count += int(plane[nxt].sum())
+        frontier, made_by = children[nxt], gens[nxt]
+        length += 1
 
     decode = _decoder(d)
     spheres = []
-    for key in sorted(kept, key=cmp_to_key(compare)):
+    for key in _sorted_codes(list(kept), d):
         length, g = kept[key]
         spheres.append(SphereRecord(InversiveVector.from_coords(decode(key)), length, g))
     return Packing(
@@ -209,6 +230,79 @@ def _closure(
         dim=walls[0].dim,
         boundary_walls=plane_count,
     )
+
+
+def _level_dtype(frontier_max: int, gen_max: int, s2_max: int, pairs: int, d: int, bound) -> type:
+    """np.int64 when no value a level computes can reach 2**63, else object.
+
+    M = frontier_max bounds every entry of the level's frontier, W = gen_max
+    every entry of 2Qs (and so of s), S2 = s2_max every den(s)^2; k = pairs
+    is the number of coordinates and bound the bend bound's code
+    (ba, bb, bq).  The products are at most Pa = k (1 + d) M W and
+    Pb = 2 k M W (0 when d = 0), a child's entries (unreduced) at most
+    C = M S2 + W (Pa + max(d, 1) Pb), the bend test's differences at most
+    E = C (bq + max(|ba|, |bb|)), and for d > 0 its squares at most d E^2.
+    """
+    m, w = frontier_max, gen_max
+    pa = pairs * (1 + d) * m * w
+    pb = 2 * pairs * m * w if d else 0
+    c = m * s2_max + w * (pa + max(d, 1) * pb)
+    ba, bb, bq = bound
+    e = c * (bq + max(abs(ba), abs(bb)))
+    return np.int64 if (d * e * e if d else e) < 2**63 else object
+
+
+def _bend_test(a: np.ndarray, b: np.ndarray, den: np.ndarray, d: int, bound) -> tuple[np.ndarray, np.ndarray]:
+    """(plane, keep) for bends (a + b sqrt(d)) / den: keep a plane, or a
+    sphere with |bend| <= the bound (ba + bb sqrt(d)) / bq."""
+    ba, bb, bq = bound
+    plane = (a == 0) & (b == 0)
+    neg = quad_sign_array(a, b, d) < 0
+    a, b = np.where(neg, -a, a), np.where(neg, -b, b)
+    return plane, plane | (quad_sign_array(a * bq - ba * den, b * bq - bb * den, d) <= 0)
+
+
+def _sorted_codes(codes: list[tuple[int, ...]], d: int) -> list[tuple[int, ...]]:
+    """The codes in (bend,) + coords order, compared exactly.
+
+    One lexsort on float64 values proposes the order, and every adjacent
+    pair is confirmed by the exact compare; as that order is total, the
+    confirmed sequence is the sorted one.  Each value is taken from its own
+    lowest-terms triple, so equal coordinates tie and the next one decides.
+    If a pair fails or a value does not fit a float, the codes are sorted by
+    the exact compare alone.
+    """
+    if len(codes) < 2:
+        return codes
+    n = len(codes[0]) - 1
+    # bend at numerators 2, 3, then every coordinate
+    order = (2,) + tuple(range(0, n, 2))
+
+    def compare(x: tuple[int, ...], y: tuple[int, ...]) -> int:
+        xd, yd = x[n], y[n]
+        for j in order:
+            s = quad_sign(x[j] * yd - y[j] * xd, x[j + 1] * yd - y[j + 1] * xd, d)
+            if s:
+                return s
+        return 0
+
+    try:
+        c = np.array(codes, dtype=np.int64)
+    except OverflowError:
+        c = np.array(codes, dtype=object)
+    # each coordinate's own lowest terms, so equal values give equal floats
+    a, b, den = c[:, 0:n:2], c[:, 1:n:2], c[:, n:]
+    g = np.gcd(np.gcd(a, b), den)
+    try:
+        a, b, den = ((x // g).astype(np.float64) for x in (a, b, den))
+    except OverflowError:
+        return sorted(codes, key=cmp_to_key(compare))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = (a + b * math.sqrt(d)) / den
+    proposed = [codes[i] for i in np.lexsort((*values.T[::-1], values[:, 1]))]
+    if all(compare(x, y) < 0 for x, y in zip(proposed, proposed[1:])):
+        return proposed
+    return sorted(codes, key=cmp_to_key(compare))
 
 
 def generate_packing(

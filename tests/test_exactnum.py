@@ -4,7 +4,9 @@ triple replaced."""
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,8 @@ from packinglab.exactnum import (
     _squarefree_split,
     compare,
     is_rational_integer,
+    quad_sign,
+    quad_sign_array,
 )
 from packinglab.fixtures import apollonian_system, hexpyr_expected_gram
 from packinglab.inversive import reflection_matrix
@@ -380,3 +384,36 @@ def test_exact_layers_build_no_fraction(monkeypatch):
     generate_packing(system, 200, max_word=600)
     monkeypatch.undo()
     assert made == []
+
+
+# -- the array sign ----------------------------------------------------------
+
+
+@st.composite
+def sign_cases(draw):
+    """(a, b, d, big): int lists for a + b*sqrt(d), b == 0 when d == 0.
+    Small entries keep a*a and b*b*d below 2**63; about half the pairs have
+    opposite signs and |a| within one of b*sqrt(d), the squares' near-tie."""
+    d = draw(st.sampled_from([0, 2, 3, 5]))
+    big = draw(st.booleans())
+    lim = 2**200 if big else isqrt((2**63 - 1) // 5) - 1
+    a, b = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        y = draw(st.integers(-(lim // 3), lim // 3)) if d else 0
+        if d and draw(st.booleans()):
+            x = -(isqrt(d * y * y) + draw(st.integers(-1, 1))) * (1 if y >= 0 else -1)
+        else:
+            x = draw(st.integers(-lim, lim))
+        a.append(x)
+        b.append(y)
+    return a, b, d, big
+
+
+@settings(max_examples=300)
+@given(sign_cases())
+def test_quad_sign_array_matches_quad_sign(case):
+    a, b, d, big = case
+    want = [quad_sign(x, y, d) for x, y in zip(a, b)]
+    for dtype in (object,) if big else (np.int64, object):
+        got = quad_sign_array(np.array(a, dtype=dtype), np.array(b, dtype=dtype), d)
+        assert got.tolist() == want

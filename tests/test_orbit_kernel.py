@@ -1,21 +1,25 @@
-"""The int-tuple orbit kernel against the QuadExt closure it replaced.
+"""The int-array orbit kernel against the QuadExt closure it replaced.
 
 Every field of the Packing must agree, record order included, and the JSON
-of both must be byte-identical.
+of both must be byte-identical.  The kernel's int64/object rule and its
+float-proposed, exactly confirmed order are tested here too.
 """
 
 import dataclasses
 import sys
 from fractions import Fraction
+from functools import cmp_to_key
+from math import isqrt
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 import quadext_orbit_oracle as oracle
 
-from packinglab import serialize
-from packinglab.exactnum import DiscMismatch, QuadExt
+from packinglab import orbit, serialize
+from packinglab.exactnum import DiscMismatch, QuadExt, field_disc
 from packinglab.fixtures import apollonian_system, hexpyr_system
 from packinglab.inversive import InversiveVector, plane_from_normal_offset, sphere_from_center_radius
 from packinglab.orbit import (
@@ -115,3 +119,86 @@ def test_walls_from_two_fields_raise_disc_mismatch():
 def test_bound_from_another_field_raises_disc_mismatch():
     with pytest.raises(DiscMismatch):
         generate_packing(hexpyr_system(), QuadExt.parse("10*sqrt(2)"), max_word=4)
+
+
+def test_object_dtype_when_codes_outgrow_int64():
+    lam = Fraction(1, 10**12)
+    sysm = scaled(apollonian_system(), lam)
+    bound = QuadExt(200) / lam
+    got = generate_packing(sysm, bound, max_word=600)
+    assert_same_packing(got, oracle.generate_packing(sysm, bound, max_word=600))
+    # the object path ran: int64 holds no such code
+    assert any(abs(x) >= 2**63 for r in got.spheres for x in encode(r.vector.coords()))
+
+
+def level_dtypes(monkeypatch):
+    """The dtype chosen for each level of the next closures, in order."""
+    seen = []
+    real = orbit._level_dtype
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(orbit, "_level_dtype", spy)
+    return seen
+
+
+@pytest.mark.parametrize("system", [apollonian_system, hexpyr_system], ids=["d=0", "d=3"])
+def test_level_just_under_the_int64_guard(system, monkeypatch):
+    """The first level at the largest integer bend bound B whose values
+    provably fit int64 runs in int64, and at B + 1 in object dtype.
+
+    The bound, written out from the seeds: frontier entries M, 2Qs entries
+    W, den^2 at most S2, k coordinates; |pa| <= k (1 + d) M W, |pb| <=
+    2 k M W (0 for d = 0), child entries C = M S2 + W (pa + max(d, 1) pb),
+    bend-test differences E = C (1 + B), and d E^2 for the squares when
+    d > 0.  A guard that is off by any factor moves one of the two runs.
+    """
+    sysm = system()
+    codes = [encode(w.coords()) for w in sysm.walls]
+    d = field_disc([x for w in sysm.walls for x in w.coords()])
+    n = len(codes[0]) - 1
+    gens = [codes[g] for g in sysm.cocluster_idx]
+    m = max(abs(x) for i in sysm.cluster_idx for x in codes[i])
+    w = max(abs(x) for s in gens for x in s[2:4] + s[0:2] + tuple(2 * y for y in s[4:n]))
+    s2 = max(s[n] ** 2 for s in gens)
+    k = n // 2
+    pa, pb = k * (1 + d) * m * w, 2 * k * m * w if d else 0
+    c = m * s2 + w * (pa + max(d, 1) * pb)
+    e_max = isqrt((2**63 - 1) // d) if d else 2**63 - 1
+    under = e_max // c - 1  # c * (1 + under) <= e_max < c * (2 + under)
+    seen = level_dtypes(monkeypatch)
+    for bound, dtype in ((under, np.int64), (under + 1, object)):
+        seen.clear()
+        got = generate_packing(sysm, QuadExt(bound), max_word=2)
+        assert seen[0] is dtype, bound
+        assert_same_packing(got, oracle.generate_packing(sysm, QuadExt(bound), max_word=2))
+
+
+def exact_order(codes):
+    """(bend,) + coords for rational codes, by Fractions."""
+    n = len(codes[0]) - 1
+    return sorted(codes, key=lambda c: tuple(Fraction(c[j], c[n]) for j in (2, *range(0, n, 2))))
+
+
+@pytest.mark.parametrize(
+    "top", [10**20, 10**400], ids=["floats-tie", "float-overflow"]
+)
+def test_order_falls_back_to_the_exact_compare(top, monkeypatch):
+    # (10**20 + 1) / 3 and 10**20 / 3 are one float; the codes come in the
+    # wrong exact order, so the stable float sort keeps them wrong
+    codes = [(1, 0, top + 1, 0, 0, 0, 0, 0, 3), (1, 0, top, 0, 0, 0, 0, 0, 3), (1, 0, 5, 0, 0, 0, 0, 0, 3)]
+    fallbacks = []
+    monkeypatch.setattr(orbit, "cmp_to_key", lambda f: fallbacks.append(f) or cmp_to_key(f))
+    assert orbit._sorted_codes(codes, 0) == exact_order(codes)
+    assert len(fallbacks) == 1
+
+
+def test_order_confirmed_without_the_fallback(monkeypatch):
+    fallbacks = []
+    monkeypatch.setattr(orbit, "cmp_to_key", lambda f: fallbacks.append(f) or cmp_to_key(f))
+    got = generate_packing(apollonian_system(), QuadExt(200), max_word=600)
+    assert fallbacks == []
+    codes = [encode(r.vector.coords()) for r in got.spheres]
+    assert codes == exact_order(codes)

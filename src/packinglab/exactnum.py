@@ -264,12 +264,13 @@ class QuadExt:
             return self._hash
         except AttributeError:
             pass
-        # equal to hash((self.rat, self.surd, self.disc)); an integral
-        # Fraction hashes as its int
+        # a rational hashes as the int or Fraction it equals, as == with them
+        # needs; a surd value as hash((self.rat, self.surd, self.disc)), where
+        # an integral Fraction hashes as its int
         if self._q == 1:
-            h = hash((self._a, self._b, self._d))
+            h = hash((self._a, self._b, self._d)) if self._d else hash(self._a)
         else:
-            h = hash((self.rat, self.surd, self._d))
+            h = hash((self.rat, self.surd, self._d)) if self._d else hash(self.rat)
         self._hash = h
         return h
 

@@ -5,13 +5,14 @@ eigendecomposition of its Gram matrix, then one damped Gauss-Newton loop run in
 float64, one Moebius map that puts a tangent triple on the frame, whose three
 walls are then set exactly and held fixed, and the same loop again on
 extended-precision mpmath residuals for the other walls), algebraic_guess
-(snap a value to (a + b*sqrt(d))/q with a bounded denominator: the b that a
-float prefilter can keep in row q lie where frac(b*sqrt(d)) is near
-frac(q*x), so two searchsorted calls into those fractions, sorted once per
-segment of b, find them, and only reduced triples, gcd(a, b, q) == 1, reach
-the exact check on ints; guess_walls runs one such pass over every value of
-a system), and verify_realization (exact re-check of every target against
-the guessed walls, on the int code of each wall).
+(snap a value to (a + b*sqrt(d))/q with a bounded denominator: the rows
+(value, q) go in blocks, and a block of narrow windows finds the b a float
+prefilter can keep, those with frac(b*sqrt(d)) near frac(q*x), by
+searchsorted in one sorted table of those fractions, while a block of wide
+windows visits every b; only reduced triples, gcd(a, b, q) == 1, reach the
+exact check on ints; guess_walls runs one such pass over every value of a
+system), and verify_realization (exact re-check of every target against the
+guessed walls, on the int code of each wall).
 """
 
 from __future__ import annotations
@@ -40,16 +41,10 @@ from .inversive import (
 )
 
 _REFINE_DPS = 60
-_CHUNK = 1 << 14  # expected candidates in one numpy pass of algebraic_guess
-_ROW_CELLS = 1 << 24  # widest row of surd coefficients b algebraic_guess takes on
-# _FractionTable sorts frac(b*sqrt(d)) over segments of 1024 consecutive b,
-# segment k starting at b = k*_SEGMENT - _SEGMENT_BASE, and keys a fraction
-# by its first 36 bits
-_SEGMENT_BITS = 10
-_SEGMENT = 1 << _SEGMENT_BITS
-_SEGMENT_BASE = _SEGMENT // 2
-_FRAC_BITS = 36
-_KEY_SEGMENT = _FRAC_BITS + _SEGMENT_BITS
+_CHUNK = 1 << 14  # rows (value, q) in one block of algebraic_guess, and cells in one pass
+_ROW_BITS = 24
+_ROW_CELLS = 1 << _ROW_BITS  # widest row of surd coefficients b algebraic_guess takes on
+_FRAC_BITS = 36  # the bits of frac(b*sqrt(d)) a fraction key holds
 
 
 class NoConvergence(PackingLabError):
@@ -453,13 +448,17 @@ def algebraic_guess(value, d: int, denom_bound: int, tol: float) -> QuadExt:
     d == 0), and a the integer nearest q*x - b*sqrt(d).  A float prefilter
     keeps a candidate when q*x - b*sqrt(d) lies within a slack of a; the
     kept ones are visited in order of q, then b, and only a reduced triple,
-    gcd(a, b, q) == 1, reaches the exact test.  The prefilter does not
-    visit every b: a kept b has frac(b*sqrt(d)) within the slack of
-    frac(q*x), so two searchsorted calls into frac(b*sqrt(d)), sorted once
-    per segment of b (_FractionTable), find the only b that can be kept,
-    and the float test then decides them as it would on the whole row.  The
-    walk is lazy in q: the table grows only as the rows reached need wider
-    b, candidates come in bounded chunks, and the walk stops at the first
+    gcd(a, b, q) == 1, reaches the exact test.  A kept b has
+    frac(b*sqrt(d)) within a window about frac(q*x), the slack widened by
+    the float rounding.  The rows go _CHUNK to a block, and each block takes
+    one of two walks.  The table walk sorts frac(b*sqrt(d)) for every |b| up
+    to the widest row once per call and finds a row's b by two searchsorted
+    ranges, the second for a window that wraps past 1; the dense walk visits
+    every b of a row, _CHUNK at a time.  A block takes the table walk when
+    the cells it would return, the sum over its rows of the window's width
+    times the table's length, are at most _CHUNK, and the dense walk
+    otherwise, so that memory stays bounded on wide windows.  The float test
+    then decides the b either walk finds, and the walk stops at the first
     Ambiguous.  When the widest row, q = denom_bound, would pass _ROW_CELLS
     values of b, or denom_bound itself does, the call raises ParameterError.
     guess_walls runs the same pass over every value of a system at once.
@@ -471,8 +470,9 @@ def guess_walls(
     system: FloatWallSystem, d: int, denom_bound: int, tol: float
 ) -> list[InversiveVector]:
     """algebraic_guess on every coordinate of a realized float system, in one
-    pass that shares one fraction table; it returns or raises what a
-    row-major loop of algebraic_guess would."""
+    pass whose blocks of rows run across values and share one fraction
+    table; it returns or raises what a row-major loop of algebraic_guess
+    would."""
     coords = iter(_guess_values([v for row in system.walls for v in row], d, denom_bound, tol))
     return [InversiveVector.from_coords([next(coords) for _ in row]) for row in system.walls]
 
@@ -557,78 +557,12 @@ def _guess_values(values, d: int, denom_bound: int, tol: float) -> list[QuadExt]
         return out
 
 
-def _segment(b: int) -> int:
-    """The segment of _FractionTable that holds b."""
-    return (b + _SEGMENT_BASE) // _SEGMENT
-
-
-class _FractionTable:
-    """frac(b*sqrt(d)) for |b| <= cap, sorted within segments of _SEGMENT
-    consecutive b, the segments in order.
-
-    Segment k holds the b with (b + _SEGMENT_BASE) // _SEGMENT == k, so a
-    row with |b| under _SEGMENT_BASE spans one segment.  Each b is one int64
-    key, k*2**_KEY_SEGMENT + floor(frac*2**_FRAC_BITS)*_SEGMENT + (b - the
-    first b of segment k), with |k| under 2**14 below the _ROW_CELLS guard,
-    so one searchsorted finds the b of segment k whose fraction lies in a
-    range.  The fraction is read off fl(b*sqrt_f), the product the
-    prefilter subtracts from q*x: y - floor(y) is exact for a float y, but
-    for a rounding of at most 2**-53 when y is a tiny negative number.  The
-    table holds the segments lo..hi, and it grows, at least doubling on the
-    side that needs it, only when asked for a segment outside them."""
-
-    def __init__(self, sqrt_f: float, cap: int):
-        self.sqrt_f, self.cap = sqrt_f, cap
-        self.lo, self.hi = 0, -1
-        self.keys = np.empty(0, dtype=np.int64)
-
-    def cover(self, lo: int, hi: int) -> np.ndarray:
-        """The keys, grown to hold segments lo..hi."""
-        if self.lo <= lo and hi <= self.hi:
-            return self.keys
-        span = self.hi - self.lo + 1
-        if span:
-            lo = min(lo, self.lo - span) if lo < self.lo else self.lo
-            hi = max(hi, self.hi + span) if hi > self.hi else self.hi
-        lo, hi = max(lo, _segment(-self.cap)), min(hi, _segment(self.cap))
-        if span:
-            parts = [self._segments(lo, self.lo - 1), self.keys, self._segments(self.hi + 1, hi)]
-            self.keys = np.concatenate(parts)
-        else:
-            self.keys = self._segments(lo, hi)
-        self.lo, self.hi = lo, hi
-        return self.keys
-
-    def _segments(self, lo: int, hi: int) -> np.ndarray:
-        """The sorted keys of segments lo..hi, built _CHUNK values of b at
-        a time."""
-        first = max(lo * _SEGMENT - _SEGMENT_BASE, -self.cap)
-        stop = min(hi * _SEGMENT + _SEGMENT_BASE, self.cap + 1)
-        keys = np.empty(max(stop - first, 0), dtype=np.int64)
-        for at in range(first, stop, _CHUNK):
-            b = np.arange(at, min(at + _CHUNK, stop))
-            frac = b * self.sqrt_f
-            frac -= np.floor(frac)
-            frac *= 2.0**_FRAC_BITS
-            key = keys[at - first:at - first + len(b)]
-            np.minimum(frac, (1 << _FRAC_BITS) - 1, out=key, casting="unsafe")
-            key <<= _SEGMENT_BITS
-            b += _SEGMENT_BASE
-            key += b & (_SEGMENT - 1)
-            b //= _SEGMENT
-            b *= 1 << _KEY_SEGMENT
-            key += b
-        keys.sort()
-        return keys
-
-
 def _walk(xfs, ratios, cap: int, d: int, sqrt_f: float, denom_bound: int, tol: float):
     """The candidates that pass the exact test, per value, in the order of q
-    then b.  The rows (value, q) are walked value by value, and the walk ends
-    when a value has two, so that every value before it is complete."""
+    then b.  The rows (value, q) are walked value by value, _CHUNK rows to a
+    block, and the walk ends when a value has two, so that every value before
+    it is complete."""
     found: list[list[QuadExt]] = [[] for _ in xfs]
-    if not xfs:
-        return found
     xs = np.array(xfs)
     # x = xn/xd and tol = tn/td exactly; |q*x - a - b*sqrt(d)| <= q*tol times
     # xd*td is |r - sb*sqrt(d)| <= c for r = (q*xn - a*xd)*td, sb = b*xd*td
@@ -637,56 +571,40 @@ def _walk(xfs, ratios, cap: int, d: int, sqrt_f: float, denom_bound: int, tol: f
     # (a + b*sqrt(d)) / q is (a + b*s*sqrt(f)) / q for square-free f
     root = QuadExt.sqrt(d) if d else QuadExt(0)
     s, f = root.triple[1], root.disc
-    table = _FractionTable(sqrt_f, cap)
-    top = 1 << _FRAC_BITS
-    row_segments = _segment(cap) - _segment(-cap) + 1
-    # expected cells in the next chunk: it starts small, so that a value
-    # that is Ambiguous in its first rows costs little, and doubles
-    budget = 64
-    n_rows, r0 = len(xfs) * denom_bound, 0
-    while r0 < n_rows:
-        r1 = min(r0 + max(1, budget // row_segments), n_rows)
-        value, q = np.divmod(np.arange(r0, r1), denom_bound)
-        r0 = r1
+    keys = None
+    n_rows = len(xfs) * denom_bound
+    for r0 in range(0, n_rows, _CHUNK):
+        value, q = np.divmod(np.arange(r0, min(r0 + _CHUNK, n_rows)), denom_bound)
         q += 1
         xq = xs[value] * q
         slack = q * tol * 1.125 + 1e-9
         b_max = _b_max(xq, slack, sqrt_f, denom_bound) if d else np.zeros(len(q))
         # the window on frac(b*sqrt(d)) about frac(q*x): the slack, widened
         # by eight times the rounding of the float q*x - b*sqrt(d) and of
-        # the window's own ends, so that it holds every b the float test
-        # keeps; as fraction keys it is width keys from first, mod top
+        # the window's own ends, so that it holds every b the float test keeps
         half = np.minimum(slack + 2.0**-50 * (np.abs(xq) + b_max * sqrt_f + 4), 0.5)
-        center = np.where(half < 0.5, xq - np.floor(xq), 0.0)
-        first = np.floor((center - half) * top)
-        width = np.minimum(np.floor((center + half) * top) - first + 1, top).astype(np.int64)
-        first = first.astype(np.int64) & (top - 1)
-        # key ranges [first, end) and [0, end - top) within a segment; the
-        # second is empty unless the window wraps past 1
-        window = np.zeros((len(q), 4), dtype=np.int64)
-        window[:, 0] = first
-        window[:, 1] = np.minimum(first + width, top)
-        window[:, 3] = first + width - top
-        window *= _SEGMENT
-        # one pair (row, segment) per segment of b a row spans, in order
-        k_lo = np.floor((_SEGMENT_BASE - b_max) / _SEGMENT).astype(np.int64)
-        n_seg = np.floor((b_max + _SEGMENT_BASE) / _SEGMENT).astype(np.int64) - k_lo + 1
-        row = np.repeat(np.arange(len(q)), n_seg)
-        seg = np.arange(len(row)) - np.repeat(np.cumsum(n_seg) - n_seg, n_seg) + k_lo[row]
-        expected = np.cumsum(np.minimum(2 * half[row], 1.0) * min(_SEGMENT, 2 * cap + 1) + 1)
-        start = 0
-        while start < len(row):
-            end = int(np.searchsorted(expected, budget + (expected[start - 1] if start else 0)))
-            end = max(end, start + 1)
-            budget = min(2 * budget, _CHUNK)
-            cells = _chunk_candidates(
-                table, row[start:end], seg[start:end], (q, xq, slack, b_max, window), sqrt_f
-            )
-            start = end
-            if cells is None:
-                continue
-            at, a, b = cells
-            for v, qq, a, b in zip(value[at].tolist(), q[at].tolist(), a.tolist(), b.tolist()):
+        # the cells the table walk would return
+        if np.minimum(2 * half, 1.0).sum() * (2 * cap + 1) <= _CHUNK:
+            if keys is None:
+                keys = _fraction_keys(cap, sqrt_f)
+            cells = [_table_cells(keys, cap, xq, half, b_max)]
+        else:
+            cells = _dense_cells(b_max)
+        for row, b in cells:
+            # the float test, as on the whole row
+            approx = xq[row] - b * sqrt_f
+            dev = np.round(approx)
+            dev -= approx
+            np.abs(dev, out=dev)
+            keep = dev <= slack[row]
+            row, b = row[keep], b[keep]
+            a = np.round(approx[keep])
+            # an int64 gcd drops most triples that are not reduced
+            small = np.abs(a) < 2.0**62
+            keep = ~small | (np.gcd(np.gcd(np.where(small, a, 0).astype(np.int64), b), q[row]) == 1)
+            row = row[keep]
+            kept = zip(value[row].tolist(), q[row].tolist(), a[keep].tolist(), b[keep].tolist())
+            for v, qq, a, b in kept:
                 a = int(a)  # a Python int: it can pass 2**63
                 # the test is unchanged when (a, b, q) is scaled, so a value's
                 # reduced triple, its first occurrence, decides it
@@ -702,40 +620,59 @@ def _walk(xfs, ratios, cap: int, d: int, sqrt_f: float, denom_bound: int, tol: f
     return found
 
 
-def _chunk_candidates(table, row, seg, rows, sqrt_f):
-    """The cells (row, a, b) that the float test keeps in the pairs (row,
-    seg), in order of row then b, less those an int64 gcd shows are not
-    reduced; None when the window finds no cell.  rows holds the block's q,
-    q*x, slack, b_max and fraction window per row."""
-    q, xq, slack, b_max, window = rows
-    keys = table.cover(int(seg.min()), int(seg.max()))
-    bounds = window[row]
-    bounds += (seg * (1 << _KEY_SEGMENT))[:, None]
-    at = np.searchsorted(keys, bounds).reshape(-1, 2)
+def _fraction_keys(cap: int, sqrt_f: float) -> np.ndarray:
+    """Every |b| <= cap as one int64 key, the first _FRAC_BITS bits of
+    frac(b*sqrt(d)) above the _ROW_BITS of b + cap (under _ROW_CELLS by the
+    row guard), sorted.  The fraction is read off fl(b*sqrt_f), the product
+    the float test subtracts from q*x: y - floor(y) is exact for a float y,
+    but for a rounding of at most 2**-53 when y is a tiny negative number."""
+    b = np.arange(-cap, cap + 1)
+    frac = b * sqrt_f
+    frac -= np.floor(frac)
+    frac *= 2.0**_FRAC_BITS
+    np.minimum(frac, (1 << _FRAC_BITS) - 1, out=frac)
+    keys = frac.astype(np.int64)
+    keys <<= _ROW_BITS
+    b += cap
+    keys += b
+    keys.sort()
+    return keys
+
+
+def _table_cells(keys, cap: int, xq, half, b_max):
+    """The cells (row, b), |b| <= b_max of the row, of a block whose
+    fraction key lies in the keys that cover the row's window
+    [frac(q*x) - half, frac(q*x) + half], in order of row then b: two
+    searchsorted ranges per row, the second empty unless the window wraps
+    past 1."""
+    top = 1 << _FRAC_BITS
+    center = np.where(half < 0.5, xq - np.floor(xq), 0.0)
+    first = np.floor((center - half) * top)
+    width = np.minimum(np.floor((center + half) * top) - first + 1, top).astype(np.int64)
+    first = first.astype(np.int64) & (top - 1)
+    window = np.zeros((len(xq), 4), dtype=np.int64)
+    window[:, 0] = first
+    window[:, 1] = np.minimum(first + width, top)
+    window[:, 3] = np.maximum(first + width - top, 0)
+    window <<= _ROW_BITS
+    at = np.searchsorted(keys, window).reshape(-1, 2)
     count = at[:, 1] - at[:, 0]
-    np.maximum(count, 0, out=count)
-    total = int(count.sum())
-    if not total:
-        return None
-    index = np.arange(total) + np.repeat(at[:, 0] - (np.cumsum(count) - count), count)
-    # the cells sorted by pair, then by b within the pair's segment
-    cell = np.repeat(np.arange(len(count)) >> 1, count) << _SEGMENT_BITS
-    cell |= keys[index] & (_SEGMENT - 1)
-    cell.sort()
-    pair = cell >> _SEGMENT_BITS
-    b = (cell & (_SEGMENT - 1)) + (seg[pair] * _SEGMENT - _SEGMENT_BASE)
-    r = row[pair]
-    # the float test, as on the whole row
-    approx = xq[r] - b * sqrt_f
-    dev = np.round(approx)
-    dev -= approx
-    np.abs(dev, out=dev)
-    keep = (dev <= slack[r]) & (np.abs(b) <= b_max[r])
-    r, b = r[keep], b[keep]
-    a = np.round(approx[keep])
-    small = np.abs(a) < 2.0**62
-    keep = ~small | (np.gcd(np.gcd(np.where(small, a, 0).astype(np.int64), b), q[r]) == 1)
-    return r[keep], a[keep], b[keep]
+    index = np.arange(count.sum()) + np.repeat(at[:, 0] - (np.cumsum(count) - count), count)
+    row = np.repeat(np.arange(len(count)) >> 1, count)
+    b = (keys[index] & (_ROW_CELLS - 1)) - cap
+    keep = np.abs(b) <= b_max[row]
+    row, b = row[keep], b[keep]
+    order = np.lexsort((b, row))
+    return row[order], b[order]
+
+
+def _dense_cells(b_max):
+    """Every cell (row, b) of a block, |b| <= b_max of the row, in order of
+    row then b, _CHUNK values of b at a time."""
+    for r, top in enumerate(b_max.astype(np.int64).tolist()):
+        for at in range(-top, top + 1, _CHUNK):
+            b = np.arange(at, min(at + _CHUNK, top + 1))
+            yield np.full(len(b), r), b
 
 
 @dataclass

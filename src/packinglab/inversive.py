@@ -142,16 +142,10 @@ def _decoder(d: int):
 
 
 def q_is_minus_one(code: tuple[int, ...], d: int) -> bool:
-    """Q(v) == -1 for an encoded inversive vector: cobend*bend - |bz|^2."""
+    """Q(v) == -1 for an encoded inversive vector: the product of v with
+    itself is Q(v), as a numerator over 2*den**2."""
     den = code[-1]
-    a0, b0, a1, b1 = code[:4]
-    qa = a0 * a1 + d * b0 * b1
-    qb = a0 * b1 + b0 * a1
-    for j in range(4, len(code) - 1, 2):
-        a, b = code[j], code[j + 1]
-        qa -= a * a + d * b * b
-        qb -= 2 * a * b
-    return qa == -den * den and qb == 0
+    return _product_numerator(code, code, d) == (-2 * den * den, 0)
 
 
 def sphere_from_center_radius(center, radius) -> InversiveVector:

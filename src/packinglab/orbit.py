@@ -56,6 +56,8 @@ from .exactnum import QuadExt, quad_sign, quad_sign_array
 from .inversive import InversiveVector, _decoder, encode, field_disc
 from .linalg import as_quad
 
+_MAX_WITNESSES = 10  # non-integral spheres certify_integral reports
+
 
 class FrontierOverflow(PackingLabError):
     pass
@@ -349,11 +351,11 @@ class IntegralityReport:
     witnesses: list[SphereRecord] = field(default_factory=list)
 
 
-def certify_integral(packing: Packing, max_witnesses: int = 10) -> IntegralityReport:
+def certify_integral(packing: Packing) -> IntegralityReport:
     witnesses = []
     for rec in packing.spheres:
         if not rec.vector.bend.is_rational_integer():
             witnesses.append(rec)
-            if len(witnesses) >= max_witnesses:
+            if len(witnesses) >= _MAX_WITNESSES:
                 break
     return IntegralityReport(integral=not witnesses, witnesses=witnesses)

@@ -68,8 +68,8 @@ def check_decomposition(gram: GramMatrix, decomposition: Decomposition) -> Decom
     return DecompositionReport(valid=not violations, violations=violations)
 
 
-def iter_decompositions(gram: GramMatrix, wall_cap: int = 30) -> Iterator[Decomposition]:
-    """Yield admissible decompositions, clusters in lexicographic order."""
+def enumerate_decompositions(gram: GramMatrix, wall_cap: int = 30) -> list[Decomposition]:
+    """The admissible decompositions, clusters in lexicographic order."""
     k = gram.size
     if k > wall_cap:
         raise TooManyWalls(f"{k} walls exceeds cap {wall_cap}")
@@ -96,8 +96,4 @@ def iter_decompositions(gram: GramMatrix, wall_cap: int = 30) -> Iterator[Decomp
                 yield from extend(chosen, idx + 1)
                 chosen.pop()
 
-    yield from extend([], 0)
-
-
-def enumerate_decompositions(gram: GramMatrix, wall_cap: int = 30) -> list[Decomposition]:
-    return list(iter_decompositions(gram, wall_cap))
+    return list(extend([], 0))

@@ -200,7 +200,7 @@ class QuadExt:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.rat, self.surd, self.disc))
+            h = hash((self.rat, self.surd, self.disc)) if self.disc else hash(self.rat)
             object.__setattr__(self, "_hash", h)
         return h
 

@@ -134,6 +134,19 @@ def test_zero_surd_normalizes_disc():
     assert x == q(1)
 
 
+@pytest.mark.parametrize(
+    "number", [0, 2, -7, 2**61, -(2**64) - 1, Fraction(1, 2), Fraction(-22, 7)],
+    ids=["0", "2", "-7", "2**61", "-2**64-1", "1/2", "-22/7"],
+)
+def test_rational_hashes_as_the_number_it_equals(number):
+    # a == b must give hash(a) == hash(b): QuadExt(2) == 2, so 2 in a set or
+    # dict key finds it, and the other way round
+    x = QuadExt(number)
+    assert x == number and hash(x) == hash(number)
+    assert x in {number} and number in {x}
+    assert {number: "a"}.get(x) == "a" and {x: "a"}.get(number) == "a"
+
+
 # -- randomized field axioms -------------------------------------------------
 
 rationals = st.fractions(min_value=-999, max_value=999, max_denominator=50)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import tracemalloc
 import warnings
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import guess_grid_oracle as oracle
 import verify_oracle
+from packinglab import geometrize
 from packinglab.arithmetic import gram_matrix
 from packinglab.errors import ParameterError
 from packinglab.exactnum import QuadExt
@@ -281,6 +283,11 @@ def _tolerance_edge():
 @settings(max_examples=300, deadline=None)
 @given(guess_cases())
 @example(_tolerance_edge())
+@example((0.0, 5, 16, 0.01))  # the window wraps past 1 in every row
+# 20000 rows span two blocks of 16384: the candidates 1/3 in the first and
+# 5613/16838 in the second, and the one candidate 1/17000 in the second
+@example((1 / 3 + 0.98e-5, 0, 20000, 1e-5))
+@example((1 / 17000, 0, 20000, 1e-18))
 def test_guess_matches_grid_oracle(case):
     assert guess_outcome(algebraic_guess, *case) == guess_outcome(oracle.algebraic_guess, *case)
 
@@ -337,6 +344,46 @@ def test_guess_worst_case_memory_is_bounded(d, tol, error, limit_mb):
     finally:
         tracemalloc.stop()
     assert peak < limit_mb << 20
+
+
+def test_guess_large_denominator_bound_memory_is_bounded():
+    # 2**20 rows of one value, d = 0: the rows go _CHUNK to a block
+    def guess():
+        return algebraic_guess(0.5, d=0, denom_bound=1 << 20, tol=1e-18)
+
+    guess()
+    tracemalloc.start()
+    try:
+        got = guess()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == q(Fraction(1, 2))
+    assert peak < 8 << 20
+
+
+def test_guess_matches_grid_oracle_when_blocks_take_both_walks():
+    # in blocks of 64 rows, the rows q <= 64 of 0.5 at d = 2 are narrow enough
+    # for the table walk and the rows q > 64 are not; 1/2 is found in the
+    # first block and 295/112-169/112*sqrt(2) in the second
+    walks = []
+
+    def spy(walk):
+        def spied(*args):
+            walks.append(walk.__name__)
+            return walk(*args)
+        return spied
+
+    case = (0.5, 2, 128, 2e-5)
+    with (
+        mock.patch.object(geometrize, "_CHUNK", 64),
+        mock.patch.object(geometrize, "_table_cells", spy(geometrize._table_cells)),
+        mock.patch.object(geometrize, "_dense_cells", spy(geometrize._dense_cells)),
+    ):
+        got = guess_outcome(algebraic_guess, *case)
+    assert walks == ["_table_cells", "_dense_cells"]
+    assert got == guess_outcome(oracle.algebraic_guess, *case)
+    assert got[2] == [QuadExt.parse("295/112-169/112*sqrt(2)"), q(Fraction(1, 2))]
 
 
 # -- guess_walls -----------------------------------------------------------------

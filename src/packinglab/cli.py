@@ -20,7 +20,8 @@ from .fixtures import REGISTRY
 from .geometrize import cluster_split, guess_walls, realize, verify_realization
 from .inversive import reflection_matrix
 from .localglobal import missing_bends, residue_orbit
-from .orbit import WallSystem, certify_integral, generate_packing, generate_superpacking
+from .orbit import WallSystem, generate_packing, generate_superpacking
+from .packing import certify_integral
 from .render import Viewport, render_svg
 from .structure import enumerate_decompositions
 
@@ -76,11 +77,11 @@ def cmd_orbit(args) -> int:
     if args.out:
         serialize.save(packing, args.out)
     summary = {
-        "spheres": len(packing.spheres),
+        "spheres": len(packing.codes),
         "saturated": packing.saturated,
         "bend_bound": str(packing.bend_bound),
         "max_word": packing.max_word,
-        "min_bend": str(packing.spheres[0].vector.bend) if packing.spheres else None,
+        "min_bend": str(packing.record(0).vector.bend) if len(packing.codes) else None,
     }
     print(json.dumps(summary, sort_keys=True))
     return 0

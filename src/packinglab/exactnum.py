@@ -3,10 +3,14 @@
 A value is one canonical int triple over a discriminant: it reads
 (a + b*sqrt(disc)) / q with q > 0 and gcd(a, b, q) == 1, where disc is a
 square-free integer >= 2, or 0 with b == 0 for a plain rational.  This is the
-form the int code of vectors and matrices is built on (encode, below).  Each
-operation works on the ints and reduces its result once by the gcd, so every
-value has one representation and equality is equality of the fields.  The rational and
-surd parts are read as Fractions through the rat and surd properties.
+form the int code of vectors and matrices is built on (encode and
+encode_rows, below).  Each operation works on the ints and reduces its
+result once by the gcd, so every value has one representation and equality
+is equality of the fields.  The rational and surd parts are read as
+Fractions through the rat and surd properties.  A triple's text and float
+are triple_str and triple_float, the bodies of QuadExt.__str__ and
+__float__, so a row of a code is written or drawn without building a
+QuadExt.
 
 A discriminant is split into its square-free part only where a value enters
 from outside, in the constructor and the literal parser; the split is cached
@@ -136,19 +140,10 @@ class QuadExt:
         return not self._b and self._q == 1
 
     def __float__(self):
-        out = self._a / self._q
-        if self._b:
-            out += self._b / self._q * math.sqrt(self._d)
-        return out
+        return triple_float(self._a, self._b, self._q, self._d)
 
     def __str__(self):
-        a, b, q = self._a, self._b, self._q
-        if not b:
-            return _fmt(a, q)
-        surd_part = f"{_fmt(b, q)}*sqrt({self._d})"
-        if not a:
-            return surd_part
-        return f"{_fmt(a, q)}{'+' if b > 0 else ''}{surd_part}"
+        return triple_str(self._a, self._b, self._q, self._d)
 
     def __repr__(self):
         return f"QuadExt({str(self)!r})"
@@ -363,6 +358,34 @@ def _fmt(n: int, q: int) -> str:
     return str(n) if q == 1 else f"{n}/{q}"
 
 
+def triple_str(a: int, b: int, q: int, d: int) -> str:
+    """The literal of (a + b*sqrt(d)) / q for q > 0, as QuadExt prints it.
+
+    The rational and surd parts are each written in lowest terms, so any
+    positive multiple of the canonical triple gives the same text: a row of
+    the int code, (a_j, b_j, den), is written without reducing it first.
+    """
+    if not b:
+        return _fmt(a, q)
+    surd_part = f"{_fmt(b, q)}*sqrt({d})"
+    if not a:
+        return surd_part
+    return f"{_fmt(a, q)}{'+' if b > 0 else ''}{surd_part}"
+
+
+def triple_float(a: int, b: int, q: int, d: int) -> float:
+    """float((a + b*sqrt(d)) / q) for q != 0, as QuadExt converts it.
+
+    a / q and b / q are int true divisions, correctly rounded, so the float
+    depends only on the value's rational and surd parts: an unreduced triple
+    gives the same float as the canonical one.
+    """
+    out = a / q
+    if b:
+        out += b / q * math.sqrt(d)
+    return out
+
+
 _RAT = r"([+-]?\d+)(?:/(\d+))?"
 _RE_RATIONAL = re.compile(rf"^{_RAT}$")
 # a rational part is always followed by the sign of the surd part
@@ -415,6 +438,40 @@ def encode(values) -> tuple[int, ...]:
         out += (x._a * f, x._b * f)
     out.append(den)
     return tuple(out)
+
+
+def encode_rows(values, at: np.ndarray) -> np.ndarray:
+    """encode for many vectors at once: row i is the code of values[at[i, 0]],
+    values[at[i, 1]], ..., as an (m, 2w+1) array for an (m, w) index array.
+
+    The rows are computed in int64 when a bound proves that nothing
+    overflows (den <= q_max**w, and each numerator is at most
+    max(|a|, |b|) * den), else on Python ints; either way they come back as
+    int_array gives them.
+    """
+    m, w = at.shape
+    if not m:
+        return np.zeros((0, 2 * w + 1), dtype=np.int64)
+    trip = [x.triple for x in values]
+    q_max = max((t[2] for t in trip), default=1)
+    top = max((max(abs(t[0]), abs(t[1]), 1) for t in trip), default=1)
+    dtype = np.int64 if top * q_max**w < 2**63 else object
+    t = np.array(trip, dtype=dtype).reshape(-1, 3)[at]
+    den = np.lcm.reduce(t[..., 2], axis=1)
+    f = den[:, None] // t[..., 2]
+    out = np.empty((m, 2 * w + 1), dtype=dtype)
+    out[:, 0:-1:2] = t[..., 0] * f
+    out[:, 1:-1:2] = t[..., 1] * f
+    out[:, -1] = den
+    return out if dtype is np.int64 else int_array(out)
+
+
+def int_array(rows) -> np.ndarray:
+    """rows as an int64 array when every entry fits one, else dtype=object."""
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
 
 
 def compare(x, y) -> int:

@@ -11,22 +11,29 @@ block.  The product of two walls reads off their relative position:
 
 The int code: a vector whose coordinates lie in one field Q(sqrt(d))
 (field_disc) is the tuple of its coordinates' QuadExt triples over one least
-common denominator (encode; both live in exactnum, below linalg, whose
-IntMatrix rows are the same code).  The code is canonical, so the orbit
-kernel uses it as its dedup key and runs its reflections on it.  Q(v) = -1
-is decided on the code alone, by q_is_minus_one and nowhere else:
-InversiveVector.validate asks it for one vector (the document loaders call
-validate), and reflection_matrix and verify_realization ask it for the
-codes they have already built.  Every product of two walls is _product_numerator on their
-codes: inversive_product, InversiveVector.reflect, arithmetic.gram_matrix
-and verify_realization.  reflection_matrix builds I + 2 Q s^T s on the
-wall's code, and a ReflectionMatrix keeps that int form beside its QuadExt
+common denominator (encode, and encode_rows for many vectors at once; both
+live in exactnum, below linalg, whose IntMatrix rows are the same code).
+The code is canonical, so the orbit kernel uses it as its dedup key and runs
+its reflections on it, and a Packing holds its spheres as an array of codes.
+Q(v) = -1 is decided on the code alone, by q_is_minus_one and nowhere else:
+InversiveVector.validate asks it for one vector, the document loader for
+the columns of every vector of a document at once, and reflection_matrix
+and verify_realization for the codes they have already built.  Every
+product of two walls is _product_numerator on their codes:
+inversive_product, InversiveVector.reflect, arithmetic.gram_matrix and
+verify_realization.  reflection_matrix builds I + 2 Q s^T s on the wall's
+code, and a ReflectionMatrix keeps that int form beside its QuadExt
 entries, so apply encodes only the vector and preserves_form multiplies
-M Q M^T on it.  QuadExt values are built once,
-at each function's return.
+M Q M^T on it.  QuadExt values are built once, at each function's return;
+decode_rows builds the InversiveVectors of an array of codes, for
+Packing.spheres and the walls of a loaded system.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
+
+import numpy as np
 
 from .errors import PackingLabError
 from .exactnum import ONE, ZERO, QuadExt, _field, encode, field_disc, from_triple
@@ -123,29 +130,39 @@ class InversiveVector:
         return f"InversiveVector({self.cobend}, {self.bend}, {list(map(str, self.bz))})"
 
 
-def _decoder(d: int):
-    """Encoded tuple -> tuple of QuadExt, memoized per coordinate."""
+def decode_rows(codes: np.ndarray, d: int) -> list[InversiveVector]:
+    """The InversiveVectors of an array of int codes in Q(sqrt(d)), with one
+    QuadExt per distinct coordinate triple (a, b, den)."""
     cache: dict[tuple[int, int, int], QuadExt] = {}
-
-    def decode(code: tuple[int, ...]) -> tuple[QuadExt, ...]:
-        den = code[-1]
-        out = []
-        for j in range(0, len(code) - 1, 2):
-            key = (code[j], code[j + 1], den)
+    out = []
+    for row in codes.tolist():
+        coords = []
+        for key in zip(row[0:-1:2], row[1:-1:2], repeat(row[-1])):
             x = cache.get(key)
             if x is None:
                 x = cache[key] = from_triple(*key, d)
-            out.append(x)
-        return tuple(out)
+            coords.append(x)
+        out.append(InversiveVector.from_coords(coords))
+    return out
 
-    return decode
 
-
-def q_is_minus_one(code: tuple[int, ...], d: int) -> bool:
+def q_is_minus_one(code, d: int):
     """Q(v) == -1 for an encoded inversive vector: the product of v with
-    itself is Q(v), as a numerator over 2*den**2."""
+    itself is Q(v), as a numerator over 2*den**2.
+
+    code may also be the columns of many codes (codes.T of an int64 or
+    object array), as _product_numerator works elementwise; the answer is
+    then a bool array.  Its terms sum to at most 4 (1 + d) k M^2 in absolute
+    value for k coordinates with entries up to M, and int64 columns over
+    that bound are checked on Python ints.
+    """
+    if isinstance(code, np.ndarray) and code.dtype != object:
+        m = max(int(code.max(initial=0)), -int(code.min(initial=0)))
+        if 4 * (1 + d) * (len(code) // 2) * m * m >= 2**63:
+            code = code.astype(object)
     den = code[-1]
-    return _product_numerator(code, code, d) == (-2 * den * den, 0)
+    na, nb = _product_numerator(code, code, d)
+    return (na == -2 * den * den) & (nb == 0)
 
 
 def sphere_from_center_radius(center, radius) -> InversiveVector:

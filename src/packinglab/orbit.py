@@ -23,8 +23,9 @@ both are dropped before any other work.  The plane and |bend| <= bound tests
 are decided for the whole level by exactnum.quad_sign_array, the survivors
 are reduced by their gcd, and one Python pass over them, parent by parent
 and generator by generator (the order a FIFO queue pops them), does the
-dedup, records (word_length, parent_generator) and raises FrontierOverflow
-when the level's unexpanded parents plus the next level exceed the cap.  A
+dedup and raises FrontierOverflow when the level's unexpanded parents plus
+the next level exceed the cap.  The new children are the next frontier; its
+level is their word length and the generators that made them their parents.  A
 child over the bound is dropped without a key: the bound test is a function
 of the code, so a repeat would be dropped again.
 
@@ -35,28 +36,30 @@ product, child entry or square in the sign test can reach 2**63.  Otherwise
 it runs the same expressions on Python ints in dtype=object arrays.
 
 Verified order.  The kept spheres are sorted by (bend,) + coords.  One
-np.lexsort on float64 values proposes the order, and every adjacent pair is
-confirmed by the exact int compare, which proves the whole order.  If a pair
-fails or a value overflows a float, the exact comparison sort decides; floats
-never decide the order unverified.  Each kept sphere is decoded once, after
-sorting.
+np.lexsort on float64 values proposes the order, and _steps confirms every
+adjacent pair exactly, on whole columns (int64 where its own bound holds,
+Python ints otherwise).  If a pair fails or a value overflows a float, the
+exact comparison sort decides; floats never decide the order unverified.
+
+The kept codes, in that order, are the Packing that the closure returns
+(packing.py).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Sequence
 
 import numpy as np
 
 from .errors import PackingLabError, ParameterError
-from .exactnum import QuadExt, quad_sign, quad_sign_array
-from .inversive import InversiveVector, _decoder, encode, field_disc
+from .exactnum import QuadExt, int_array, quad_sign, quad_sign_array
+from .inversive import InversiveVector, encode, field_disc
 from .linalg import as_quad
-
-_MAX_WITNESSES = 10  # non-integral spheres certify_integral reports
+# the packing type and its certificate are part of this module's API
+from .packing import IntegralityReport, Packing, SphereRecord, _steps, certify_integral
 
 
 class FrontierOverflow(PackingLabError):
@@ -96,51 +99,6 @@ class WallSystem:
         return [self.walls[i] for i in self.cocluster_idx]
 
 
-@dataclass(frozen=True)
-class SphereRecord:
-    vector: InversiveVector
-    word_length: int
-    parent_generator: int | None  # index into WallSystem.walls, None for seeds
-
-
-@dataclass
-class Packing:
-    spheres: list[SphereRecord]
-    saturated: bool
-    bend_bound: QuadExt
-    max_word: int
-    generator_idx: tuple[int, ...]
-    dim: int
-    boundary_walls: int = 0  # spheres kept only because they are planes
-
-    def __post_init__(self):
-        # dumps writes these ints and bools as they are, so each must be one
-        for name in ("max_word", "dim", "boundary_walls"):
-            if type(getattr(self, name)) is not int:
-                raise ParameterError(f"{name} must be an int, got {getattr(self, name)!r}")
-        if type(self.saturated) is not bool:
-            raise ParameterError(f"saturated must be true or false, got {self.saturated!r}")
-        for g in self.generator_idx:
-            if type(g) is not int:
-                raise ParameterError(f"generators must be ints, got {g!r}")
-        generators = set(self.generator_idx)
-        for i, rec in enumerate(self.spheres, start=1):
-            n, g = rec.word_length, rec.parent_generator
-            if type(n) is not int or n < 0:
-                raise ParameterError(f"sphere {i}: word_length must be an int >= 0, got {n!r}")
-            if g is not None and not (type(g) is int and g in generators):
-                raise ParameterError(
-                    f"sphere {i}: parent_generator must be null or one of the generators, got {g!r}"
-                )
-
-    def vectors(self) -> list[InversiveVector]:
-        return [rec.vector for rec in self.spheres]
-
-    def bends_list(self) -> list[QuadExt]:
-        """Sorted multiset of bends, one entry per retained sphere."""
-        return sorted(rec.vector.bend for rec in self.spheres)
-
-
 def _closure(
     walls: Sequence[InversiveVector],
     generator_idx: Sequence[int],
@@ -175,11 +133,11 @@ def _closure(
     s2_max = max(s2, default=0)
     bound = encode((bend_bound,))
 
-    kept: dict[tuple[int, ...], tuple[int, int | None]] = {}
-    for i in seed_idx:
-        kept.setdefault(codes[i], (0, None))
-    frontier = np.array(list(kept), dtype=object)
+    seeds = list(dict.fromkeys(codes[i] for i in seed_idx))
+    kept = set(seeds)
+    frontier = int_array(seeds)
     made_by = np.full(len(frontier), -1)  # generator position per row; -1 for seeds
+    levels, makers = [frontier], [made_by]
     plane_count = 0
     capped = False
     length = 0
@@ -207,24 +165,28 @@ def _closure(
         # parents not yet expanded plus the next level so far
         nxt = []
         last = len(frontier) - 1
-        for r, (key, row, g) in enumerate(zip(map(tuple, children.tolist()), rows.tolist(), gens.tolist())):
+        for r, (key, row) in enumerate(zip(map(tuple, children.tolist()), rows.tolist())):
             if key in kept:
                 continue
-            kept[key] = (length + 1, generator_idx[g])
+            kept.add(key)
             nxt.append(r)
             if last - row + len(nxt) > frontier_cap:
                 raise FrontierOverflow(f"frontier exceeded {frontier_cap} spheres")
         plane_count += int(plane[nxt].sum())
         frontier, made_by = children[nxt], gens[nxt]
+        levels.append(frontier)
+        makers.append(made_by)
         length += 1
 
-    decode = _decoder(d)
-    spheres = []
-    for key in _sorted_codes(list(kept), d):
-        length, g = kept[key]
-        spheres.append(SphereRecord(InversiveVector.from_coords(decode(key)), length, g))
-    return Packing(
-        spheres=spheres,
+    codes = int_array(np.concatenate(levels))
+    order = _code_order(codes, d)
+    lengths = np.repeat(np.arange(len(levels)), [len(x) for x in levels])[order]
+    parents = np.array([*generator_idx, -1])[np.concatenate(makers)[order]]
+    return Packing.from_codes(
+        codes=codes[order],
+        d=d,
+        word_lengths=lengths.tolist(),
+        parents=[None if g < 0 else g for g in parents.tolist()],
         saturated=not capped,
         bend_bound=bend_bound,
         max_word=max_word,
@@ -264,47 +226,47 @@ def _bend_test(a: np.ndarray, b: np.ndarray, den: np.ndarray, d: int, bound) -> 
     return plane, plane | (quad_sign_array(a * bq - ba * den, b * bq - bb * den, d) <= 0)
 
 
-def _sorted_codes(codes: list[tuple[int, ...]], d: int) -> list[tuple[int, ...]]:
-    """The codes in (bend,) + coords order, compared exactly.
+def _code_order(codes: np.ndarray, d: int) -> np.ndarray:
+    """The permutation that puts the codes in (bend,) + coords order,
+    compared exactly.
 
-    One lexsort on float64 values proposes the order, and every adjacent
-    pair is confirmed by the exact compare; as that order is total, the
+    One lexsort on float64 values proposes the order, and _steps confirms
+    every adjacent pair on whole columns; as that order is total, the
     confirmed sequence is the sorted one.  Each value is taken from its own
     lowest-terms triple, so equal coordinates tie and the next one decides.
-    If a pair fails or a value does not fit a float, the codes are sorted by
+    If a pair fails or a value does not fit a float, the rows are sorted by
     the exact compare alone.
     """
     if len(codes) < 2:
-        return codes
-    n = len(codes[0]) - 1
+        return np.arange(len(codes))
+    n = codes.shape[1] - 1
     # bend at numerators 2, 3, then every coordinate
-    order = (2,) + tuple(range(0, n, 2))
-
-    def compare(x: tuple[int, ...], y: tuple[int, ...]) -> int:
-        xd, yd = x[n], y[n]
-        for j in order:
-            s = quad_sign(x[j] * yd - y[j] * xd, x[j + 1] * yd - y[j + 1] * xd, d)
-            if s:
-                return s
-        return 0
-
-    try:
-        c = np.array(codes, dtype=np.int64)
-    except OverflowError:
-        c = np.array(codes, dtype=object)
+    cols = (2,) + tuple(range(0, n, 2))
     # each coordinate's own lowest terms, so equal values give equal floats
-    a, b, den = c[:, 0:n:2], c[:, 1:n:2], c[:, n:]
+    a, b, den = codes[:, 0:n:2], codes[:, 1:n:2], codes[:, n:]
     g = np.gcd(np.gcd(a, b), den)
     try:
         a, b, den = ((x // g).astype(np.float64) for x in (a, b, den))
     except OverflowError:
-        return sorted(codes, key=cmp_to_key(compare))
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = (a + b * math.sqrt(d)) / den
-    proposed = [codes[i] for i in np.lexsort((*values.T[::-1], values[:, 1]))]
-    if all(compare(x, y) < 0 for x, y in zip(proposed, proposed[1:])):
-        return proposed
-    return sorted(codes, key=cmp_to_key(compare))
+        pass
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = (a + b * math.sqrt(d)) / den
+        order = np.lexsort((*values.T[::-1], values[:, 1]))
+        if (_steps(codes[order], cols, d) > 0).all():
+            return order
+    rows = codes.tolist()
+
+    def compare(i: int, j: int) -> int:
+        x, y = rows[i], rows[j]
+        xd, yd = x[n], y[n]
+        for c in cols:
+            s = quad_sign(x[c] * yd - y[c] * xd, x[c + 1] * yd - y[c + 1] * xd, d)
+            if s:
+                return s
+        return 0
+
+    return np.array(sorted(range(len(rows)), key=cmp_to_key(compare)))
 
 
 def generate_packing(
@@ -343,19 +305,3 @@ def generate_superpacking(
         max_word,
         frontier_cap,
     )
-
-
-@dataclass
-class IntegralityReport:
-    integral: bool
-    witnesses: list[SphereRecord] = field(default_factory=list)
-
-
-def certify_integral(packing: Packing) -> IntegralityReport:
-    witnesses = []
-    for rec in packing.spheres:
-        if not rec.vector.bend.is_rational_integer():
-            witnesses.append(rec)
-            if len(witnesses) >= _MAX_WITNESSES:
-                break
-    return IntegralityReport(integral=not witnesses, witnesses=witnesses)

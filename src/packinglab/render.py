@@ -2,6 +2,15 @@
 
 Coordinates are emitted with six decimals in sphere order, so identical
 packings always produce byte-identical documents.
+
+render_svg reads the packing's int codes and builds no QuadExt.  A circle's
+centre bz_j / bend and radius 1 / bend are exact ratios of code entries,
+(p + q sqrt(d)) (a - b sqrt(d)) / (a^2 - d b^2) for bz_j = p + q sqrt(d) and
+bend = a + b sqrt(d) over the code's den, and each goes to float through
+exactnum.triple_float, the conversion QuadExt.__float__ makes; as that
+float depends only on the value, the SVG is the one the QuadExt centre and
+radius give (tests/render_oracle.py).  A label is exactnum.triple_str of
+the bend, the text str(QuadExt) gives.
 """
 
 from __future__ import annotations
@@ -10,7 +19,8 @@ from dataclasses import dataclass
 from math import inf, isfinite
 
 from .errors import PackingLabError, ParameterError
-from .orbit import Packing
+from .exactnum import triple_float, triple_str
+from .packing import Packing
 
 
 class UnsupportedDimension(PackingLabError):
@@ -76,10 +86,12 @@ def render_svg(
 
     shapes: list[str] = []
     texts: list[str] = []
-    for vec in packing.vectors():
-        if vec.is_plane():
-            nx, ny = (float(c) for c in vec.bz)
-            offset = float(vec.cobend) / 2.0
+    d = packing.d
+    for row in packing.codes.tolist():
+        den, (ca, cb, ba, bb), bz = row[-1], row[:4], row[4:-1]
+        if not (ba or bb):  # a plane
+            nx, ny = (triple_float(a, b, den, d) for a, b in zip(bz[0::2], bz[1::2]))
+            offset = triple_float(ca, cb, den, d) / 2.0
             px, py = offset * nx, offset * ny
             reach = 4.0 * (vp.half_width + abs(px) + abs(py) + abs(cx0) + abs(cy0)) + 4.0
             a = to_px(px - reach * -ny, py - reach * nx)
@@ -91,8 +103,13 @@ def render_svg(
                     f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}"/>'
                 )
             continue
-        center = [float(c) for c in vec.center()]
-        r_px = abs(float(vec.radius())) * scale
+        # bz_j / bend = (p + q sqrt(d)) (ba - bb sqrt(d)) / (ba^2 - d bb^2) and
+        # 1 / bend = den (ba - bb sqrt(d)) / (ba^2 - d bb^2), as exact ratios
+        norm = ba * ba - d * bb * bb
+        center = [
+            triple_float(p * ba - d * q * bb, q * ba - p * bb, norm, d) for p, q in zip(bz[0::2], bz[1::2])
+        ]
+        r_px = abs(triple_float(den * ba, -den * bb, norm, d)) * scale
         if r_px < vp.min_radius_px:
             continue
         x_px, y_px = to_px(center[0], center[1])
@@ -100,7 +117,7 @@ def render_svg(
             continue
         shapes.append(f'<circle cx="{_fmt(x_px)}" cy="{_fmt(y_px)}" r="{_fmt(r_px)}"/>')
         if labels:
-            label = str(vec.bend)
+            label = triple_str(ba, bb, den, d)
             fs = max(4.0, min(0.9 * r_px, 1.8 * r_px / max(1, len(label))))
             texts.append(
                 f'<text x="{_fmt(x_px)}" y="{_fmt(y_px)}" font-size="{_fmt(fs)}" '

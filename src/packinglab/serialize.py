@@ -13,19 +13,25 @@ of the wrong type, a constructor's check) into FormatError("bad <kind>
 document: ...").  Each loader is a plain constructor call.
 
 The walls of a system and the spheres of a packing are most of a document,
-and one vector writer, _with_vectors, lays them out: only the small document
-head goes through json.dumps, and each vector is written directly, with one
-str() and one string encoding per distinct coordinate value.  The tests hold
-it byte for byte to the dict-plus-json.dumps layout it replaced
+and they travel as int codes (exactnum.encode): a packing holds its spheres
+that way, and a system's walls are encoded once.  One vector writer,
+_with_vectors, lays them out: only the small document head goes through
+json.dumps, and each vector is written directly from its code row, with one
+exactnum.triple_str and one string encoding per distinct (a, b, den).  The
+tests hold it byte for byte to the dict-plus-json.dumps layout it replaced
 (tests/serialize_oracle.py).
 
 Every vector of a system or packing document (one wall or sphere) is checked
-on load by _vectors, which parses each distinct literal of the document once:
-its cobend, bend and bz coordinates are string literals, there are exactly
-dim + 2 of them for the document's dim, they lie in one quadratic field,
-and Q(v) = -1 (InversiveVector.validate, run on every vector).  A failure
-is a FormatError that names the wall or sphere.  The other fields of a
-packing (its ints, its saturated flag, each sphere's word_length and
+on load by _vectors, which parses each distinct literal of the document once
+(QuadExt is built there, once per literal): its cobend, bend and bz
+coordinates are string literals, there are exactly dim + 2 of them for the
+document's dim, and they lie in one quadratic field, as do all the vectors
+of the document.  The literals' triples are encoded into one code array
+(exactnum.encode_rows), and Q(v) = -1 is decided for every vector at once by
+inversive.q_is_minus_one on its columns.  A failure is a FormatError that
+names the first wall or sphere that fails.  A system decodes its walls into
+InversiveVectors; a packing keeps the codes.  The other fields of a packing
+(its ints, its saturated flag, each sphere's word_length and
 parent_generator) are checked by the Packing constructor.
 """
 
@@ -36,12 +42,15 @@ from itertools import zip_longest
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
+import numpy as np
+
 from .coxeter import GramMatrix
 from .errors import PackingLabError
-from .exactnum import DiscMismatch, QuadExt
+from .exactnum import DiscMismatch, QuadExt, encode, encode_rows, field_disc, int_array, triple_str
 from .geometrize import DisjointFree, Exact, TargetSpec
-from .inversive import InversiveVector, inversive_product
-from .orbit import Packing, SphereRecord, WallSystem
+from .inversive import InversiveVector, decode_rows, inversive_product, q_is_minus_one
+from .orbit import WallSystem
+from .packing import Packing
 
 FORMAT = 1
 
@@ -59,52 +68,70 @@ _VECTOR = '    {\n      "bend": %s,\n      "bz": %s,\n      "cobend": %s%s\n    
 _SPHERE_TAIL = ',\n      "parent_generator": %s,\n      "word_length": %s'
 
 
-def _with_vectors(head: dict, key: str, vectors, tails=()) -> str:
-    """The text of head with head[key] the list of vectors; tails[i], if
-    given, is the text of vector i's keys that sort after "cobend"."""
+def _with_vectors(head: dict, key: str, codes: np.ndarray, d: int, tails=()) -> str:
+    """The text of head with head[key] the list of vectors whose int codes
+    in Q(sqrt(d)) are the rows of codes; tails[i], if given, is the text of
+    vector i's keys that sort after "cobend"."""
     text = _text({**head, key: []})
-    if not vectors:
+    if not len(codes):
         return text
-    literals: dict[QuadExt, str] = {}
-
-    def literal(x: QuadExt) -> str:
-        s = literals.get(x)
-        if s is None:
-            s = literals[x] = encode_basestring_ascii(str(x))
-        return s
-
-    items = []
-    for v, tail in zip_longest(vectors, tails, fillvalue=""):
-        bz = ",\n        ".join(map(literal, v.bz))
-        bz = f"[\n        {bz}\n      ]" if bz else "[]"
-        items.append(_VECTOR % (literal(v.bend), bz, literal(v.cobend), tail))
+    cols = codes.T.tolist()
+    den = cols.pop()
+    keys = [list(zip(a, b, den)) for a, b in zip(cols[0::2], cols[1::2])]  # (a, b, den) per coordinate
+    texts = {k: encode_basestring_ascii(triple_str(*k, d)) for k in set().union(*keys)}
+    cobend, bend, *bz = (list(map(texts.__getitem__, k)) for k in keys)
+    slots = ",\n        ".join(["%s"] * len(bz))
+    vector = _VECTOR % ("%s", f"[\n        {slots}\n      ]" if bz else "[]", "%s", "%s")
+    items = [vector % row for row in zip_longest(bend, *bz, cobend, tails, fillvalue="")]
     before, opening, after = text.partition(f'\n  "{key}": [')  # after starts with "]"
     return before + opening + "\n" + ",\n".join(items) + "\n  " + after
 
 
-def _vectors(objs, dim, what: str) -> list[InversiveVector]:
-    """The checked vectors of a document's wall or sphere objects."""
-    parsed: dict[str, QuadExt] = {}
-    out = []
+def _vectors(objs, dim, what: str) -> tuple[np.ndarray, int]:
+    """The int codes and field of a document's wall or sphere objects,
+    checked: each distinct literal is parsed once, and Q(v) = -1 is decided
+    for every vector at once, on the codes' columns."""
+    index: dict[str, int] = {}
+    values: list[QuadExt] = []
+    at = []
+    error = None
     for i, obj in enumerate(objs, start=1):
         try:
             bz = obj["bz"]
             if not isinstance(bz, list) or len(bz) != dim:
                 raise FormatError(f"{what} {i}: bz is not a list of dim = {dim!r} coordinates")
-            coords = []
+            row = []
             for s in (obj["cobend"], obj["bend"], *bz):
-                x = parsed.get(s) if type(s) is str else None
-                if x is None:
-                    x = parsed[s] = QuadExt.parse(s)  # a non-string raises TypeError
-                coords.append(x)
-            v = InversiveVector.from_coords(coords)
-            on_quadric = v.validate()
-        except (KeyError, TypeError, ValueError, DiscMismatch) as exc:
-            raise FormatError(f"{what} {i}: {type(exc).__name__}: {exc}") from exc
-        if not on_quadric:
-            raise FormatError(f"{what} {i}: Q(v) = {inversive_product(v, v)} != -1")
-        out.append(v)
-    return out
+                j = index.get(s) if type(s) is str else None
+                if j is None:
+                    values.append(QuadExt.parse(s))  # a non-string raises TypeError
+                    j = index[s] = len(values) - 1
+                row.append(j)
+        except (KeyError, TypeError, ValueError) as exc:
+            error = FormatError(f"{what} {i}: {type(exc).__name__}: {exc}")
+            break
+        at.append(row)
+    d = 0
+    if len({x.disc for x in values} - {0}) > 1:
+        # the first vector in two fields, or in another field than those before it
+        for i, row in enumerate(at, start=1):
+            try:
+                d = field_disc([values[j] for j in row] + ([QuadExt.sqrt(d)] if d else []))
+            except DiscMismatch as exc:
+                error = FormatError(f"{what} {i}: {type(exc).__name__}: {exc}")
+                del at[i - 1 :]
+                break
+    else:
+        d = field_disc(values)
+    at = np.array(at, dtype=np.intp).reshape(len(at), -1 if at else 0)
+    codes = encode_rows(values, at)
+    off = np.flatnonzero(~q_is_minus_one(codes.T, d)) if len(codes) else ()
+    if len(off):  # the first vector that fails is the one named
+        v = InversiveVector.from_coords(values[j] for j in at[off[0]])
+        raise FormatError(f"{what} {off[0] + 1}: Q(v) = {inversive_product(v, v)} != -1")
+    if error is not None:
+        raise error
+    return codes, d
 
 
 def system_text(system: WallSystem) -> str:
@@ -115,12 +142,13 @@ def system_text(system: WallSystem) -> str:
         "cluster": sorted(system.cluster_idx),
         "cocluster": sorted(system.cocluster_idx),
     }
-    return _with_vectors(head, "walls", system.walls)
+    codes = int_array([encode(w.coords()) for w in system.walls])
+    return _with_vectors(head, "walls", codes, field_disc(x for w in system.walls for x in w.coords()))
 
 
 def system_from_obj(doc: dict) -> WallSystem:
     return WallSystem(
-        walls=_vectors(doc["walls"], doc["dim"], "wall"),
+        walls=decode_rows(*_vectors(doc["walls"], doc["dim"], "wall")),
         cluster_idx=frozenset(doc["cluster"]),
         cocluster_idx=frozenset(doc["cocluster"]),
     )
@@ -172,24 +200,19 @@ def packing_text(packing: Packing) -> str:
         "generators": sorted(packing.generator_idx),
     }
     tails = [
-        _SPHERE_TAIL % ("null" if r.parent_generator is None else r.parent_generator, r.word_length)
-        for r in packing.spheres
+        _SPHERE_TAIL % ("null" if g is None else g, n)
+        for g, n in zip(packing.parents, packing.word_lengths)
     ]
-    return _with_vectors(head, "spheres", packing.vectors(), tails)
+    return _with_vectors(head, "spheres", packing.codes, packing.d, tails)
 
 
 def packing_from_obj(doc: dict) -> Packing:
-    vectors = _vectors(doc["spheres"], doc["dim"], "sphere")
-    spheres = [
-        SphereRecord(
-            vector=v,
-            word_length=o["word_length"],
-            parent_generator=o["parent_generator"],
-        )
-        for v, o in zip(vectors, doc["spheres"])
-    ]
-    return Packing(
-        spheres=spheres,
+    codes, d = _vectors(doc["spheres"], doc["dim"], "sphere")
+    return Packing.from_codes(
+        codes=codes,
+        d=d,
+        word_lengths=[o["word_length"] for o in doc["spheres"]],
+        parents=[o["parent_generator"] for o in doc["spheres"]],
         saturated=doc["saturated"],
         bend_bound=QuadExt.parse(doc["bend_bound"]),
         max_word=doc["max_word"],

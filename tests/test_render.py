@@ -2,10 +2,11 @@
 
 import pytest
 
+import render_oracle
 from packinglab.exactnum import QuadExt
-from packinglab.fixtures import apollonian_system
+from packinglab.fixtures import apollonian_system, hexpyr_system
 from packinglab.inversive import plane_from_normal_offset, sphere_from_center_radius
-from packinglab.orbit import Packing, WallSystem, generate_packing
+from packinglab.orbit import Packing, WallSystem, generate_packing, generate_superpacking
 from packinglab.render import UnsupportedDimension, Viewport, render_svg
 
 GASKET15 = generate_packing(apollonian_system(), QuadExt(15), max_word=64)
@@ -91,3 +92,35 @@ def test_non_planar_packing_rejected():
                 generator_idx=(), dim=3)
     with pytest.raises(UnsupportedDimension):
         render_svg(p)
+
+
+def _strip_system():
+    """The Apollonian system inverted in the unit circle about (1, 0), the
+    tangency point of two cluster circles: those two become parallel lines."""
+    sysm = apollonian_system()
+    inv = sphere_from_center_radius((1, 0), 1)
+    return WallSystem([w.reflect(inv) for w in sysm.walls], sysm.cluster_idx, sysm.cocluster_idx)
+
+
+_ORACLE_PACKINGS = {
+    **{f"apollonian-{b}": (lambda b=b: generate_packing(apollonian_system(), QuadExt(b), max_word=600))
+       for b in (1, 15, 100, 500)},
+    "hexpyr-packing": lambda: generate_packing(hexpyr_system(), QuadExt(60), max_word=400),
+    "hexpyr-super": lambda: generate_superpacking(hexpyr_system(), QuadExt(30), max_word=3),
+    "strip-with-planes": lambda: generate_packing(_strip_system(), QuadExt(40), max_word=20),
+}
+_ORACLE_VIEWPORTS = [
+    Viewport(),
+    Viewport(center=(0.3, -0.2), half_width=0.7, size_px=500, min_radius_px=1.5),
+    Viewport(center=(1.0, 0.5), half_width=3.0, size_px=320, min_radius_px=0.0),
+]
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_PACKINGS))
+def test_render_matches_the_float_oracle(name):
+    p = _ORACLE_PACKINGS[name]()
+    for vp in _ORACLE_VIEWPORTS:
+        for labels in (False, True):
+            assert render_svg(p, vp, labels=labels) == render_oracle.render_svg(p, vp, labels=labels)
+    if name == "strip-with-planes":
+        assert "<line" in render_svg(p, _ORACLE_VIEWPORTS[2])

@@ -111,10 +111,11 @@ def test_dumps_matches_oracle_layout(name):
 )
 def test_packing_refuses_record_fields_dumps_cannot_write(word_length, parent, message):
     p = generate_packing(apollonian_system(), QuadExt(3), max_word=64)
-    assert len(p.spheres) == 5
-    p.spheres[-1] = SphereRecord(p.spheres[-1].vector, word_length, parent)
+    spheres = p.spheres
+    assert len(spheres) == 5
+    spheres[-1] = SphereRecord(spheres[-1].vector, word_length, parent)
     with pytest.raises(ParameterError, match=message):
-        Packing(**vars(p))
+        Packing(spheres, p.saturated, p.bend_bound, p.max_word, p.generator_idx, p.dim, p.boundary_walls)
 
 
 def test_target_round_trip_with_hint():

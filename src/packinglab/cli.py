@@ -154,7 +154,11 @@ def cmd_lg_scan(args) -> int:
     refls = [reflection_matrix(w) for w in system.cocluster_walls()]
     gens = [bends_conjugate(r, cluster) for r in refls]
     packing = generate_packing(system, bound, max_word=args.max_word)
-    bends = [b for b in packing.bends_list() if b.sign() > 0]
+    if certify_integral(packing).integral:
+        whole = packing.codes[:, 2] // packing.codes[:, -1]
+        bends = whole[whole > 0].tolist()
+    else:  # missing_bends names the first positive bend that is not an integer
+        bends = [b for b in packing.bends_list() if b.sign() > 0]
     orbit = residue_orbit(gens, bends_vector(cluster), args.modulus)
     # an unsaturated packing may lack bends under the bound, so none are called missing
     missing = missing_bends(bends, orbit, bound=args.scan_bound) if packing.saturated else None

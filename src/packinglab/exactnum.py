@@ -446,8 +446,8 @@ def encode_rows(values, at: np.ndarray) -> np.ndarray:
 
     The rows are computed in int64 when a bound proves that nothing
     overflows (den <= q_max**w, and each numerator is at most
-    max(|a|, |b|) * den), else on Python ints; either way they come back as
-    int_array gives them.
+    max(|a|, |b|) * den), else on Python ints; either way they come back
+    int64 when every entry fits.
     """
     m, w = at.shape
     if not m:
@@ -455,7 +455,7 @@ def encode_rows(values, at: np.ndarray) -> np.ndarray:
     trip = [x.triple for x in values]
     q_max = max((t[2] for t in trip), default=1)
     top = max((max(abs(t[0]), abs(t[1]), 1) for t in trip), default=1)
-    dtype = np.int64 if top * q_max**w < 2**63 else object
+    dtype = dtype_under(top * q_max**w)
     t = np.array(trip, dtype=dtype).reshape(-1, 3)[at]
     den = np.lcm.reduce(t[..., 2], axis=1)
     f = den[:, None] // t[..., 2]
@@ -463,7 +463,19 @@ def encode_rows(values, at: np.ndarray) -> np.ndarray:
     out[:, 0:-1:2] = t[..., 0] * f
     out[:, 1:-1:2] = t[..., 1] * f
     out[:, -1] = den
-    return out if dtype is np.int64 else int_array(out)
+    return out.astype(dtype_under(max_abs(out)), copy=False)
+
+
+def dtype_under(bound: int) -> type:
+    """The dtype for ints proved to stay within bound in absolute value:
+    np.int64 when bound < 2**63, else object, on Python ints.  Every array
+    computation that may run in int64 takes its dtype from here."""
+    return np.int64 if bound < 2**63 else object
+
+
+def max_abs(arr: np.ndarray) -> int:
+    """The largest |entry| of an int array, 0 for an empty one."""
+    return max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
 
 
 def int_array(rows) -> np.ndarray:

@@ -36,7 +36,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import PackingLabError
-from .exactnum import ONE, ZERO, QuadExt, _field, encode, field_disc, from_triple
+from .exactnum import ONE, ZERO, QuadExt, _field, dtype_under, encode, field_disc, from_triple, max_abs
 from .linalg import IntMatrix, Matrix, as_quad
 
 _HALF = ONE / 2
@@ -156,10 +156,8 @@ def q_is_minus_one(code, d: int):
     value for k coordinates with entries up to M, and int64 columns over
     that bound are checked on Python ints.
     """
-    if isinstance(code, np.ndarray) and code.dtype != object:
-        m = max(int(code.max(initial=0)), -int(code.min(initial=0)))
-        if 4 * (1 + d) * (len(code) // 2) * m * m >= 2**63:
-            code = code.astype(object)
+    if isinstance(code, np.ndarray):
+        code = code.astype(dtype_under(4 * (1 + d) * (len(code) // 2) * max_abs(code) ** 2), copy=False)
     den = code[-1]
     na, nb = _product_numerator(code, code, d)
     return (na == -2 * den * den) & (nb == 0)

@@ -131,69 +131,47 @@ class IntMatrix:
         After column c every row other than the pivot row is updated to
         (p_c * x - f * y) / p_{c-1}, p_c the pivot and p_{-1} = 1; the
         division is exact in Z[sqrt(d)], as each entry is a minor of [N | I].
-        A row with f = 0 would only be scaled by p_c / p_{c-1}, so it is left
-        as it is, with a pending factor: row r holds its entries times
-        p_{s_r - 1} / p_{c-1} after column c - 1, and its next update divides
-        by p_{s_r - 1} instead.  At the end the left block is p * I for the
-        last pivot p, so the inverse is den * R / p = den * R * conj(p) /
-        norm(p) for the right block R.
+        A row with f = 0 takes the short form p_c * x / p_{c-1}.  At the end
+        the left block is p * I for the last pivot p, so the inverse is
+        den * R / p = den * R * conj(p) / norm(p) for the right block R.
         """
         k, d = len(self.rows), self.d
         ra = [list(row[0::2]) + [int(i == j) for j in range(k)] for i, row in enumerate(self.rows)]
         rb = [list(row[1::2]) + [0] * k for row in self.rows]
-        pivots = [(1, 0, 1)]  # p_{-1} = 1, p_0, p_1, ... as (a, b, norm)
-        since = [0] * k  # s_r: the row is divided through pivots[s_r]
+        pa, pb, norm = 1, 0, 1  # the previous pivot and its norm
         for c in range(k):
             piv = next((r for r in range(c, k) if ra[r][c] or rb[r][c]), None)
             if piv is None:
                 raise SingularMatrix(f"no pivot in column {c}")
             ra[c], ra[piv], rb[c], rb[piv] = ra[piv], ra[c], rb[piv], rb[c]
-            since[c], since[piv] = since[piv], since[c]
-            if since[c] != c:
-                ra[c][c:], rb[c][c:] = _scale(ra[c][c:], rb[c][c:], pivots[c], pivots[since[c]], d)
-            since[c] = c + 1  # the pivot row is not updated at its own column
             ka, kb = ra[c][c], rb[c][c]
             ya, yb = ra[c][c + 1 :], rb[c][c + 1 :]
             for r in range(k):
-                fa, fb = ra[r][c], rb[r][c]
-                if r == c or not (fa or fb):
+                if r == c:
                     continue
+                fa, fb = ra[r][c], rb[r][c]
                 xa, xb = ra[r][c + 1 :], rb[r][c + 1 :]
-                pa, pb, norm = pivots[since[r]]
                 if d:  # x / p = x * conj(p) / norm(p)
-                    na = [ka * x + d * (kb * y - fb * v) - fa * u for x, y, u, v in zip(xa, xb, ya, yb)]
-                    nb = [ka * y + kb * x - fa * v - fb * u for x, y, u, v in zip(xa, xb, ya, yb)]
+                    if fa or fb:
+                        na = [ka * x + d * (kb * y - fb * v) - fa * u for x, y, u, v in zip(xa, xb, ya, yb)]
+                        nb = [ka * y + kb * x - fa * v - fb * u for x, y, u, v in zip(xa, xb, ya, yb)]
+                    else:
+                        na = [ka * x + d * kb * y for x, y in zip(xa, xb)]
+                        nb = [ka * y + kb * x for x, y in zip(xa, xb)]
                     ra[r][c + 1 :] = [(a * pa - d * b * pb) // norm for a, b in zip(na, nb)]
                     rb[r][c + 1 :] = [(b * pa - a * pb) // norm for a, b in zip(na, nb)]
-                else:
+                elif fa:
                     ra[r][c + 1 :] = [(ka * x - fa * u) // pa for x, u in zip(xa, ya)]
-                since[r] = c + 1
-            pivots.append((ka, kb, ka * ka - d * kb * kb))
-        for r in range(k):
-            if since[r] != k:
-                ra[r][k:], rb[r][k:] = _scale(ra[r][k:], rb[r][k:], pivots[k], pivots[since[r]], d)
-        pa, pb, norm = pivots[k]
+                else:
+                    ra[r][c + 1 :] = [ka * x // pa for x in xa]
+            pa, pb = ka, kb
+            norm = pa * pa - d * pb * pb
         den = self.den
         rows = [
             [z for a, b in zip(xa[k:], xb[k:]) for z in ((a * pa - d * b * pb) * den, (b * pa - a * pb) * den)]
             for xa, xb in zip(ra, rb)
         ]
         return IntMatrix(rows, norm, d)
-
-
-def _scale(xa: list[int], xb: list[int], p, q, d: int) -> tuple[list[int], list[int]]:
-    """x * p / q for a row x = xa + xb sqrt(d) and pivots p, q given as
-    (a, b, norm); the division is exact where inverse calls it."""
-    pa, pb, _ = p
-    qa, qb, norm = q
-    if not d:
-        return [x * pa // qa for x in xa], xb
-    na = [a * pa + d * b * pb for a, b in zip(xa, xb)]
-    nb = [a * pb + b * pa for a, b in zip(xa, xb)]
-    return (
-        [(a * qa - d * b * qb) // norm for a, b in zip(na, nb)],
-        [(b * qa - a * qb) // norm for a, b in zip(na, nb)],
-    )
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

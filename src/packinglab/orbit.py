@@ -55,7 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PackingLabError, ParameterError
-from .exactnum import QuadExt, int_array, quad_sign, quad_sign_array
+from .exactnum import QuadExt, dtype_under, int_array, max_abs, quad_sign, quad_sign_array
 from .inversive import InversiveVector, encode, field_disc
 from .linalg import as_quad
 # the packing type and its certificate are part of this module's API
@@ -145,7 +145,7 @@ def _closure(
         if length >= max_word:
             capped = True
             break
-        dtype = _level_dtype(int(np.abs(frontier).max()), gen_max, s2_max, n // 2, d, bound)
+        dtype = _level_dtype(max_abs(frontier), gen_max, s2_max, n // 2, d, bound)
         if dtype not in tables:
             tables[dtype] = tuple(x.astype(dtype) for x in tables[object])
         twice_qs, s_pa, s_pb, s2 = tables[dtype]
@@ -213,7 +213,7 @@ def _level_dtype(frontier_max: int, gen_max: int, s2_max: int, pairs: int, d: in
     c = m * s2_max + w * (pa + max(d, 1) * pb)
     ba, bb, bq = bound
     e = c * (bq + max(abs(ba), abs(bb)))
-    return np.int64 if (d * e * e if d else e) < 2**63 else object
+    return dtype_under(d * e * e if d else e)
 
 
 def _bend_test(a: np.ndarray, b: np.ndarray, den: np.ndarray, d: int, bound) -> tuple[np.ndarray, np.ndarray]:

@@ -6,7 +6,8 @@ fits, dtype=object otherwise, with the word lengths and parent generators
 beside it.  certify_integral, Packing.bends_list, serialize and render read
 the array; QuadExt values are built only for what they hand back (the
 witnesses, the bends) and for Packing.spheres, which decodes every row into
-a SphereRecord on its first read.
+a SphereRecord on each read.  The array is read-only and nothing decoded is
+kept beside it, so the codes are the one source of every answer.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .exactnum import QuadExt, encode, field_disc, from_triple, int_array, quad_sign_array
+from .exactnum import QuadExt, dtype_under, encode, field_disc, from_triple, int_array, max_abs, quad_sign_array
 from .inversive import InversiveVector, decode_rows
 
 _MAX_WITNESSES = 10  # non-integral spheres certify_integral reports
@@ -41,8 +42,9 @@ class Packing:
     Packing(spheres, ...) builds one from SphereRecords, in their order;
     Packing.from_codes takes the rows, as the orbit closure and the packing
     loader do.  Either way every field that dumps writes verbatim is
-    checked.  spheres decodes the rows into SphereRecords on its first read;
-    the other methods read the codes and decode only what they return.
+    checked.  spheres decodes the rows into a tuple of SphereRecords on
+    each read; the other methods read the codes and decode only what they
+    return.
     """
 
     def __init__(
@@ -64,7 +66,6 @@ class Packing:
             [rec.word_length for rec in spheres], [rec.parent_generator for rec in spheres],
             saturated, bend_bound, max_word, generator_idx, dim, boundary_walls,
         )
-        self._spheres = list(spheres)
 
     @classmethod
     def from_codes(cls, codes, d, word_lengths, parents, saturated, bend_bound, max_word,
@@ -99,6 +100,7 @@ class Packing:
             codes = np.zeros((0, 2 * dim + 5), dtype=np.int64)
         elif codes.shape[1] != 2 * dim + 5:
             raise ParameterError(f"spheres must have dim + 2 = {dim + 2} coordinates")
+        codes.flags.writeable = False
         self.codes = codes
         self.d = d if codes[:, 1:-1:2].any() else 0
         self.word_lengths = word_lengths
@@ -109,22 +111,16 @@ class Packing:
         self.generator_idx = generator_idx
         self.dim = dim
         self.boundary_walls = boundary_walls
-        self._spheres = None
 
     @property
-    def spheres(self) -> list[SphereRecord]:
-        """The kept spheres, decoded on the first read and held from then on:
-        one list, a view for the API.  Editing it edits only the view; every
-        other method reads the codes."""
-        if self._spheres is None:
-            vectors = decode_rows(self.codes, self.d)
-            self._spheres = list(map(SphereRecord, vectors, self.word_lengths, self.parents))
-        return self._spheres
+    def spheres(self) -> tuple[SphereRecord, ...]:
+        """The kept spheres, decoded from the codes on each read: hold the
+        tuple rather than read it again, or take one sphere with record."""
+        vectors = decode_rows(self.codes, self.d)
+        return tuple(map(SphereRecord, vectors, self.word_lengths, self.parents))
 
     def record(self, i: int) -> SphereRecord:
-        """Sphere i, decoded alone unless spheres has been read."""
-        if self._spheres is not None:
-            return self._spheres[i]
+        """Sphere i, decoded from its code alone."""
         vector = decode_rows(self.codes[[i]], self.d)[0]
         return SphereRecord(vector, self.word_lengths[i], self.parents[i])
 
@@ -170,10 +166,8 @@ def _steps(codes: np.ndarray, cols: Sequence[int], d: int) -> np.ndarray:
     to M, and quad_sign_array squares them when d > 0; int64 rows over that
     bound are compared on Python ints.
     """
-    if codes.dtype != object:
-        m = max(int(codes.max(initial=0)), -int(codes.min(initial=0)))
-        if (4 * (1 + d) * m**4 if d else 2 * m * m) >= 2**63:
-            codes = codes.astype(object)
+    m = max_abs(codes)
+    codes = codes.astype(dtype_under(4 * (1 + d) * m**4 if d else 2 * m * m), copy=False)
     x, y = codes[:-1], codes[1:]
     xd, yd = x[:, -1], y[:, -1]
     out = np.zeros(len(x), dtype=np.int8)

@@ -111,7 +111,7 @@ def test_dumps_matches_oracle_layout(name):
 )
 def test_packing_refuses_record_fields_dumps_cannot_write(word_length, parent, message):
     p = generate_packing(apollonian_system(), QuadExt(3), max_word=64)
-    spheres = p.spheres
+    spheres = list(p.spheres)
     assert len(spheres) == 5
     spheres[-1] = SphereRecord(spheres[-1].vector, word_length, parent)
     with pytest.raises(ParameterError, match=message):

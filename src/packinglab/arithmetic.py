@@ -1,4 +1,10 @@
-"""Gram matrices, dual forms and the cyclic-product arithmeticity test."""
+"""Gram matrices, dual forms and the cyclic-product arithmeticity test.
+
+vinberg_test decides Vinberg's criterion, that every cyclic product of 2G
+is a rational integer, up to a cycle length: once the 2-cycles pass, a
+cycle fails exactly when it has an odd number of surd edges, so a search on
+(wall, surd parity) replaces the enumeration of every cycle.
+"""
 
 from __future__ import annotations
 
@@ -93,22 +99,33 @@ class VinbergVerdict:
 
 
 def vinberg_test(gram: GramMatrix, max_len: int = 8) -> VinbergVerdict:
-    """Scan cyclic products of 2*Gram for a non-integer value.
+    """Decide whether every cyclic product of 2*Gram through at most max_len
+    walls is a rational integer, and name the first one that is not.
 
-    Cycles run over distinct indices, length 2 through max_len, deduplicated
-    by rotation and reflection.  They are scanned by length, then by vertex
-    set in lexicographic order, then by the order of the cycle through that
-    set, and the first violation is the reported witness: (0,1,3,2) comes
-    before (0,1,2,4).  A pass is only a semi-decision up to max_len.
+    Cycles run over distinct indices, deduplicated by rotation and
+    reflection, in the order of the full scan: by length, then by vertex set
+    in lexicographic order, then by the order of the cycle through that set
+    (_cycles).  The first violation in that order is the reported witness:
+    (0,1,3,2) comes before (0,1,2,4).
 
-    The entries must lie in one field Q(sqrt(d)) (DiscMismatch before the
-    scan otherwise), and the doubled entries are int triples.  Each vertex
-    set is walked depth-first (_cycles) in the order itertools.permutations
-    gives its other vertices: a prefix's product is shared by every cycle
-    that extends it, and a zero edge prunes them all.  A set of three or more
-    vertices is skipped, with no walk, when one of its vertices has fewer
-    than two nonzero edges inside it.  Only the witness's product becomes a
-    QuadExt.
+    The entries must lie in one field Q(sqrt(d)) (DiscMismatch otherwise)
+    and the matrix must be symmetric (ParameterError naming the first
+    asymmetric pair otherwise).  The doubled entries are int triples, and
+    the decision takes two steps on them:
+
+    1. The 2-cycles are scanned; a violation there is the witness.
+    2. Once every (2g)^2 is an integer, each nonzero 2g is an integer or an
+       integer times sqrt(d): a rational whose square is an integer is an
+       integer, r^2*d in Z forces r in Z for square-free d, and a + b*sqrt(d)
+       with a*b != 0 has an irrational square.  A cycle's product is then a
+       nonzero integer times sqrt(d)^s, s its number of surd edges, and it
+       fails exactly when s is odd.  _odd_surd_length finds the length L of
+       the shortest such cycle; no shorter cycle fails, so only the vertex
+       sets of length L are scanned for the witness, and none when L is
+       above max_len or no such cycle exists.
+
+    The verdict is the one the full scan of every length up to max_len
+    gives; only the witness's product becomes a QuadExt.
     """
     if type(max_len) is not int:
         raise ParameterError(f"max_len must be an int, not {type(max_len).__name__}")
@@ -116,22 +133,70 @@ def vinberg_test(gram: GramMatrix, max_len: int = 8) -> VinbergVerdict:
         raise ParameterError("max_len must be at least 2")
     d = field_disc([x for row in gram.entries for x in row])
     edges = [[(x * 2).triple if x else None for x in row] for row in gram.entries]
-    loose = []
-    for length in range(2, max_len + 1):
-        if length == 3:
-            # bit u of near[v]: a nonzero edge v-u; only a vertex with a zero
-            # edge can have fewer than two edges inside a set of three or more
-            near = [sum(1 << u for u, e in enumerate(row) if e is not None and u != v) for v, row in enumerate(edges)]
-            loose = [v for v in range(gram.size) if near[v] | 1 << v != (1 << gram.size) - 1]
-        for subset in combinations(range(gram.size), length):
-            if loose:
-                inside = sum(1 << v for v in subset)
-                if any((near[v] & inside).bit_count() < 2 for v in loose if inside >> v & 1):
-                    continue  # a cycle through every vertex needs two edges at each
-            for cycle, (a, b, q) in _cycles(edges, d, subset):
-                if b or a % q:
-                    return VinbergVerdict(max_len, cycle, from_triple(a, b, q, d))
-    return VinbergVerdict(max_len)
+    for i, j in combinations(range(gram.size), 2):
+        if edges[i][j] != edges[j][i]:
+            raise ParameterError(f"the Gram matrix is asymmetric at ({i},{j})")
+    witness = _first_violation(edges, d, 2)
+    if witness is None:
+        length = _odd_surd_length(edges, max_len)
+        witness = length and _first_violation(edges, d, length)
+    return VinbergVerdict(max_len, *witness) if witness else VinbergVerdict(max_len)
+
+
+def _first_violation(edges, d: int, length: int):
+    """The first cycle through length vertices, in the scan order, whose
+    product is not a rational integer, with that product; or None."""
+    for subset in combinations(range(len(edges)), length):
+        for cycle, (a, b, q) in _cycles(edges, d, subset):
+            if b or a % q:
+                return cycle, from_triple(a, b, q, d)
+    return None
+
+
+def _odd_surd_length(edges, max_len: int) -> int | None:
+    """The length of the shortest cycle with an odd number of surd edges
+    (nonzero surd part), or None when it is longer than max_len or there is
+    none.
+
+    A breadth-first search on the parity cover, whose states are (vertex,
+    surd edges walked mod 2), with each parity's states a bit mask.  From a
+    vertex s it finds the shortest closed walk with an odd count; that walk
+    is a cycle, because splitting it at a repeated vertex leaves a shorter
+    odd closed walk (a 2-walk u-v-u is even).  Every such cycle has a
+    vertex on a surd edge, so only those are searched from.  A search that
+    runs out of states without reaching (s, odd) has 2-coloured the
+    component of s with the surd edges as its cut: no cycle through it is
+    odd, and its other vertices are not searched from.
+    """
+    plain = [sum(1 << v for v, e in enumerate(row) if e and not e[1] and v != u) for u, row in enumerate(edges)]
+    surd = [sum(1 << v for v, e in enumerate(row) if e and e[1] and v != u) for u, row in enumerate(edges)]
+    limit, balanced = max_len + 1, 0
+    for s in range(len(edges)):
+        if not surd[s] or balanced >> s & 1:
+            continue
+        seen = front = (1 << s, 0)
+        for length in range(1, limit):
+            even = _spread(front[0], plain) | _spread(front[1], surd)
+            odd = _spread(front[1], plain) | _spread(front[0], surd)
+            if odd >> s & 1:
+                limit = length
+                break
+            front = (even & ~seen[0], odd & ~seen[1])
+            seen = (seen[0] | even, seen[1] | odd)
+            if not front[0] | front[1]:
+                balanced |= seen[0] | seen[1]
+                break
+    return limit if limit <= max_len else None
+
+
+def _spread(front: int, masks: list[int]) -> int:
+    """The union of masks[v] over the bits v of front."""
+    out = 0
+    while front:
+        low = front & -front
+        out |= masks[low.bit_length() - 1]
+        front ^= low
+    return out
 
 
 def _cycles(edges, d: int, subset: tuple[int, ...]):

@@ -173,6 +173,9 @@ def gram_from_obj(doc: dict) -> GramMatrix:
         for row in entries
     ):
         raise FormatError("bad gram document: 'entries' must be a square list of lists of strings")
+    size = doc.get("size")
+    if type(size) is not int or size != k:
+        raise FormatError(f"bad gram document: 'size' is {size!r}, but 'entries' has {k} rows")
     rows = [[QuadExt.parse(s) for s in row] for row in entries]
     discs = sorted({x.disc for row in rows for x in row} - {0})
     if len(discs) > 1:
@@ -180,10 +183,15 @@ def gram_from_obj(doc: dict) -> GramMatrix:
             "bad gram document: entries need more than one quadratic field: "
             + ", ".join(f"sqrt({d})" for d in discs)
         )
-    placeholders = frozenset((i, j) for i, j in doc.get("placeholders", []))
-    for i, j in placeholders:
-        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < k and 0 <= j < k):
-            raise FormatError(f"placeholder pair [{i}, {j}] out of range for {k} walls")
+    placeholders = doc.get("placeholders", [])
+    for pair in placeholders:
+        if not (
+            isinstance(pair, list) and len(pair) == 2 and pair[0] != pair[1]
+            and all(type(i) is int and 0 <= i < k for i in pair)
+        ):
+            raise FormatError(
+                f"bad gram document: placeholder pair {pair!r} is not two distinct wall indices below {k}"
+            )
     return GramMatrix.from_rows(rows, placeholders=placeholders,
                                 signature_hint=doc.get("signature_hint"))
 

@@ -448,6 +448,33 @@ def test_bad_gram_file_is_clean_error(capsys, hexpyr_gram_path, edit):
     assert json.loads(err)["error"] == "FormatError"
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.update(size=3), "'size' is 3, but 'entries' has 14 rows"),
+        (lambda doc: doc.update(size="14"), "'size' is '14', but 'entries' has 14 rows"),
+        (lambda doc: doc.pop("size"), "'size' is None, but 'entries' has 14 rows"),
+        (lambda doc: doc.update(placeholders=[[True, 2]]),
+         "placeholder pair [True, 2] is not two distinct wall indices below 14"),
+        (lambda doc: doc.update(placeholders=[[3, 3]]),
+         "placeholder pair [3, 3] is not two distinct wall indices below 14"),
+        (lambda doc: doc.update(placeholders=[["0", 1]]),
+         "placeholder pair ['0', 1] is not two distinct wall indices below 14"),
+        (lambda doc: doc.update(placeholders=[[0, 1, 2]]),
+         "placeholder pair [0, 1, 2] is not two distinct wall indices below 14"),
+    ],
+    ids=["size-three", "size-string", "size-missing", "placeholder-bool", "placeholder-diagonal",
+         "placeholder-string", "placeholder-triple"],
+)
+def test_bad_gram_header_names_the_fault(capsys, hexpyr_gram_path, edit, message):
+    doc = json.loads(hexpyr_gram_path.read_text())
+    edit(doc)
+    hexpyr_gram_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "arith", str(hexpyr_gram_path))
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert json.loads(err) == {"error": "FormatError", "message": f"bad gram document: {message}"}
+
+
 @pytest.mark.parametrize("argv", [["arith", "--max-len", "2"], ["decompose"]], ids=["arith", "decompose"])
 def test_gram_in_two_fields_is_clean_error(capsys, tmp_path, argv):
     # sqrt(2) at (1,2) and sqrt(3) at (2,3): one Gram matrix needs one field

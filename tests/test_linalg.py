@@ -1,7 +1,7 @@
 """The int matrix kernels against their QuadExt oracle.
 
 linalg (IntMatrix products and the Bareiss inverse), the inversive products
-and reflections on the int code, arithmetic.gram_matrix and the depth-first
+and reflections on the int code, arithmetic.gram_matrix and
 vinberg_test must give what tests/quadext_linalg_oracle.py gives: equal
 values, the same exception class and message, the same printed verdict.
 """
@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadext_linalg_oracle as oracle
+from packinglab import arithmetic
 from packinglab.arithmetic import _cycles, bends_conjugate, dual_form, gram_matrix, vinberg_test
 from packinglab.coxeter import GramMatrix
 from packinglab.errors import ParameterError
@@ -27,6 +28,7 @@ from packinglab.inversive import (
     sphere_from_center_radius,
 )
 from packinglab.linalg import IntMatrix, SingularMatrix, inverse, mat_mul, vec_mat
+from soddy import soddy_gram
 
 FIELDS = [0, 2, 3, 5]
 
@@ -324,3 +326,113 @@ def test_vinberg_refuses_two_fields_before_the_scan():
     rows[0][2] = rows[2][0] = QuadExt(0)
     with pytest.raises(DiscMismatch, match=r"sqrt\(2\) vs sqrt\(3\)"):
         vinberg_test(GramMatrix.from_rows(rows), 2)
+
+
+def test_vinberg_refuses_an_asymmetric_gram():
+    entries = [list(row) for row in hexpyr_expected_gram().entries]
+    entries[9][4] = QuadExt(100)
+    entries[5][2] = QuadExt(100)
+    with pytest.raises(ParameterError, match=r"^the Gram matrix is asymmetric at \(2,5\)$"):
+        vinberg_test(GramMatrix(tuple(map(tuple, entries))))
+
+
+# -- the decision: 2-cycles, then the shortest cycle with an odd surd count ----------
+
+HALVES = [Fraction(n, 2) for n in (-3, -2, -1, 1, 2, 3)]
+
+
+def balanced_rows(draw, d: int, k: int):
+    """Gram rows whose surd edges form a cut: each wall gets a side, and a
+    nonzero edge is in Z*sqrt(d)/2 exactly when it joins the two sides, in
+    Z/2 otherwise.  Every cycle crosses the cut an even number of times, so
+    every cyclic product of 2G is an integer."""
+    side = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    density = draw(st.integers(1, 4))
+    rows = [[QuadExt(-1)] * k for _ in range(k)]
+    for i, j in combinations(range(k), 2):
+        x = draw(st.sampled_from(HALVES)) if draw(st.integers(0, 4)) < density else 0
+        rows[i][j] = rows[j][i] = QuadExt(0, x, d) if side[i] != side[j] else QuadExt(x)
+    return rows
+
+
+@st.composite
+def balanced_grams(draw):
+    d = draw(st.sampled_from([2, 3, 5, 6, 7]))
+    rows = balanced_rows(draw, d, draw(st.integers(1, 12)))
+    return GramMatrix.from_rows(rows), draw(st.integers(2, 12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(balanced_grams())
+def test_balanced_surd_cut_passes_at_every_length(case):
+    gram, max_len = case
+    assert str(vinberg_test(gram, max_len)) == f"PassesUpTo({max_len})"
+    if gram.size <= 8:
+        assert str(vinberg_test(gram, 5)) == str(oracle.vinberg_test(gram, 5))
+
+
+@st.composite
+def long_odd_grams(draw):
+    """A balanced Gram on k walls with a cycle of `length` hung on wall 0
+    through new walls k, k+1, ..., whose number of surd edges is odd.  The
+    new walls lie on no other cycle, so that cycle is the shortest one that
+    fails, and max_len stays below its length."""
+    d = draw(st.sampled_from([2, 3, 5, 6, 7]))
+    k, length = draw(st.integers(1, 6)), draw(st.integers(3, 9))
+    rows = balanced_rows(draw, d, k)
+    n = k + length - 1
+    rows = [row + [QuadExt(0)] * (n - k) for row in rows]
+    rows += [[QuadExt(0)] * n for _ in range(n - k)]
+    for i in range(k, n):
+        rows[i][i] = QuadExt(-1)
+    surd = draw(st.lists(st.booleans(), min_size=length, max_size=length))
+    surd[-1] ^= sum(surd) % 2 == 0  # an odd count
+    cycle = [0] + list(range(k, n))
+    for (i, j), s in zip(zip(cycle, cycle[1:] + cycle[:1]), surd):
+        x = draw(st.sampled_from(HALVES))
+        rows[i][j] = rows[j][i] = QuadExt(0, x, d) if s else QuadExt(x)
+    return GramMatrix.from_rows(rows), length, draw(st.integers(2, length - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(long_odd_grams())
+def test_odd_surd_cycle_longer_than_max_len_passes(case):
+    gram, length, max_len = case
+    assert str(vinberg_test(gram, max_len)) == f"PassesUpTo({max_len})"
+    verdict = vinberg_test(gram, length)
+    assert len(verdict.witness_cycle) == length and verdict.product.surd
+
+
+def complete_balanced_gram(k: int, flip=()):
+    """Every pair of k walls joined; an edge is 1/2*sqrt(2) across the sides
+    i % 3 == 0 and i % 3 != 0 and 1/2 within a side, with the pairs in flip
+    changed over."""
+    rows = [[QuadExt(-1)] * k for _ in range(k)]
+    for i, j in combinations(range(k), 2):
+        surd = ((i % 3 == 0) != (j % 3 == 0)) ^ ((i, j) in flip)
+        rows[i][j] = rows[j][i] = QuadExt.sqrt(2) / 2 if surd else QuadExt(Fraction(1, 2))
+    return GramMatrix.from_rows(rows)
+
+
+def test_balanced_gram_on_16_walls_walks_only_pairs(monkeypatch):
+    walked = []
+    cycles = arithmetic._cycles
+    monkeypatch.setattr(
+        arithmetic, "_cycles", lambda edges, d, subset: walked.append(len(subset)) or cycles(edges, d, subset)
+    )
+    assert str(vinberg_test(complete_balanced_gram(16), 8)) == "PassesUpTo(8)"
+    assert walked == [2] * 120
+
+
+def test_odd_triangle_on_16_walls_is_the_oracle_witness():
+    gram = complete_balanced_gram(16, flip={(4, 9)})
+    got = str(vinberg_test(gram, 3))
+    assert got == str(oracle.vinberg_test(gram, 3)) == "NonArithmetic(cycle=(1,5,10), product=1*sqrt(2))"
+    assert str(vinberg_test(gram, 8)) == got
+
+
+def test_soddy_gram_passes_by_its_surd_cut():
+    gram = soddy_gram()
+    assert {str(2 * x) for row in gram.entries for x in row} == {"-2", "0", "1", "2", "2*sqrt(3)"}
+    assert str(vinberg_test(gram, 8)) == "PassesUpTo(8)"
+    assert str(vinberg_test(gram, 5)) == str(oracle.vinberg_test(gram, 5)) == "PassesUpTo(5)"

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import lcm
 from typing import Sequence
 
-from .coxeter import GramMatrix
+from .coxeter import GramMatrix, check_symmetric
 from .errors import PackingLabError, ParameterError
-from .exactnum import QuadExt, encode, field_disc, from_triple
-from .inversive import InversiveVector, ReflectionMatrix, _pair_field, _product_numerator
+from .exactnum import QuadExt, field_disc, from_triple
+from .inversive import InversiveVector, ReflectionMatrix, inversive_product, walls_field
 from . import linalg
 from .linalg import IntMatrix
 
@@ -29,28 +30,24 @@ class SingularCluster(PackingLabError):
 
 
 def gram_matrix(walls: Sequence[InversiveVector]) -> GramMatrix:
-    """All pairwise inversive products; diagonal -1 for valid walls.  Each
-    wall is encoded once, and each product is taken on the codes."""
-    codes = []
-    for w in walls:
-        coords = w.coords()
-        codes.append((encode(coords), field_disc(coords)))
-    k = len(codes)
+    """All pairwise inversive products, each taken on the walls' codes;
+    diagonal -1 for valid walls."""
+    walls = list(walls)
+    k = len(walls)
     rows = [[None] * k for _ in range(k)]
-    for i, (u, du) in enumerate(codes):
+    for i, u in enumerate(walls):
         for j in range(i, k):
-            v, dv = codes[j]
-            d = _pair_field(u, du, v, dv)
-            rows[i][j] = rows[j][i] = from_triple(*_product_numerator(u, v, d), 2 * u[-1] * v[-1], d)
+            rows[i][j] = rows[j][i] = inversive_product(u, walls[j])
     return GramMatrix(tuple(map(tuple, rows)))
 
 
 def dual_form(gram: GramMatrix) -> GramMatrix:
-    """Exact inverse of the Gram matrix; bends vectors are isotropic for it."""
+    """Exact inverse of a symmetric Gram matrix; bends vectors are isotropic for it."""
     try:
         inv = linalg.inverse(gram.entries)
     except linalg.SingularMatrix as exc:
         raise SingularGram(str(exc)) from None
+    check_symmetric(gram.entries)
     return GramMatrix(inv, frozenset(), signature_hint="(1,n+1)")
 
 
@@ -68,10 +65,10 @@ def bends_conjugate(
     """Action of a reflection on the bends coordinates: V M V^-1 for the
     cluster matrix V, computed on the int form.  Needs as many independent
     walls as coordinates."""
-    rows = [w.coords() for w in walls]
-    if len(rows) != len(rows[0]):
-        raise SingularCluster(f"need {len(rows[0])} walls, got {len(rows)}")
-    v = IntMatrix.encode(rows)
+    if len(walls) != walls[0].dim + 2:
+        raise SingularCluster(f"need {walls[0].dim + 2} walls, got {len(walls)}")
+    den = lcm(*(w.code[-1] for w in walls))
+    v = IntMatrix([[x * (den // w.code[-1]) for x in w.code[:-1]] for w in walls], den, walls_field(walls))
     try:
         v_inv = v.inverse()
     except linalg.SingularMatrix:
@@ -133,9 +130,7 @@ def vinberg_test(gram: GramMatrix, max_len: int = 8) -> VinbergVerdict:
         raise ParameterError("max_len must be at least 2")
     d = field_disc([x for row in gram.entries for x in row])
     edges = [[(x * 2).triple if x else None for x in row] for row in gram.entries]
-    for i, j in combinations(range(gram.size), 2):
-        if edges[i][j] != edges[j][i]:
-            raise ParameterError(f"the Gram matrix is asymmetric at ({i},{j})")
+    check_symmetric(edges)  # in one field, equal triples are equal entries
     witness = _first_violation(edges, d, 2)
     if witness is None:
         length = _odd_surd_length(edges, max_len)

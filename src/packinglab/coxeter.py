@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PackingLabError
+from .errors import PackingLabError, ParameterError
 from .exactnum import QuadExt
 from .linalg import as_quad
 
@@ -95,13 +95,7 @@ class GramMatrix:
     @classmethod
     def from_rows(cls, rows, placeholders=(), signature_hint=None) -> "GramMatrix":
         entries = tuple(tuple(as_quad(x) for x in row) for row in rows)
-        k = len(entries)
-        if any(len(row) != k for row in entries):
-            raise ValueError("matrix must be square")
-        for i in range(k):
-            for j in range(i, k):
-                if entries[i][j] != entries[j][i]:
-                    raise ValueError(f"asymmetric at ({i},{j})")
+        check_symmetric(entries, ValueError)  # the document loader names the type
         norm = frozenset((min(i, j), max(i, j)) for i, j in placeholders)
         return cls(entries, norm, signature_hint)
 
@@ -111,6 +105,17 @@ class GramMatrix:
 
     def is_placeholder(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.placeholders
+
+
+def check_symmetric(entries, error: type[Exception] = ParameterError) -> None:
+    """Raise error unless the matrix is square, and at the first pair
+    (i, j), i < j, whose entries differ."""
+    if any(len(row) != len(entries) for row in entries):
+        raise error("matrix must be square")
+    for i, row in enumerate(entries):
+        for j in range(i + 1, len(row)):
+            if row[j] != entries[j][i]:
+                raise error(f"the Gram matrix is asymmetric at ({i},{j})")
 
 
 _PLACEHOLDER_SEPARATION = QuadExt(2)  # stand-in value > 1 for free disjoint pairs
@@ -251,6 +256,7 @@ def classify_entry(value: QuadExt) -> EdgeKind | None:
 
 
 def diagram_from_gram(gram: GramMatrix) -> CoxeterDiagram:
+    check_symmetric(gram.entries)
     k = gram.size
     edges: dict[tuple[int, int], EdgeKind] = {}
     for i in range(k):

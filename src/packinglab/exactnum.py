@@ -3,12 +3,12 @@
 A value is one canonical int triple over a discriminant: it reads
 (a + b*sqrt(disc)) / q with q > 0 and gcd(a, b, q) == 1, where disc is a
 square-free integer >= 2, or 0 with b == 0 for a plain rational.  This is the
-form the int code of vectors and matrices is built on (encode and
-encode_rows, below).  Each operation works on the ints and reduces its
-result once by the gcd, so every value has one representation and equality
-is equality of the fields.  The rational and surd parts are read as
-Fractions through the rat and surd properties.  A triple's text and float
-are triple_str and triple_float, the bodies of QuadExt.__str__ and
+form the int code of vectors and matrices is built on (encode, encode_rows,
+reduce_code and decode, below).  Each operation works on the ints and
+reduces its result once by the gcd, so every value has one representation
+and equality is equality of the fields.  The rational and surd parts are
+read as Fractions through the rat and surd properties.  A triple's text and
+float are triple_str and triple_float, the bodies of QuadExt.__str__ and
 __float__, so a row of a code is written or drawn without building a
 QuadExt.
 
@@ -431,13 +431,25 @@ def encode(values) -> tuple[int, ...]:
     so the numerators and den share no factor and the tuple is canonical.
     Every value must lie in one field (field_disc).
     """
-    den = lcm(*(x._q for x in values))
+    den = lcm(*[x._q for x in values])
     out = []
     for x in values:
         f = den // x._q
         out += (x._a * f, x._b * f)
     out.append(den)
     return tuple(out)
+
+
+def reduce_code(nums, den: int) -> tuple[int, ...]:
+    """The canonical code of the numerators nums over den != 0: every entry
+    divided by their gcd, signed so that den > 0."""
+    g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+    return (*nums, den) if g == 1 else (*[x // g for x in nums], den // g)
+
+
+def decode(code, d: int) -> tuple[QuadExt, ...]:
+    """The values of an int code in Q(sqrt(d)), one QuadExt each."""
+    return tuple([from_triple(a, b, code[-1], d) for a, b in zip(code[0:-1:2], code[1:-1:2])])
 
 
 def encode_rows(values, at: np.ndarray) -> np.ndarray:

@@ -31,12 +31,8 @@ from .errors import PackingLabError, ParameterError
 from .exactnum import QuadExt, from_triple, quad_sign
 from .inversive import (
     InversiveVector,
-    _pair_field,
-    _product_numerator,
-    encode,
-    field_disc,
+    _product,
     inversive_product,
-    q_is_minus_one,
     q_matrix,
 )
 
@@ -684,31 +680,22 @@ class VerificationReport:
 def verify_realization(walls, spec: TargetSpec) -> VerificationReport:
     """Exact check: unit diagonal, every exact target met, free pairs disjoint.
 
-    Accepts a WallSystem or any sequence of exact wall vectors.  Each wall is
-    encoded once (inversive.encode), and every check is decided on the ints:
-    the product of two walls is a numerator over 2*den_u*den_v
-    (inversive._product_numerator), compared with the target's triple, or
-    signed against 1 by quad_sign for a free pair.  A QuadExt is built only
+    Accepts a WallSystem or any sequence of InversiveVectors.  Every check
+    is decided on the walls' int codes as they hold them: the product of two
+    walls is a numerator over 2*den_u*den_v (inversive._product),
+    compared with the target's triple, or signed against 1 by quad_sign for
+    a free pair.  A QuadExt is built only
     to write a mismatch.  A target pair of walls of different dimensions or
     fields raises InvalidWall or DiscMismatch.
     """
     walls = list(getattr(walls, "walls", walls))
     if len(walls) != spec.wall_count:
         return VerificationReport(False, [f"expected {spec.wall_count} walls, got {len(walls)}"])
-    mismatches = []
-    codes = []
-    for i, w in enumerate(walls):
-        coords = w.coords()
-        d = field_disc(coords)
-        code = encode(coords)
-        if not q_is_minus_one(code, d):
-            mismatches.append(f"wall {i + 1}: Q(v) = {inversive_product(w, w)} != -1")
-        codes.append((code, d))
+    mismatches = [
+        f"wall {i + 1}: Q(v) = {inversive_product(w, w)} != -1" for i, w in enumerate(walls) if not w.validate()
+    ]
     for (i, j), t in sorted(spec.targets.items()):
-        (u, du), (v, dv) = codes[i], codes[j]
-        d = _pair_field(u, du, v, dv)
-        na, nb = _product_numerator(u, v, d)
-        den = 2 * u[-1] * v[-1]
+        na, nb, den, d = _product(walls[i], walls[j])
         if isinstance(t, Exact):
             ta, tb, tq = t.value.triple
             if na * tq != ta * den or nb * tq != tb * den or (tb and t.value.disc != d):

@@ -9,34 +9,32 @@ block.  The product of two walls reads off their relative position:
     -1 same wall, 1 externally tangent, 0 orthogonal, > 1 disjoint,
     cos(theta) at intersection angle theta.
 
-The int code: a vector whose coordinates lie in one field Q(sqrt(d))
-(field_disc) is the tuple of its coordinates' QuadExt triples over one least
-common denominator (encode, and encode_rows for many vectors at once; both
-live in exactnum, below linalg, whose IntMatrix rows are the same code).
-The code is canonical, so the orbit kernel uses it as its dedup key and runs
-its reflections on it, and a Packing holds its spheres as an array of codes.
-Q(v) = -1 is decided on the code alone, by q_is_minus_one and nowhere else:
-InversiveVector.validate asks it for one vector, the document loader for
-the columns of every vector of a document at once, and reflection_matrix
-and verify_realization for the codes they have already built.  Every
-product of two walls is _product_numerator on their codes:
-inversive_product, InversiveVector.reflect, arithmetic.gram_matrix and
+The int code.  An InversiveVector holds two things: its code, the tuple of
+its coordinates' QuadExt triples over one least common denominator,
+(a_0, b_0, ..., a_k, b_k, den), and d, the square-free discriminant of the
+one field Q(sqrt(d)) of its coordinates (0 when all are rational).  The
+constructor encodes once (exactnum.encode, below linalg, whose IntMatrix
+rows are the same code); from_code wraps a code that is canonical already,
+as every reflection and packing row is.  The code is canonical, so it is
+the vector's equality and hash, the orbit kernel's dedup key and a row of a
+Packing; cobend, bend, bz and coords() decode it on each read.  Q(v) = -1 is
+decided on the code alone, by q_is_minus_one and nowhere else: validate asks
+it for one wall, the document loader for every vector of a document at
+once.  Every product of two walls is _product on their codes:
+inversive_product (and arithmetic.gram_matrix through it), reflect and
 verify_realization.  reflection_matrix builds I + 2 Q s^T s on the wall's
 code, and a ReflectionMatrix keeps that int form beside its QuadExt
-entries, so apply encodes only the vector and preserves_form multiplies
-M Q M^T on it.  QuadExt values are built once, at each function's return;
-decode_rows builds the InversiveVectors of an array of codes, for
-Packing.spheres and the walls of a loaded system.
+entries, so apply multiplies codes (IntMatrix.left_mul) and preserves_form
+multiplies M Q M^T on it.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-
 import numpy as np
 
 from .errors import PackingLabError
-from .exactnum import ONE, ZERO, QuadExt, _field, dtype_under, encode, field_disc, from_triple, max_abs
+from .exactnum import ONE, ZERO, QuadExt, _field, decode, dtype_under, encode, field_disc, from_triple, max_abs
+from .exactnum import reduce_code
 from .linalg import IntMatrix, Matrix, as_quad
 
 _HALF = ONE / 2
@@ -55,14 +53,14 @@ class InvalidWall(PackingLabError):
 
 
 class InversiveVector:
-    """One oriented wall; immutable value type keyed on its exact coordinates."""
+    """One oriented wall; an immutable value held as its int code and field."""
 
-    __slots__ = ("cobend", "bend", "bz")
+    __slots__ = ("code", "d")
 
     def __init__(self, cobend, bend, bz):
-        object.__setattr__(self, "cobend", as_quad(cobend))
-        object.__setattr__(self, "bend", as_quad(bend))
-        object.__setattr__(self, "bz", tuple(as_quad(x) for x in bz))
+        coords = (as_quad(cobend), as_quad(bend), *map(as_quad, bz))
+        _set_d(self, field_disc(coords))
+        _set_code(self, encode(coords))
 
     def __setattr__(self, name, value):
         raise AttributeError("InversiveVector is immutable")
@@ -72,15 +70,36 @@ class InversiveVector:
         coords = list(coords)
         return cls(coords[0], coords[1], coords[2:])
 
+    @classmethod
+    def from_code(cls, code, d: int) -> "InversiveVector":
+        """The vector with canonical int code `code` (gcd 1, den > 0) in
+        Q(sqrt(d)), unchecked; d becomes 0 when the code has no surd part."""
+        v = _new(cls)
+        _set_code(v, tuple(code))
+        _set_d(v, d if d and any(v.code[1:-1:2]) else 0)
+        return v
+
+    @property
+    def cobend(self) -> QuadExt:
+        return from_triple(*self.code[0:2], self.code[-1], self.d)
+
+    @property
+    def bend(self) -> QuadExt:
+        return from_triple(*self.code[2:4], self.code[-1], self.d)
+
+    @property
+    def bz(self) -> tuple[QuadExt, ...]:
+        return self.coords()[2:]
+
     @property
     def dim(self) -> int:
-        return len(self.bz)
+        return len(self.code) // 2 - 2
 
     def coords(self) -> tuple[QuadExt, ...]:
-        return (self.cobend, self.bend) + self.bz
+        return decode(self.code, self.d)
 
     def is_plane(self) -> bool:
-        return not self.bend
+        return not (self.code[2] or self.code[3])
 
     def center(self) -> tuple[QuadExt, ...]:
         if self.is_plane():
@@ -95,10 +114,8 @@ class InversiveVector:
         return self.bend.inverse()
 
     def validate(self) -> bool:
-        """Q(v) == -1, decided on the int code; coordinates in two different
-        quadratic fields raise DiscMismatch."""
-        coords = self.coords()
-        return q_is_minus_one(encode(coords), field_disc(coords))
+        """Q(v) == -1, decided on the int code."""
+        return q_is_minus_one(self.code, self.d)
 
     def reflect(self, wall: "InversiveVector") -> "InversiveVector":
         """Image of self under inversion through wall (right action v + 2<v,s>s).
@@ -106,44 +123,37 @@ class InversiveVector:
         On the codes u/du and s/ds, 2<v,s> = (na + nb sqrt(d)) / (du ds),
         so coordinate j is (u_j ds^2 + (na + nb sqrt(d)) s_j) / (du ds^2).
         """
-        u, s, d = _codes(self, wall)
-        na, nb = _product_numerator(u, s, d)
+        u, s = self.code, wall.code
+        na, nb, _, d = _product(self, wall)
         sq = s[-1] * s[-1]
-        den = u[-1] * sq
-        return InversiveVector.from_coords(
-            from_triple(ua * sq + na * sa + d * nb * sb, ub * sq + na * sb + nb * sa, den, d)
-            for ua, ub, sa, sb in zip(u[0:-1:2], u[1:-1:2], s[0:-1:2], s[1:-1:2])
-        )
+        nums = []
+        for ua, ub, sa, sb in zip(u[0:-1:2], u[1:-1:2], s[0:-1:2], s[1:-1:2]):
+            nums += (ua * sq + na * sa + d * nb * sb, ub * sq + na * sb + nb * sa)
+        return InversiveVector.from_code(reduce_code(nums, u[-1] * sq), d)
 
     def __neg__(self):
-        return InversiveVector(-self.cobend, -self.bend, tuple(-x for x in self.bz))
+        return InversiveVector.from_code((*(-x for x in self.code[:-1]), self.code[-1]), self.d)
 
     def __eq__(self, other):
         if not isinstance(other, InversiveVector):
             return NotImplemented
-        return self.coords() == other.coords()
+        return self.code == other.code and self.d == other.d
 
     def __hash__(self):
-        return hash(self.coords())
+        return hash((self.code, self.d))
 
     def __repr__(self):
         return f"InversiveVector({self.cobend}, {self.bend}, {list(map(str, self.bz))})"
 
 
+_new = object.__new__
+_set_code = InversiveVector.code.__set__
+_set_d = InversiveVector.d.__set__
+
+
 def decode_rows(codes: np.ndarray, d: int) -> list[InversiveVector]:
-    """The InversiveVectors of an array of int codes in Q(sqrt(d)), with one
-    QuadExt per distinct coordinate triple (a, b, den)."""
-    cache: dict[tuple[int, int, int], QuadExt] = {}
-    out = []
-    for row in codes.tolist():
-        coords = []
-        for key in zip(row[0:-1:2], row[1:-1:2], repeat(row[-1])):
-            x = cache.get(key)
-            if x is None:
-                x = cache[key] = from_triple(*key, d)
-            coords.append(x)
-        out.append(InversiveVector.from_coords(coords))
-    return out
+    """The InversiveVectors of an array of canonical int codes in Q(sqrt(d))."""
+    return [InversiveVector.from_code(row, d) for row in codes.tolist()]
 
 
 def q_is_minus_one(code, d: int):
@@ -182,24 +192,23 @@ def plane_from_normal_offset(normal, offset) -> InversiveVector:
 
 
 def inversive_product(u: InversiveVector, v: InversiveVector) -> QuadExt:
-    cu, cv, d = _codes(u, v)
-    na, nb = _product_numerator(cu, cv, d)
-    return from_triple(na, nb, 2 * cu[-1] * cv[-1], d)
+    return from_triple(*_product(u, v))
 
 
-def _codes(u: InversiveVector, v: InversiveVector) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """The int codes of two walls and the field of their product."""
-    cu, cv = u.coords(), v.coords()
-    eu, ev = encode(cu), encode(cv)
-    return eu, ev, _pair_field(eu, field_disc(cu), ev, field_disc(cv))
+def walls_field(walls, d: int = 0) -> int:
+    """The one field of the walls and of Q(sqrt(d)), as exactnum.field_disc."""
+    for w in walls:
+        d = _field(d, w.d)
+    return d
 
 
-def _pair_field(u: tuple[int, ...], du: int, v: tuple[int, ...], dv: int) -> int:
-    """The field of the product of two codes in Q(sqrt(du)) and Q(sqrt(dv));
-    codes of two dimensions raise InvalidWall, two fields DiscMismatch."""
-    if len(u) != len(v):
+def _product(u: InversiveVector, v: InversiveVector) -> tuple[int, int, int, int]:
+    """<u, v> = (a + b*sqrt(d)) / den as (a, b, den, d), unreduced, on the
+    codes; walls of two dimensions raise InvalidWall, two fields DiscMismatch."""
+    if len(u.code) != len(v.code):
         raise InvalidWall("mixed ambient dimensions")
-    return _field(du, dv)
+    cu, cv, d = u.code, v.code, _field(u.d, v.d)
+    return (*_product_numerator(cu, cv, d), 2 * cu[-1] * cv[-1], d)
 
 
 def _product_numerator(u: tuple[int, ...], v: tuple[int, ...], d: int) -> tuple[int, int]:
@@ -238,8 +247,10 @@ class ReflectionMatrix:
         self.code = IntMatrix.encode(entries) if code is None else code
 
     def apply(self, v: InversiveVector) -> InversiveVector:
-        coords = v.coords()
-        return InversiveVector.from_coords(self.code.left_mul(encode(coords), field_disc(coords)))
+        if v.dim != self.dim:
+            raise InvalidWall("mixed ambient dimensions")
+        d = _field(v.d, self.code.d)
+        return InversiveVector.from_code(self.code.left_mul(v.code, d), d)
 
     def preserves_form(self) -> bool:
         """M Q M^T == Q, on the int form."""
@@ -254,11 +265,9 @@ def reflection_matrix(wall: InversiveVector) -> ReflectionMatrix:
     On the wall's code c/den, 2 Q s is (c_1, c_0, -2 c_2, ...)/den, so entry
     (i, j) is (delta_ij den^2 + (2 Q c)_i c_j) / den^2 in pair arithmetic.
     """
-    s = wall.coords()
-    d = field_disc(s)
-    code = encode(s)
-    if not q_is_minus_one(code, d):
+    if not wall.validate():
         raise InvalidWall("wall does not satisfy Q(v) = -1")
+    code, d = wall.code, wall.d
     sq = code[-1] * code[-1]
     pairs = list(zip(code[0:-1:2], code[1:-1:2]))
     twice_qs = [pairs[1], pairs[0]] + [(-2 * a, -2 * b) for a, b in pairs[2:]]

@@ -3,21 +3,22 @@
 At the API a matrix is nested tuples of QuadExt (identity, transpose and
 matrix build them).  Every product and inverse computes on one int form,
 IntMatrix: the rows' numerator pairs over one common denominator, plus the
-field d, encoded with the same exactnum.field_disc/encode as the vectors'
-int code.  mat_mul, vec_mat and inverse encode their arguments, compute on
-ints and decode to QuadExt once, at their return.  The inverse is a
-fraction-free (Bareiss) Gauss-Jordan elimination over Z[sqrt(d)], so no
-fraction is formed before the last step.
+field d, built and reduced by the same exactnum helpers as a vector's int
+code.  IntMatrix.left_mul maps a vector's code to its image's canonical
+code, so a reflection (ReflectionMatrix.apply) never leaves the code.
+mat_mul, vec_mat and inverse encode their arguments, compute on ints and
+decode to QuadExt once, at their return.  The inverse is a fraction-free
+(Bareiss) Gauss-Jordan elimination over Z[sqrt(d)], so no fraction is
+formed before the last step.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from math import gcd
 from operator import mul
 
 from .errors import PackingLabError
-from .exactnum import ONE, ZERO, QuadExt, _field, encode, field_disc, from_triple
+from .exactnum import ONE, ZERO, QuadExt, _field, decode, encode, field_disc, reduce_code
 
 Matrix = tuple[tuple[QuadExt, ...], ...]
 Vector = tuple[QuadExt, ...]
@@ -61,14 +62,10 @@ class IntMatrix:
     __slots__ = ("rows", "den", "d")
 
     def __init__(self, rows, den: int, d: int):
-        g = gcd(den, *chain.from_iterable(rows))
-        if den < 0:
-            g = -g
-        if g != 1:
-            rows = [[x // g for x in row] for row in rows]
-            den //= g
-        self.rows = tuple(map(tuple, rows))
-        self.den = den
+        w = len(rows[0]) if rows else 0
+        code = reduce_code(tuple(chain.from_iterable(rows)), den)
+        self.rows = tuple([code[i * w : (i + 1) * w] for i in range(len(rows))])
+        self.den = code[-1]
         self.d = d
 
     @classmethod
@@ -80,11 +77,7 @@ class IntMatrix:
         return cls([code[i * w : (i + 1) * w] for i in range(len(m))], code[-1], field_disc(flat))
 
     def decode(self) -> Matrix:
-        den, d = self.den, self.d
-        return tuple(
-            tuple(from_triple(row[j], row[j + 1], den, d) for j in range(0, len(row), 2))
-            for row in self.rows
-        )
+        return tuple([decode((*row, self.den), self.d) for row in self.rows])
 
     def transpose(self) -> "IntMatrix":
         cols = range(0, len(self.rows[0]), 2)
@@ -106,22 +99,16 @@ class IntMatrix:
             out.append(z)
         return IntMatrix(out, self.den * other.den, d)
 
-    def left_mul(self, code: tuple[int, ...], d: int) -> Vector:
-        """The row vector with int code `code` in Q(sqrt(d)) times this
-        matrix, decoded."""
-        d = _field(d, self.d)
-        den = code[-1] * self.den
+    def left_mul(self, code: tuple[int, ...], d: int) -> tuple[int, ...]:
+        """The canonical code of the row vector with int code `code` times
+        this matrix, for d the field of both (exactnum._field)."""
         va, vb = code[0:-1:2], code[1:-1:2]
         cols = list(zip(*self.rows))
-        return tuple(
-            from_triple(
-                sum(map(mul, va, x)) + d * sum(map(mul, vb, y)),
-                sum(map(mul, va, y)) + sum(map(mul, vb, x)),
-                den,
-                d,
-            )
-            for x, y in zip(cols[0::2], cols[1::2])
-        )
+        nums = []
+        for x, y in zip(cols[0::2], cols[1::2]):
+            a = sum(map(mul, va, x)) + d * sum(map(mul, vb, y))
+            nums += (a, sum(map(mul, va, y)) + sum(map(mul, vb, x)))
+        return reduce_code(nums, code[-1] * self.den)
 
     def inverse(self) -> "IntMatrix":
         """Fraction-free Gauss-Jordan on [N | I] for this matrix N / den;
@@ -179,7 +166,9 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def vec_mat(v: Vector, m: Matrix) -> Vector:
-    return IntMatrix.encode(m).left_mul(encode(v), field_disc(v))
+    m = IntMatrix.encode(m)
+    d = _field(field_disc(v), m.d)
+    return decode(m.left_mul(encode(v), d), d)
 
 
 def inverse(m: Matrix) -> Matrix:

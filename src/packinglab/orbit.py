@@ -8,10 +8,10 @@ word cap is reported unsaturated.
 
 The search runs on ints.  A closure fixes one field Q(sqrt(d)), taken from
 the walls and the bend bound (two different nonzero discriminants raise
-DiscMismatch), and works on the int code that inversive.py owns: each vector
-is its coordinates' QuadExt triples over one common denominator,
-(a_0, b_0, ..., a_k, b_k, den) (inversive.encode).  That form is canonical,
-so the tuple itself is the dedup key.
+DiscMismatch), and works on the int code that each wall holds
+(InversiveVector.code): its coordinates' QuadExt triples over one common
+denominator, (a_0, b_0, ..., a_k, b_k, den).  That form is canonical, so the
+tuple itself is the dedup key.
 
 Level loop.  The closure expands one breadth-first level at a time.  The
 frontier is an (m, 2k+3) array of codes, and every generator's 2Qs, s and
@@ -55,8 +55,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PackingLabError, ParameterError
-from .exactnum import QuadExt, dtype_under, int_array, max_abs, quad_sign, quad_sign_array
-from .inversive import InversiveVector, encode, field_disc
+from .exactnum import QuadExt, dtype_under, encode, int_array, max_abs, quad_sign, quad_sign_array
+from .inversive import InversiveVector, walls_field
 from .linalg import as_quad
 # the packing type and its certificate are part of this module's API
 from .packing import IntegralityReport, Packing, SphereRecord, _steps, certify_integral
@@ -107,9 +107,8 @@ def _closure(
     max_word: int,
     frontier_cap: int,
 ) -> Packing:
-    d = field_disc([bend_bound] + [x for w in walls for x in w.coords()])
-    codes = [encode(w.coords()) for w in walls]
-    n = len(codes[0]) - 1  # numerators; the denominator is code[n]
+    d = walls_field(walls, bend_bound.disc)
+    n = len(walls[0].code) - 1  # numerators; the denominator is code[n]
     gen_count = len(generator_idx)
     # per generator g with code s: 2Qs for Q = [[0, 1/2], [1/2, 0]] + (-I)
     # is (s1, s0, -2 s2, ...); p = v . 2Qs is one matmul with twice_qs, whose
@@ -121,7 +120,7 @@ def _closure(
     s2 = np.empty(gen_count, dtype=object)
     gen_max = 0
     for g, wall in enumerate(generator_idx):
-        s = codes[wall]
+        s = walls[wall].code
         w = s[2:4] + s[0:2] + tuple(-2 * x for x in s[4:n])
         gen_max = max(gen_max, *map(abs, w))
         twice_qs[0::2, g], twice_qs[1::2, g] = w[0::2], [d * x for x in w[1::2]]
@@ -133,7 +132,7 @@ def _closure(
     s2_max = max(s2, default=0)
     bound = encode((bend_bound,))
 
-    seeds = list(dict.fromkeys(codes[i] for i in seed_idx))
+    seeds = list(dict.fromkeys(walls[i].code for i in seed_idx))
     kept = set(seeds)
     frontier = int_array(seeds)
     made_by = np.full(len(frontier), -1)  # generator position per row; -1 for seeds

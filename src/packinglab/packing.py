@@ -1,13 +1,13 @@
 """A packing: a bounded orbit of spheres, held on the int code.
 
 The orbit closure (orbit.py) returns its kept spheres as one array of int
-codes (inversive.encode), sorted by (bend,) + coords: int64 when every entry
-fits, dtype=object otherwise, with the word lengths and parent generators
-beside it.  certify_integral, Packing.bends_list, serialize and render read
-the array; QuadExt values are built only for what they hand back (the
-witnesses, the bends) and for Packing.spheres, which decodes every row into
-a SphereRecord on each read.  The array is read-only and nothing decoded is
-kept beside it, so the codes are the one source of every answer.
+codes (InversiveVector.code), sorted by (bend,) + coords: int64 when every
+entry fits, dtype=object otherwise, with the word lengths and parent
+generators beside it.  certify_integral, Packing.bends_list, serialize and
+render read the array; QuadExt values are built only for what they hand
+back (the witnesses, the bends), and Packing.spheres wraps each row in a
+SphereRecord on each read.  The array is read-only and nothing is kept
+beside it, so the codes are the one source of every answer.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .exactnum import QuadExt, dtype_under, encode, field_disc, from_triple, int_array, max_abs, quad_sign_array
-from .inversive import InversiveVector, decode_rows
+from .exactnum import QuadExt, dtype_under, from_triple, int_array, max_abs, quad_sign_array
+from .inversive import InversiveVector, decode_rows, walls_field
 
 _MAX_WITNESSES = 10  # non-integral spheres certify_integral reports
 
@@ -34,7 +34,7 @@ class SphereRecord:
 class Packing:
     """A bounded orbit of spheres, held on the int code.
 
-    codes has one row per kept sphere: its int code (inversive.encode) in
+    codes has one row per kept sphere: its int code (InversiveVector.code) in
     Q(sqrt(d)), int64 when every entry fits and dtype=object otherwise, and
     d is 0 when every coordinate is rational.  word_lengths and parents are
     the rows' word lengths and parent generators (None for a seed).
@@ -42,8 +42,8 @@ class Packing:
     Packing(spheres, ...) builds one from SphereRecords, in their order;
     Packing.from_codes takes the rows, as the orbit closure and the packing
     loader do.  Either way every field that dumps writes verbatim is
-    checked.  spheres decodes the rows into a tuple of SphereRecords on
-    each read; the other methods read the codes and decode only what they
+    checked.  spheres wraps the rows in a tuple of SphereRecords on each
+    read; the other methods read the codes and decode only what they
     return.
     """
 
@@ -58,11 +58,11 @@ class Packing:
         boundary_walls: int = 0,
     ):
         spheres = tuple(spheres)
-        coords = [rec.vector.coords() for rec in spheres]
-        if len({len(c) for c in coords}) > 1:
+        vectors = [rec.vector for rec in spheres]
+        if len({len(v.code) for v in vectors}) > 1:
             raise ParameterError("spheres must all have one dimension")
         self._init(
-            int_array([encode(c) for c in coords]), field_disc(x for c in coords for x in c),
+            int_array([v.code for v in vectors]), walls_field(vectors),
             [rec.word_length for rec in spheres], [rec.parent_generator for rec in spheres],
             saturated, bend_bound, max_word, generator_idx, dim, boundary_walls,
         )
@@ -114,14 +114,14 @@ class Packing:
 
     @property
     def spheres(self) -> tuple[SphereRecord, ...]:
-        """The kept spheres, decoded from the codes on each read: hold the
+        """The kept spheres, built from the codes on each read: hold the
         tuple rather than read it again, or take one sphere with record."""
         vectors = decode_rows(self.codes, self.d)
         return tuple(map(SphereRecord, vectors, self.word_lengths, self.parents))
 
     def record(self, i: int) -> SphereRecord:
-        """Sphere i, decoded from its code alone."""
-        vector = decode_rows(self.codes[[i]], self.d)[0]
+        """Sphere i, built from its code alone."""
+        vector = InversiveVector.from_code(self.codes[i].tolist(), self.d)
         return SphereRecord(vector, self.word_lengths[i], self.parents[i])
 
     def vectors(self) -> list[InversiveVector]:

@@ -13,8 +13,8 @@ of the wrong type, a constructor's check) into FormatError("bad <kind>
 document: ...").  Each loader is a plain constructor call.
 
 The walls of a system and the spheres of a packing are most of a document,
-and they travel as int codes (exactnum.encode): a packing holds its spheres
-that way, and a system's walls are encoded once.  One vector writer,
+and they travel as int codes (InversiveVector.code): a packing holds its
+spheres that way, and each wall of a system holds its own.  One vector writer,
 _with_vectors, lays them out: only the small document head goes through
 json.dumps, and each vector is written directly from its code row, with one
 exactnum.triple_str and one string encoding per distinct (a, b, den).  The
@@ -46,9 +46,9 @@ import numpy as np
 
 from .coxeter import GramMatrix
 from .errors import PackingLabError
-from .exactnum import DiscMismatch, QuadExt, encode, encode_rows, field_disc, int_array, triple_str
+from .exactnum import DiscMismatch, QuadExt, encode_rows, field_disc, int_array, triple_str
 from .geometrize import DisjointFree, Exact, TargetSpec
-from .inversive import InversiveVector, decode_rows, inversive_product, q_is_minus_one
+from .inversive import InversiveVector, decode_rows, inversive_product, q_is_minus_one, walls_field
 from .orbit import WallSystem
 from .packing import Packing
 
@@ -127,7 +127,7 @@ def _vectors(objs, dim, what: str) -> tuple[np.ndarray, int]:
     codes = encode_rows(values, at)
     off = np.flatnonzero(~q_is_minus_one(codes.T, d)) if len(codes) else ()
     if len(off):  # the first vector that fails is the one named
-        v = InversiveVector.from_coords(values[j] for j in at[off[0]])
+        v = InversiveVector.from_code(codes[off[0]].tolist(), d)
         raise FormatError(f"{what} {off[0] + 1}: Q(v) = {inversive_product(v, v)} != -1")
     if error is not None:
         raise error
@@ -142,8 +142,8 @@ def system_text(system: WallSystem) -> str:
         "cluster": sorted(system.cluster_idx),
         "cocluster": sorted(system.cocluster_idx),
     }
-    codes = int_array([encode(w.coords()) for w in system.walls])
-    return _with_vectors(head, "walls", codes, field_disc(x for w in system.walls for x in w.coords()))
+    codes = int_array([w.code for w in system.walls])
+    return _with_vectors(head, "walls", codes, walls_field(system.walls))
 
 
 def system_from_obj(doc: dict) -> WallSystem:

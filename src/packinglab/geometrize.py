@@ -3,8 +3,9 @@
 The pipeline is: realize (start from the target's init hint, or else from an
 eigendecomposition of its Gram matrix, then one damped Gauss-Newton loop run in
 float64, one Moebius map that puts a tangent triple on the frame, whose three
-walls are then set exactly and held fixed, and the same loop again on
-extended-precision mpmath residuals for the other walls), algebraic_guess
+walls are then set exactly and held fixed, and the same loop again for the
+other walls on exact fixed-point ints, each coordinate an int over 2**216,
+each residual row an exact int rounded once to a float), algebraic_guess
 (snap a value to (a + b*sqrt(d))/q with a bounded denominator: the rows
 (value, q) go in blocks, and a block of narrow windows finds the b a float
 prefilter can keep, those with frac(b*sqrt(d)) near frac(q*x), by
@@ -37,6 +38,7 @@ from .inversive import (
 )
 
 _REFINE_DPS = 60
+_P = 216  # realize's polish grid: a coordinate is an int X meaning X / 2**_P
 _CHUNK = 1 << 14  # rows (value, q) in one block of algebraic_guess, and cells in one pass
 _ROW_BITS = 24
 _ROW_CELLS = 1 << _ROW_BITS  # widest row of surd coefficients b algebraic_guess takes on
@@ -112,7 +114,8 @@ class TargetSpec:
 
 @dataclass
 class FloatWallSystem:
-    """Realized walls in extended-precision floats, row per wall."""
+    """Realized walls in extended-precision floats, row per wall: each an
+    mpf that is exactly a value of realize's polish grid."""
 
     walls: list[list[mpmath.mpf]]
     residual: float
@@ -288,29 +291,30 @@ def _jacobian_np(x: np.ndarray, pairs) -> np.ndarray:
     return jac.reshape(len(jac), k * width)
 
 
-def _gauss_newton(x, pairs, values, max_iter, fixed=(), floor=1e-13):
-    """Damped Gauss-Newton on x, a float64 array or an object array of mpf
-    with mpf values.  Steps are minimum-norm least-squares solutions of the
+def _gauss_newton(x, stage, max_iter, fixed=(), floor=1e-13):
+    """Damped Gauss-Newton on the walls x of a stage, _Float64Stage or
+    _GridStage, which evaluates the residual as a float64 vector and adds a
+    float64 step.  Steps are minimum-norm least-squares solutions of the
     float64 system over the walls not in fixed, whose rows are never
     changed; a step is halved until max |residual| decreases, so accepted
     steps decrease it monotonically.  A residual that is not finite stops
     the loop and is returned as it is."""
     free = ~np.isin(np.arange(len(x)), fixed)
     columns = np.repeat(free, x.shape[1])
-    res = _residual_np(x, pairs, values)
+    res = stage.residual(x)
     norm = np.abs(res).max()
     iterations = 0
     for _ in range(max_iter):
         if norm < floor or not isfinite(norm):
             break
         iterations += 1
-        jac = _jacobian_np(x.astype(float), pairs)[:, columns]
+        jac = _jacobian_np(stage.floats(x), stage.pairs)[:, columns]
         step = np.zeros(x.shape)
-        step[free] = np.linalg.lstsq(jac, -res.astype(float), rcond=None)[0].reshape(-1, x.shape[1])
+        step[free] = np.linalg.lstsq(jac, -res, rcond=None)[0].reshape(-1, x.shape[1])
         alpha, improved = 1.0, False
         for _ in range(25):
-            trial = x + alpha * step
-            trial_res = _residual_np(trial, pairs, values)
+            trial = stage.add(x, alpha * step)
+            trial_res = stage.residual(trial)
             trial_norm = np.abs(trial_res).max()
             if trial_norm < norm:
                 x, res, norm, improved = trial, trial_res, trial_norm, True
@@ -319,6 +323,77 @@ def _gauss_newton(x, pairs, values, max_iter, fixed=(), floor=1e-13):
         if not improved:
             break
     return x, norm, iterations
+
+
+class _Float64Stage:
+    """The walls as a float64 array: realize's first stage."""
+
+    def __init__(self, pairs, values):
+        self.pairs, self.values = pairs, values
+
+    def residual(self, x):
+        return _residual_np(x, self.pairs, self.values)
+
+    def floats(self, x):
+        return x
+
+    def add(self, x, step):
+        return x + step
+
+
+_to_int = np.frompyfunc(int, 1, 1)
+
+
+class _GridStage:
+    """The walls as fixed-point ints, realize's polish: an object array of
+    ints X, each the coordinate X / 2**_P.
+
+    Every residual row is an exact int at scale U = 2**(2P+1): for a wall,
+    2*(X0*X1 - X2**2 - X3**2) + U, which is (Q(x) + 1)*U, and for a target
+    pair, U0*V1 + U1*V0 - 2*(U2*V2 + U3*V3) - T, which is (<u, v> - t)*U
+    but for T = floor(t*U), the target (a + b*sqrt(d))/q read with
+    isqrt(d*U**2).  The rows become the float64 residual in one rounding
+    each.  A step enters the ints scaled by 2**_P and rounded toward zero.
+    A step that is not finite once scaled leaves the walls where they are,
+    and a trial with a row too large for a float has an infinite residual:
+    neither is taken, as a float64 trial past the float range is not."""
+
+    def __init__(self, pairs, exact):
+        self.pairs = pairs
+        self.unit = 1 << 2 * _P + 1
+        targets = [v.triple + (v.disc,) for _, _, v in exact]
+        self.targets = np.array(
+            [(a * self.unit + b * isqrt(d * self.unit**2)) // q for a, b, q, d in targets],
+            dtype=object,
+        )
+
+    def residual(self, X):
+        diag = 2 * (X[:, 0] * X[:, 1] - X[:, 2] * X[:, 2] - X[:, 3] * X[:, 3]) + self.unit
+        u, v = X[self.pairs[:, 0]], X[self.pairs[:, 1]]
+        prod = u[:, 0] * v[:, 1] + u[:, 1] * v[:, 0] - 2 * (u[:, 2] * v[:, 2] + u[:, 3] * v[:, 3])
+        try:
+            rows = np.concatenate([diag, prod - self.targets]).astype(float)
+        except OverflowError:
+            return np.array([inf])
+        return np.ldexp(rows, -2 * _P - 1)
+
+    def floats(self, X):
+        return np.ldexp(X.astype(float), -_P)
+
+    def add(self, X, step):
+        with np.errstate(over="ignore"):
+            scaled = np.ldexp(step, _P)
+        return X + _to_int(scaled) if np.isfinite(scaled).all() else X
+
+    @staticmethod
+    def from_floats(x):
+        """The grid walls of a float64 array: exact for every |x| over 2**(52-P)."""
+        return _to_int(np.ldexp(x, _P))
+
+    @staticmethod
+    def walls(X):
+        """The mpf walls, each coordinate the exact X / 2**_P."""
+        return [[mpmath.mpf((c, -_P), prec=0) for c in row] for row in X.tolist()]
 
 
 # the frame: the line y=0, the unit circle resting on it at the origin, the
@@ -369,18 +444,26 @@ def realize(
 
     The start is the spec's init hint, or else the eigendecomposition of the
     target Gram matrix (_initial_walls).  One damped Gauss-Newton loop with a
-    minimum-norm least-squares step then runs in float64 and again on mpmath
-    residuals; accepted steps decrease max |residual| monotonically, and the
-    reported residual is that norm.  The Moebius gauge is fixed once, by the
-    first mutually tangent triple: after the float64 solve, one linear solve
-    finds the Moebius map (det > 0, never a reflection) taking the triple to
-    the line y=0 and the unit circles resting on it at the origin and at
-    (2,0).  Those three walls are then set to the frame exactly and held
-    fixed while the mpmath polish solves for the other walls.  This is what
-    makes the solved coordinates land on small algebraic numbers.  Which of
-    two mirror-image configurations is reached depends on the start.  Free
-    pairs are not constrained here; verify them after guessing exact
-    coordinates.  A target value too large for a float is a ParameterError.
+    minimum-norm float64 least-squares step then runs in float64, and again,
+    at most 20 iterations, as a polish on the fixed-point grid 2**-216
+    (_GridStage): every coordinate an exact int over 2**216, every residual
+    row an exact int rounded once to a float.  Accepted steps decrease max
+    |residual| monotonically; the reported residual is that norm, over the
+    target rows <x_i, x_j> - target and the rows Q(x_i) + 1, and the polish
+    stops once it is under tol.  The grid, finer than 60-digit floats,
+    reaches about 1e-64 (3e-65 on the tetrahedron): a tol under that ends in
+    NoConvergence.  The Moebius
+    gauge is fixed once, by the first mutually tangent triple: after the
+    float64 solve, one linear solve finds the Moebius map (det > 0, never a
+    reflection) taking the triple to the line y=0 and the unit circles
+    resting on it at the origin and at (2,0).  Those three walls are then
+    set to the frame exactly and held fixed while the polish solves for the
+    other walls.  This is what makes the solved coordinates land on small
+    algebraic numbers.  Which of two mirror-image configurations is reached
+    depends on the start.  The returned walls are mpf, each the exact grid
+    value.  Free pairs are not constrained here; verify them after guessing
+    exact coordinates.  A target value too large for a float is a
+    ParameterError.
     """
     if seed < 0:
         raise ParameterError(f"seed must be non-negative, got {seed}")
@@ -404,24 +487,20 @@ def realize(
     else:
         x = _initial_walls(spec, rng)
     with np.errstate(over="ignore", invalid="ignore"):  # a residual past float range ends the solve
-        x, norm, iterations = _gauss_newton(x, pairs, values, max_iter)
+        x, norm, iterations = _gauss_newton(x, _Float64Stage(pairs, values), max_iter)
     if not norm < 1e-10:
         raise NoConvergence(iterations, float(norm))
     x = x @ _frame_map(x, *frame)
     x[list(frame)] = _FRAME[:3]
 
-    # extended-precision polish: the same loop on mpf walls and targets,
-    # converging far past double precision
-    with mpmath.workdps(_REFINE_DPS):
-        fields = [(v.triple, v.disc) for _, _, v in exact]
-        targets = np.array([(a + b * mpmath.sqrt(d)) / q for (a, b, q), d in fields], dtype=object)
-        xm, norm, its = _gauss_newton(
-            np.frompyfunc(mpmath.mpf, 1, 1)(x), pairs, targets, 20, fixed=frame, floor=tol
-        )
+    # the polish: the same loop on the fixed-point grid, converging far past
+    # double precision
+    grid = _GridStage(pairs, exact)
+    xg, norm, its = _gauss_newton(grid.from_floats(x), grid, 20, fixed=frame, floor=tol)
     iterations += its
     if not norm <= tol:
         raise NoConvergence(iterations, float(norm))
-    return FloatWallSystem(walls=xm.tolist(), residual=float(norm), iterations=iterations)
+    return FloatWallSystem(walls=grid.walls(xg), residual=float(norm), iterations=iterations)
 
 
 # -- exact recovery --------------------------------------------------------

@@ -23,9 +23,9 @@ it for one wall, the document loader for every vector of a document at
 once.  Every product of two walls is _product on their codes:
 inversive_product (and arithmetic.gram_matrix through it), reflect and
 verify_realization.  reflection_matrix builds I + 2 Q s^T s on the wall's
-code, and a ReflectionMatrix keeps that int form beside its QuadExt
-entries, so apply multiplies codes (IntMatrix.left_mul) and preserves_form
-multiplies M Q M^T on it.
+code, and a ReflectionMatrix keeps that int form, so apply multiplies codes
+(IntMatrix.left_mul) and preserves_form multiplies M Q M^T on it; its
+QuadExt entries are decoded on their first read.
 """
 
 from __future__ import annotations
@@ -236,15 +236,22 @@ def q_matrix(n: int) -> Matrix:
 
 
 class ReflectionMatrix:
-    """Right-action matrix of the inversion through one wall: its QuadExt
-    entries and their int form (linalg.IntMatrix), built once."""
+    """Right-action matrix of the inversion through one wall: its int form
+    (linalg.IntMatrix), and its QuadExt entries, given or else decoded from
+    the int form on their first read and kept."""
 
-    __slots__ = ("entries", "dim", "code")
+    __slots__ = ("_entries", "dim", "code")
 
-    def __init__(self, entries: Matrix, dim: int, code: IntMatrix | None = None):
-        self.entries = entries
+    def __init__(self, entries: Matrix | None, dim: int, code: IntMatrix | None = None):
+        self._entries = entries
         self.dim = dim
         self.code = IntMatrix.encode(entries) if code is None else code
+
+    @property
+    def entries(self) -> Matrix:
+        if self._entries is None:
+            self._entries = self.code.decode()
+        return self._entries
 
     def apply(self, v: InversiveVector) -> InversiveVector:
         if v.dim != self.dim:
@@ -278,4 +285,4 @@ def reflection_matrix(wall: InversiveVector) -> ReflectionMatrix:
             row += (ta * a + d * tb * b + (sq if i == j else 0), ta * b + tb * a)
         rows.append(row)
     m = IntMatrix(rows, sq, d)
-    return ReflectionMatrix(m.decode(), wall.dim, m)
+    return ReflectionMatrix(None, wall.dim, m)

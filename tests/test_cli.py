@@ -1,6 +1,7 @@
 """End-to-end command-line coverage using only shipped fixtures."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -424,6 +425,25 @@ def test_bad_parameter_is_clean_error(capsys, apollonian_path, hexpyr_gram_path,
     assert code == 1 and out == ""
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == "ParameterError"
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1e-24"])
+def test_geometrize_bad_tol_message(capsys, tetra_path, tol):
+    code, out, err = run(capsys, "geometrize", str(tetra_path), "--d", "0", f"--tol={tol}")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "ParameterError", "message": f"tol must be finite and positive, got {float(tol)}"
+    }
+
+
+def test_geometrize_tol_under_the_grid_is_clean_error(capsys, tetra_path):
+    # realize's polish grid reaches about 1e-65, so 1e-80 is never met
+    code, out, err = run(capsys, "geometrize", str(tetra_path), "--d", "0", "--tol", "1e-80")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "NoConvergence"
+    assert re.fullmatch(r"no convergence after \d+ iterations, residual \S+e-6\d", payload["message"])
 
 
 @pytest.mark.parametrize(

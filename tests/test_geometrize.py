@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import guess_grid_oracle as oracle
+import mpf_polish_oracle
 import verify_oracle
 from packinglab import geometrize
 from packinglab.arithmetic import gram_matrix
@@ -98,7 +99,7 @@ def test_realize_bad_parameter_is_parameter_error(kwargs):
 
 
 def test_damping_is_monotone():
-    from packinglab.geometrize import _gauss_newton, _initial_walls
+    from packinglab.geometrize import _Float64Stage, _gauss_newton
 
     spec = tetrahedron_target()
     exact = spec.exact_pairs()
@@ -108,7 +109,7 @@ def test_damping_is_monotone():
     x0 = np.asarray(spec.init_hint) + 1e-4 * rng.standard_normal((spec.wall_count, 4))
     norms = []
     for k in range(1, 14):
-        _, norm, _ = _gauss_newton(x0.copy(), pairs, values, k)
+        _, norm, _ = _gauss_newton(x0.copy(), _Float64Stage(pairs, values), k)
         norms.append(norm)
     for a, b in zip(norms, norms[1:]):
         assert b <= a + 1e-15
@@ -153,6 +154,76 @@ def test_frame_walls_are_exact(target, frame):
     # the line y=0 and the unit circles resting on it at the origin and at (2,0)
     walls = realize(target()).walls
     assert [walls[i] for i in frame] == [[0, 0, 0, -1], [0, 1, 0, 1], [4, 1, 2, 1]]
+
+
+def _cube_target():
+    # vertex v is the corner (v & 1, v >> 1 & 1, v >> 2 & 1); no coordinates, so no hint
+    faces = [[v for v in range(8) if (v >> axis) & 1 == side] for axis in range(3) for side in (0, 1)]
+    return polyhedron_target(8, faces)
+
+
+def _octahedron_target():
+    # vertices +-e_x, +-e_y, +-e_z as 0-5; a face takes one of each pair
+    return polyhedron_target(6, [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)])
+
+
+_POLISH_TARGETS = {
+    "tetrahedron": tetrahedron_target,
+    "cuboctahedron": cuboctahedron_target,
+    "cube": _cube_target,
+    "octahedron": _octahedron_target,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _both_polishes(name, seed):
+    spec = _POLISH_TARGETS[name]()
+    return realize(spec, seed=seed), mpf_polish_oracle.realize(spec, seed=seed)
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize(
+    "name, d",
+    [("tetrahedron", 0), ("tetrahedron", 2), ("tetrahedron", 3), ("tetrahedron", 6),
+     ("cuboctahedron", 6), ("cube", 2), ("octahedron", 2)],
+)
+def test_grid_polish_matches_mpf_polish_oracle(name, d, seed):
+    got, want = _both_polishes(name, seed)
+    assert got.iterations == want.iterations
+    assert got.residual <= 1e-24 and want.residual <= 1e-24
+    walls = guess_walls(got, d, 64, 1e-18)
+    assert walls == guess_walls(want, d, 64, 1e-18)
+    assert verify_realization(walls, _POLISH_TARGETS[name]()).ok
+
+
+def test_polish_converges_at_tol_1e_58():
+    # the mpf polish oracle reaches 9.956824444577827e-60 here
+    out = realize(tetrahedron_target(), tol=1e-58)
+    assert out.residual <= 1e-58
+
+
+def test_tol_under_the_grid_is_no_convergence():
+    # the grid 2**-216 is about 1e-65: the residual stalls near it, under
+    # the 3.3e-62 where the 60-digit mpf polish oracle stalls
+    with pytest.raises(NoConvergence) as info:
+        realize(tetrahedron_target(), tol=1e-80)
+    assert 1e-80 < info.value.residual < 1e-63
+
+
+@pytest.mark.parametrize("size", [1e200, 1e300, float("inf"), float("nan")])
+def test_grid_step_past_the_float_range_is_never_taken(size, monkeypatch):
+    # 1e200 fits the grid but its trial's rows pass a float; the others do
+    # not fit the grid at any of the 25 halvings
+    from packinglab.geometrize import _gauss_newton, _GridStage
+
+    spec = tetrahedron_target()
+    exact = spec.exact_pairs()
+    grid = _GridStage(np.array([(i, j) for i, j, _ in exact]), exact)
+    x = grid.from_floats(np.array(spec.init_hint))
+    monkeypatch.setattr(np.linalg, "lstsq", lambda jac, res, rcond: (np.full(jac.shape[1], size),))
+    got, norm, iterations = _gauss_newton(x, grid, 5, floor=1e-80)
+    assert iterations == 1 and got is x
+    assert norm == np.abs(grid.residual(x)).max() > 0
 
 
 # -- algebraic_guess -----------------------------------------------------------

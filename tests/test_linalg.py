@@ -8,6 +8,7 @@ values, the same exception class and message, the same printed verdict.
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -173,6 +174,19 @@ def test_products_and_reflections_match_oracle(case):
     m = reflection_matrix(u)
     assert m.entries == oracle.reflection_matrix(u)
     assert m.apply(s).coords() == image
+
+
+@settings(max_examples=50, deadline=None)
+@given(wall_pairs())
+def test_reflection_entries_are_decoded_once_on_first_read(case):
+    u, s = case
+    m = reflection_matrix(u)
+    with mock.patch.object(IntMatrix, "decode", autospec=True, side_effect=IntMatrix.decode) as decode:
+        image = m.apply(s)
+        assert m.preserves_form() and decode.call_count == 0
+        assert m.entries == oracle.reflection_matrix(u)
+        assert m.entries is m.entries and decode.call_count == 1
+    assert image.coords() == oracle.vec_mat(s.coords(), m.entries)
 
 
 @settings(max_examples=50, deadline=None)

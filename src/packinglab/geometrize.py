@@ -296,9 +296,10 @@ def _gauss_newton(x, stage, max_iter, fixed=(), floor=1e-13):
     _GridStage, which evaluates the residual as a float64 vector and adds a
     float64 step.  Steps are minimum-norm least-squares solutions of the
     float64 system over the walls not in fixed, whose rows are never
-    changed; a step is halved until max |residual| decreases, so accepted
-    steps decrease it monotonically.  A residual that is not finite stops
-    the loop and is returned as it is."""
+    changed (_step, with the gauge rows when no wall is fixed); a step is
+    halved until max |residual| decreases, so accepted steps decrease it
+    monotonically.  A residual that is not finite stops the loop and is
+    returned as it is."""
     free = ~np.isin(np.arange(len(x)), fixed)
     columns = np.repeat(free, x.shape[1])
     res = stage.residual(x)
@@ -308,9 +309,11 @@ def _gauss_newton(x, stage, max_iter, fixed=(), floor=1e-13):
         if norm < floor or not isfinite(norm):
             break
         iterations += 1
-        jac = _jacobian_np(stage.floats(x), stage.pairs)[:, columns]
+        xf = stage.floats(x)
+        jac = _jacobian_np(xf, stage.pairs)[:, columns]
+        gauge = (xf @ _GAUGE).reshape(6, -1) if free.all() else np.empty((0, jac.shape[1]))
         step = np.zeros(x.shape)
-        step[free] = np.linalg.lstsq(jac, -res, rcond=None)[0].reshape(-1, x.shape[1])
+        step[free] = _step(jac, res, gauge).reshape(-1, x.shape[1])
         alpha, improved = 1.0, False
         for _ in range(25):
             trial = stage.add(x, alpha * step)
@@ -323,6 +326,25 @@ def _gauss_newton(x, stage, max_iter, fixed=(), floor=1e-13):
         if not improved:
             break
     return x, norm, iterations
+
+
+def _step(jac: np.ndarray, res: np.ndarray, gauge: np.ndarray) -> np.ndarray:
+    """The minimum-norm least-squares s of jac @ s = -res: R11 s = R12 for
+    R = [[R11, R12], [0, *]], the QR of [[jac, -res], [gauge, 0]].  jac maps
+    each gauge row to 0, so |jac s + res|^2 + |gauge s|^2 is least at the s
+    with no part along the gauge and jac s + res least, pinv(jac) @ -res
+    (Bjorck, Numerical Methods for Least Squares Problems, sec. 2.7).  Fewer
+    rows than columns, or min |diag R11| <= 1e-10 max |diag R11|, means
+    null directions past the gauge, and the step is lstsq's."""
+    m, n = jac.shape
+    if m + len(gauge) >= n:
+        a = np.zeros((m + len(gauge), n + 1))
+        a[:m, :n], a[:m, n], a[m:, :n] = jac, -res, gauge
+        r = np.linalg.qr(a, mode="r")
+        diag = np.abs(np.diag(r)[:n])
+        if diag.min() > 1e-10 * diag.max():
+            return np.linalg.solve(r[:n, :n], r[:n, n])
+    return np.linalg.lstsq(jac, -res, rcond=None)[0]
 
 
 class _Float64Stage:
@@ -405,6 +427,15 @@ _FRAME = np.array(
 _Q = np.array(q_matrix(2), dtype=float)
 # x = y @ _TO_Q has Q(x) = y0^2 - y1^2 - y2^2 - y3^2
 _TO_Q = np.array([[1.0, 1.0, 0, 0], [1.0, -1.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0]])
+# x @ Q C, for each antisymmetric C, moves the walls x along their orbit
+# under O(Q), where no residual row changes (Q C = B Q^-1 for the
+# antisymmetric B = Q C Q).  _GAUGE holds Q C for the six basis C, by einsum:
+# a BLAS product at import would start BLAS in every process that imports it
+_GAUGE = np.einsum(
+    "ij,kjl->kil",
+    _Q,
+    [np.outer(e, f) - np.outer(f, e) for i, e in enumerate(np.eye(4)) for f in np.eye(4)[i + 1:]],
+)
 
 
 def _frame_map(x: np.ndarray, ia: int, ic: int, ib: int) -> np.ndarray:
@@ -447,7 +478,12 @@ def realize(
     minimum-norm float64 least-squares step then runs in float64, and again,
     at most 20 iterations, as a polish on the fixed-point grid 2**-216
     (_GridStage): every coordinate an exact int over 2**216, every residual
-    row an exact int rounded once to a float.  Accepted steps decrease max
+    row an exact int rounded once to a float.  Each step is one QR solve
+    (_step): in float64 the six Moebius gauge directions, the Jacobian's
+    null space, are stacked under it as rows, which keeps the least-squares
+    solution the minimum-norm step; the polish, frame fixed, has no gauge.
+    A flexible target, with null directions past the gauge, takes lstsq's
+    step.  Accepted steps decrease max
     |residual| monotonically; the reported residual is that norm, over the
     target rows <x_i, x_j> - target and the rows Q(x_i) + 1, and the polish
     stops once it is under tol.  The grid, finer than 60-digit floats,
@@ -462,11 +498,13 @@ def realize(
     algebraic numbers.  Which of two mirror-image configurations is reached
     depends on the start.  The returned walls are mpf, each the exact grid
     value.  Free pairs are not constrained here; verify them after guessing
-    exact coordinates.  A target value too large for a float is a
-    ParameterError.
+    exact coordinates.  A target value too large for a float, like a
+    max_iter that is not a non-negative int, is a ParameterError.
     """
     if seed < 0:
         raise ParameterError(f"seed must be non-negative, got {seed}")
+    if type(max_iter) is not int or max_iter < 0:
+        raise ParameterError(f"max_iter must be a non-negative int, got {max_iter!r}")
     if not 0 < tol < inf:
         raise ParameterError(f"tol must be finite and positive, got {tol}")
     if spec.dim != 2:

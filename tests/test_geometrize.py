@@ -90,8 +90,10 @@ def test_dimension_guard():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"seed": -1}, {"tol": float("nan")}, {"tol": float("inf")}, {"tol": 0.0}, {"tol": -1e-24}],
-    ids=["seed-negative", "tol-nan", "tol-inf", "tol-zero", "tol-negative"],
+    [{"seed": -1}, {"tol": float("nan")}, {"tol": float("inf")}, {"tol": 0.0}, {"tol": -1e-24},
+     {"max_iter": 2.5}, {"max_iter": "5"}, {"max_iter": True}, {"max_iter": -3}],
+    ids=["seed-negative", "tol-nan", "tol-inf", "tol-zero", "tol-negative",
+         "max-iter-float", "max-iter-str", "max-iter-bool", "max-iter-negative"],
 )
 def test_realize_bad_parameter_is_parameter_error(kwargs):
     with pytest.raises(ParameterError):
@@ -145,6 +147,18 @@ def test_jacobian_matches_loop_reference(target):
     assert np.array_equal(_jacobian_np(x, pairs), _jacobian_by_loops(x, pairs))
 
 
+@pytest.mark.parametrize("target", [tetrahedron_target, cuboctahedron_target])
+def test_gauge_rows_are_null_directions_of_the_jacobian(target):
+    from packinglab.geometrize import _GAUGE, _jacobian_np
+
+    spec = target()
+    pairs = np.array([(i, j) for i, j, _ in spec.exact_pairs()], dtype=int).reshape(-1, 2)
+    x = np.random.default_rng(4).standard_normal((spec.wall_count, 4))
+    gauge = (x @ _GAUGE).reshape(6, -1)
+    assert gauge.shape == (6, 4 * spec.wall_count) and np.linalg.matrix_rank(gauge) == 6
+    assert np.abs(_jacobian_np(x, pairs) @ gauge.T).max() < 1e-12
+
+
 @pytest.mark.parametrize(
     "target, frame", [(tetrahedron_target, (0, 1, 2)), (cuboctahedron_target, (0, 1, 4))],
     ids=["tetrahedron", "cuboctahedron"],
@@ -196,6 +210,58 @@ def test_grid_polish_matches_mpf_polish_oracle(name, d, seed):
     assert verify_realization(walls, _POLISH_TARGETS[name]()).ok
 
 
+def _record_steps(monkeypatch):
+    """Spy on the loop's steps, and count the lstsq fallbacks among them."""
+    steps, fallbacks, step, lstsq = [], [], geometrize._step, np.linalg.lstsq
+
+    def spy_step(jac, res, gauge):
+        steps.append((jac, res, gauge, step(jac, res, gauge)))
+        return steps[-1][-1]
+
+    def spy_lstsq(*args, **kwargs):
+        fallbacks.append(args)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(geometrize, "_step", spy_step)
+    monkeypatch.setattr(np.linalg, "lstsq", spy_lstsq)
+    return steps, fallbacks, lstsq
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", [*_POLISH_TARGETS, "hexpyr-gram"])
+def test_qr_step_is_the_lstsq_step(name, seed, monkeypatch):
+    spec = (
+        target_from_gram(hexpyr_expected_gram()) if name == "hexpyr-gram" else _POLISH_TARGETS[name]()
+    )
+    steps, fallbacks, lstsq = _record_steps(monkeypatch)
+    realize(spec, seed=seed)
+    assert not fallbacks
+    # the float64 stage stacks the six gauge rows; the polish, frame fixed, none
+    assert {len(gauge) for _, _, gauge, _ in steps} == {0, 6}
+    for jac, res, _, got in steps:
+        want = lstsq(jac, -res, rcond=None)[0]
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize(
+    "walls, tangent",
+    [(4, [(0, 1), (0, 2), (1, 2), (0, 3)]), (4, [(0, 1), (0, 2), (1, 2)]),
+     (5, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (1, 4)])],
+    ids=["fourth-tangent-to-one", "fourth-free", "two-past-the-triangle"],
+)
+def test_flexible_target_takes_the_lstsq_fallback(walls, tangent, monkeypatch):
+    # the last one's polish has more rows than columns, and a diagonal of R
+    # that is tiny but not zero
+    spec = TargetSpec(walls, {pair: Exact(q(1)) for pair in tangent})
+    steps, fallbacks, lstsq = _record_steps(monkeypatch)
+    got = realize(spec)
+    assert len(fallbacks) == len(steps) == got.iterations > 0
+    monkeypatch.setattr(geometrize, "_step", lambda jac, res, gauge: lstsq(jac, -res, rcond=None)[0])
+    want = realize(spec)
+    assert (got.iterations, got.residual) == (want.iterations, want.residual)
+    assert got.walls == want.walls
+
+
 def test_polish_converges_at_tol_1e_58():
     # the mpf polish oracle reaches 9.956824444577827e-60 here
     out = realize(tetrahedron_target(), tol=1e-58)
@@ -220,7 +286,7 @@ def test_grid_step_past_the_float_range_is_never_taken(size, monkeypatch):
     exact = spec.exact_pairs()
     grid = _GridStage(np.array([(i, j) for i, j, _ in exact]), exact)
     x = grid.from_floats(np.array(spec.init_hint))
-    monkeypatch.setattr(np.linalg, "lstsq", lambda jac, res, rcond: (np.full(jac.shape[1], size),))
+    monkeypatch.setattr(geometrize, "_step", lambda jac, res, gauge: np.full(jac.shape[1], size))
     got, norm, iterations = _gauss_newton(x, grid, 5, floor=1e-80)
     assert iterations == 1 and got is x
     assert norm == np.abs(grid.residual(x)).max() > 0

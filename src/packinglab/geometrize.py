@@ -20,12 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, inf, isfinite, isqrt
+from math import gcd, inf, isfinite, isqrt, sqrt
 from typing import Sequence
 
-import mpmath
 import numpy as np
-from mpmath.libmp import to_rational
 
 from .coxeter import _PLACEHOLDER_SEPARATION
 from .errors import PackingLabError, ParameterError
@@ -37,7 +35,6 @@ from .inversive import (
     q_matrix,
 )
 
-_REFINE_DPS = 60
 _P = 216  # realize's polish grid: a coordinate is an int X meaning X / 2**_P
 _CHUNK = 1 << 14  # rows (value, q) in one block of algebraic_guess, and cells in one pass
 _ROW_BITS = 24
@@ -114,10 +111,10 @@ class TargetSpec:
 
 @dataclass
 class FloatWallSystem:
-    """Realized walls in extended-precision floats, row per wall: each an
-    mpf that is exactly a value of realize's polish grid."""
+    """Realized walls, row per wall: each coordinate a Fraction, exactly a
+    value X / 2**216 of realize's polish grid."""
 
-    walls: list[list[mpmath.mpf]]
+    walls: list[list[Fraction]]
     residual: float
     iterations: int
 
@@ -414,8 +411,8 @@ class _GridStage:
 
     @staticmethod
     def walls(X):
-        """The mpf walls, each coordinate the exact X / 2**_P."""
-        return [[mpmath.mpf((c, -_P), prec=0) for c in row] for row in X.tolist()]
+        """The walls as Fractions, each coordinate the exact X / 2**_P."""
+        return [[Fraction(c, 1 << _P) for c in row] for row in X.tolist()]
 
 
 # the frame: the line y=0, the unit circle resting on it at the origin, the
@@ -496,13 +493,13 @@ def realize(
     set to the frame exactly and held fixed while the polish solves for the
     other walls.  This is what makes the solved coordinates land on small
     algebraic numbers.  Which of two mirror-image configurations is reached
-    depends on the start.  The returned walls are mpf, each the exact grid
-    value.  Free pairs are not constrained here; verify them after guessing
-    exact coordinates.  A target value too large for a float, like a
-    max_iter that is not a non-negative int, is a ParameterError.
+    depends on the start.  The returned walls are Fractions, each the exact
+    grid value.  Free pairs are not constrained here; verify them after
+    guessing exact coordinates.  A target value too large for a float, like
+    a seed or max_iter that is not a non-negative int, is a ParameterError.
     """
-    if seed < 0:
-        raise ParameterError(f"seed must be non-negative, got {seed}")
+    if type(seed) is not int or seed < 0:
+        raise ParameterError(f"seed must be a non-negative int, got {seed!r}")
     if type(max_iter) is not int or max_iter < 0:
         raise ParameterError(f"max_iter must be a non-negative int, got {max_iter!r}")
     if not 0 < tol < inf:
@@ -547,11 +544,12 @@ def realize(
 def algebraic_guess(value, d: int, denom_bound: int, tol: float) -> QuadExt:
     """Snap a float to (a + b*sqrt(d))/q with q <= denom_bound.
 
-    value is an mpf, a float (numpy float64 included) or an int; any other
-    type is a ParameterError.  Raises Ambiguous when several distinct exact
-    values fit within tol and NoCandidate when none does; a value that is
-    not finite has no candidate.  d must be 0 or a non-square positive
-    integer: a rational sqrt(d) would give one value several (a, b) keys.
+    value is a float (numpy float64 included), an int, a Fraction or an
+    mpf, read off its _mpf_ tuple; any other type is a ParameterError.
+    Raises Ambiguous when several distinct exact values fit within tol and
+    NoCandidate when none does; a value that is not finite, or past the
+    float range, has none.  d must be 0 or a non-square positive integer: a
+    rational sqrt(d) would give one value several (a, b) keys.
     tol must be finite and >= 0, and tol == 0 asks for an exact match.  The
     acceptance test is exact: |q*x - a - b*sqrt(d)| <= q*tol is decided on
     ints (exactnum.quad_sign) for the exact value of x and of tol.
@@ -590,23 +588,25 @@ def guess_walls(
     return [InversiveVector.from_coords([next(coords) for _ in row]) for row in system.walls]
 
 
-def _read_value(value) -> tuple[float, int, int]:
-    """A value to guess as its float and its exact ratio xn/xd, or (x, 0, 1)
-    when the float x is not finite: an mpf, a float or an int."""
-    if isinstance(value, mpmath.mpf):
-        xm = value
-    elif isinstance(value, (float, int)):
-        xm = mpmath.mpf(value)
-    else:
-        raise ParameterError(
-            f"a value to guess must be an mpf, a float or an int, not {type(value).__name__}"
-        )
-    xf = float(xm)
+def _read_value(value, denom_bound: int) -> tuple[float, int, int]:
+    """A value to guess as its float, rounded to nearest, and its exact ratio
+    xn/xd: a float, an int, a Fraction, or an mpf, whose _mpf_ (sign, man,
+    exp, bc) is (-1)**sign * man * 2**exp.  A value whose float is not
+    finite, +-inf past the float range, has no candidate."""
+    mpf = getattr(value, "_mpf_", None)
+    if mpf is None and not isinstance(value, (float, int, Fraction)):
+        name = type(value).__name__
+        raise ParameterError(f"a value to guess must be a float, an int, a Fraction or an mpf, not {name}")
+    try:
+        xf = float(value)
+    except OverflowError:
+        xf = inf if value > 0 else -inf
     if not isfinite(xf):
-        return xf, 0, 1
-    if xm is value:
-        return xf, *to_rational(value._mpf_)
-    return xf, *Fraction(value).as_integer_ratio()
+        raise NoCandidate(f"{xf!r} has no exact match with denominator <= {denom_bound}")
+    if mpf is None:
+        return xf, *value.as_integer_ratio()
+    sign, man, exp, _ = mpf
+    return xf, (-man if sign else man) << max(exp, 0), 1 << max(-exp, 0)
 
 
 def _b_max(xq, slack, sqrt_f: float, denom_bound: int):
@@ -626,51 +626,51 @@ def _guess_values(values, d: int, denom_bound: int, tol: float) -> list[QuadExt]
         raise ParameterError(f"d must be 0 or a positive non-square, got {d}")
     if not 0 <= tol < inf:
         raise ParameterError(f"tol must be finite and non-negative, got {tol}")
-    with mpmath.workdps(_REFINE_DPS):
-        sqrt_f = float(mpmath.sqrt(d))
-        # a value's checks before the walk, in order; the first failure waits
-        # until the values before it are walked
-        xfs, ratios, failed = [], [], None
-        for value in values:
-            try:
-                xf, xn, xd = _read_value(value)
-                if not isfinite(xf):
-                    raise NoCandidate(f"{xf!r} has no exact match with denominator <= {denom_bound}")
-            except PackingLabError as exc:
-                failed = exc
-                break
-            xfs.append(xf)
-            ratios.append((xn, xd))
-        # a q*x past the float range is inf or nan: its cap is over the guard,
-        # and its row keeps no candidate
-        with np.errstate(over="ignore", invalid="ignore"):
-            # the row guard: the widest row of a value is its row q = denom_bound
-            caps = np.zeros(len(xfs))
-            if d:
-                slack = denom_bound * tol * 1.125 + 1e-9
-                caps = _b_max(np.array(xfs) * denom_bound, slack, sqrt_f, denom_bound)
-            over = np.flatnonzero(2 * caps + 1 > _ROW_CELLS)
-            if len(over):
-                i = over[0]
-                failed = ParameterError(
-                    f"{xfs[i]!r} needs grid rows of {2 * caps[i] + 1:.0f} cells at d = {d} and"
-                    f" denominator bound {denom_bound}, over the limit of {_ROW_CELLS}"
-                )
-                del xfs[i:], ratios[i:]
-            found = _walk(xfs, ratios, int(caps[:len(xfs)].max(initial=0)), d, sqrt_f, denom_bound, tol)
-        out = []
-        for xf, hits in zip(xfs, found):
-            if len(hits) > 1:
-                raise Ambiguous(xf, sorted(hits, key=float))
-            if not hits:
-                raise NoCandidate(f"{xf!r} has no exact match with denominator <= {denom_bound}")
-            out.append(hits[0])
-        if failed is not None:
-            raise failed
-        return out
+    # a d past exactnum.MAX_DISC is refused here, before sqrt(d) can overflow
+    root = QuadExt.sqrt(d) if d else QuadExt(0)
+    sqrt_f = sqrt(d)
+    # a value's checks before the walk, in order; the first failure waits
+    # until the values before it are walked
+    xfs, ratios, failed = [], [], None
+    for value in values:
+        try:
+            xf, xn, xd = _read_value(value, denom_bound)
+        except PackingLabError as exc:
+            failed = exc
+            break
+        xfs.append(xf)
+        ratios.append((xn, xd))
+    # a q*x past the float range is inf or nan: its cap is over the guard,
+    # and its row keeps no candidate
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the row guard: the widest row of a value is its row q = denom_bound
+        caps = np.zeros(len(xfs))
+        if d:
+            slack = denom_bound * tol * 1.125 + 1e-9
+            caps = _b_max(np.array(xfs) * denom_bound, slack, sqrt_f, denom_bound)
+        over = np.flatnonzero(2 * caps + 1 > _ROW_CELLS)
+        if len(over):
+            i = over[0]
+            failed = ParameterError(
+                f"{xfs[i]!r} needs grid rows of {2 * caps[i] + 1:.0f} cells at d = {d} and"
+                f" denominator bound {denom_bound}, over the limit of {_ROW_CELLS}"
+            )
+            del xfs[i:], ratios[i:]
+        cap = int(caps[:len(xfs)].max(initial=0))
+        found = _walk(xfs, ratios, cap, d, root, sqrt_f, denom_bound, tol)
+    out = []
+    for xf, hits in zip(xfs, found):
+        if len(hits) > 1:
+            raise Ambiguous(xf, sorted(hits, key=float))
+        if not hits:
+            raise NoCandidate(f"{xf!r} has no exact match with denominator <= {denom_bound}")
+        out.append(hits[0])
+    if failed is not None:
+        raise failed
+    return out
 
 
-def _walk(xfs, ratios, cap: int, d: int, sqrt_f: float, denom_bound: int, tol: float):
+def _walk(xfs, ratios, cap: int, d: int, root: QuadExt, sqrt_f: float, denom_bound: int, tol: float):
     """The candidates that pass the exact test, per value, in the order of q
     then b.  The rows (value, q) are walked value by value, _CHUNK rows to a
     block, and the walk ends when a value has two, so that every value before
@@ -682,7 +682,6 @@ def _walk(xfs, ratios, cap: int, d: int, sqrt_f: float, denom_bound: int, tol: f
     # and c = q*tn*xd
     tn, td = Fraction(tol).as_integer_ratio()
     # (a + b*sqrt(d)) / q is (a + b*s*sqrt(f)) / q for square-free f
-    root = QuadExt.sqrt(d) if d else QuadExt(0)
     s, f = root.triple[1], root.disc
     keys = None
     n_rows = len(xfs) * denom_bound

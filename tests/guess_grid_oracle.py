@@ -18,11 +18,13 @@ from fraction_quadext_oracle import QuadExt as FractionQuadExt
 
 from packinglab.errors import ParameterError
 from packinglab.exactnum import QuadExt
-from packinglab.geometrize import _REFINE_DPS, Ambiguous, NoCandidate
+from packinglab.geometrize import Ambiguous, NoCandidate
+
+_REFINE_DPS = 60
 
 
 def _exact(value) -> Fraction:
-    """The exact value of an mpf, a float or an int."""
+    """The exact value of an mpf, a float, an int or a Fraction."""
     if isinstance(value, mpmath.mpf):
         sign, man, exp, _ = value._mpf_
         return (-1) ** sign * man * Fraction(2) ** exp
@@ -41,7 +43,8 @@ def algebraic_guess(value, d: int, denom_bound: int, tol: float) -> QuadExt:
     if d < 0 or (d and isqrt(d) ** 2 == d):
         raise ParameterError(f"d must be 0 or a positive non-square, got {d}")
     with mpmath.workdps(_REFINE_DPS):
-        xm = mpmath.mpf(value) if not isinstance(value, mpmath.mpf) else value
+        # a Fraction's float is its own, rounded once
+        xm = value if isinstance(value, (mpmath.mpf, Fraction)) else mpmath.mpf(value)
         xf = float(xm)
         x, bound = _exact(value), Fraction(tol)
         sqrt_f = float(mpmath.sqrt(d))

@@ -90,9 +90,11 @@ def test_dimension_guard():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"seed": -1}, {"tol": float("nan")}, {"tol": float("inf")}, {"tol": 0.0}, {"tol": -1e-24},
+    [{"seed": -1}, {"seed": "5"}, {"seed": None}, {"seed": 2.5}, {"seed": True},
+     {"tol": float("nan")}, {"tol": float("inf")}, {"tol": 0.0}, {"tol": -1e-24},
      {"max_iter": 2.5}, {"max_iter": "5"}, {"max_iter": True}, {"max_iter": -3}],
-    ids=["seed-negative", "tol-nan", "tol-inf", "tol-zero", "tol-negative",
+    ids=["seed-negative", "seed-str", "seed-none", "seed-float", "seed-bool",
+         "tol-nan", "tol-inf", "tol-zero", "tol-negative",
          "max-iter-float", "max-iter-str", "max-iter-bool", "max-iter-negative"],
 )
 def test_realize_bad_parameter_is_parameter_error(kwargs):
@@ -168,6 +170,8 @@ def test_frame_walls_are_exact(target, frame):
     # the line y=0 and the unit circles resting on it at the origin and at (2,0)
     walls = realize(target()).walls
     assert [walls[i] for i in frame] == [[0, 0, 0, -1], [0, 1, 0, 1], [4, 1, 2, 1]]
+    # every coordinate is the exact grid value X / 2**216
+    assert all(type(c) is Fraction and (1 << 216) % c.denominator == 0 for row in walls for c in row)
 
 
 def _cube_target():
@@ -341,8 +345,11 @@ def test_guess_past_float_range_warns_nothing():
 
 @pytest.mark.parametrize("d", [0, 3, 6])
 @pytest.mark.parametrize(
-    "x", [float("nan"), float("inf"), float("-inf"), mpmath.mpf("1e400")],
-    ids=["nan", "inf", "-inf", "mpf-past-float"],
+    "x",
+    [float("nan"), float("inf"), float("-inf"), mpmath.mpf("1e400"), mpmath.mpf("inf"),
+     mpmath.mpf("nan"), 10**400, Fraction(10**400)],
+    ids=["nan", "inf", "-inf", "mpf-past-float", "mpf-inf", "mpf-nan", "int-past-float",
+         "Fraction-past-float"],
 )
 def test_guess_non_finite_value_has_no_candidate(x, d):
     with pytest.raises(NoCandidate):
@@ -359,24 +366,28 @@ def test_guess_zero_tol_asks_for_exact_match():
     assert algebraic_guess(0.5, d=3, denom_bound=6, tol=0.0) == q(Fraction(1, 2))
     with pytest.raises(NoCandidate):
         algebraic_guess(0.1, d=0, denom_bound=64, tol=0.0)  # the float 0.1 is not 1/10
+    with pytest.raises(NoCandidate):
+        algebraic_guess(1 / 3, d=3, denom_bound=6, tol=0.0)  # the float 1/3 is not 1/3 either
 
 
 @pytest.mark.parametrize(
     "value",
-    [Fraction(1, 2), np.float32(0.5), np.int64(1), mpmath.mpc(1, 0), "0.1"],
-    ids=["Fraction", "float32", "int64", "mpc", "str"],
+    [np.float32(0.5), np.int64(1), mpmath.mpc(1, 0), "0.1"],
+    ids=["float32", "int64", "mpc", "str"],
 )
 def test_guess_value_of_another_type_is_parameter_error(value):
-    # these left as a TypeError from mpmath, and a str was read as a binary
-    # mpf by the prefilter but as a decimal Fraction by the exact test
-    with pytest.raises(ParameterError, match=f"not {type(value).__name__}$"):
+    # a str is a binary float to float() but a decimal to Fraction(), and an
+    # mpc has no _mpf_
+    message = f"must be a float, an int, a Fraction or an mpf, not {type(value).__name__}$"
+    with pytest.raises(ParameterError, match=message):
         algebraic_guess(value, d=0, denom_bound=64, tol=1e-12)
 
 
 @pytest.mark.parametrize(
     "value, want",
-    [(np.float64(0.5), q(Fraction(1, 2))), (3, q(3)), (mpmath.mpf(0.5), q(Fraction(1, 2)))],
-    ids=["float64", "int", "mpf"],
+    [(np.float64(0.5), q(Fraction(1, 2))), (3, q(3)), (mpmath.mpf(0.5), q(Fraction(1, 2))),
+     (Fraction(1, 3), q(Fraction(1, 3)))],
+    ids=["float64", "int", "mpf", "Fraction"],
 )
 def test_guess_reads_mpf_float_and_int(value, want):
     assert algebraic_guess(value, d=3, denom_bound=6, tol=0.0) == want

@@ -17,7 +17,7 @@ from .coxeter import gram_from_diagram, parse_diagram, print_diagram
 from .errors import PackingLabError, ParameterError
 from .exactnum import QuadExt
 from .fixtures import REGISTRY
-from .geometrize import cluster_split, guess_walls, realize, verify_realization
+from .geometrize import check_discriminant, cluster_split, guess_walls, realize, verify_realization
 from .inversive import reflection_matrix
 from .localglobal import missing_bends, residue_orbit
 from .orbit import WallSystem, generate_packing, generate_superpacking
@@ -108,6 +108,8 @@ def cmd_arith(args) -> int:
 
 def cmd_geometrize(args) -> int:
     spec = _load(args.target, "target")
+    # a d the guess would refuse is refused before realize runs
+    check_discriminant(args.d)
     system = realize(spec, seed=args.seed, tol=args.tol)
     guess_tol = max(args.tol, 1e-18)
     walls = guess_walls(system, args.d, args.denom, guess_tol)
@@ -153,13 +155,14 @@ def cmd_lg_scan(args) -> int:
     cluster = system.cluster_walls()
     refls = [reflection_matrix(w) for w in system.cocluster_walls()]
     gens = [bends_conjugate(r, cluster) for r in refls]
+    # a modulus the BFS refuses is refused before the packing is grown
+    orbit = residue_orbit(gens, bends_vector(cluster), args.modulus)
     packing = generate_packing(system, bound, max_word=args.max_word)
     if certify_integral(packing).integral:
         whole = packing.codes[:, 2] // packing.codes[:, -1]
         bends = whole[whole > 0].tolist()
     else:  # missing_bends names the first positive bend that is not an integer
         bends = [b for b in packing.bends_list() if b.sign() > 0]
-    orbit = residue_orbit(gens, bends_vector(cluster), args.modulus)
     # an unsaturated packing may lack bends under the bound, so none are called missing
     missing = missing_bends(bends, orbit, bound=args.scan_bound) if packing.saturated else None
     doc = {

@@ -27,7 +27,7 @@ import numpy as np
 
 from .coxeter import _PLACEHOLDER_SEPARATION
 from .errors import PackingLabError, ParameterError
-from .exactnum import QuadExt, from_triple, quad_sign
+from .exactnum import MAX_DISC, QuadExt, from_triple, quad_sign
 from .inversive import (
     InversiveVector,
     _product,
@@ -615,6 +615,15 @@ def _b_max(xq, slack, sqrt_f: float, denom_bound: int):
     return np.floor((np.abs(xq) + slack + 1.0) / sqrt_f) + 1 + denom_bound
 
 
+def check_discriminant(d: int) -> None:
+    """Refuse a d that algebraic_guess cannot take: a negative or square d,
+    or one over exactnum.MAX_DISC, whose sqrt(d) QuadExt would not build."""
+    if d < 0 or (d and isqrt(d) ** 2 == d):
+        raise ParameterError(f"d must be 0 or a positive non-square, got {d}")
+    if d > MAX_DISC:
+        raise ParameterError(f"d {d} is over the limit of {MAX_DISC}")
+
+
 def _guess_values(values, d: int, denom_bound: int, tol: float) -> list[QuadExt]:
     """algebraic_guess on each value in turn: the first value that fails
     raises, and the values after it are not walked."""
@@ -622,11 +631,9 @@ def _guess_values(values, d: int, denom_bound: int, tol: float) -> list[QuadExt]
         raise ParameterError(f"denominator bound must be positive, got {denom_bound}")
     if denom_bound > _ROW_CELLS:
         raise ParameterError(f"denominator bound {denom_bound} is over the limit of {_ROW_CELLS}")
-    if d < 0 or (d and isqrt(d) ** 2 == d):
-        raise ParameterError(f"d must be 0 or a positive non-square, got {d}")
+    check_discriminant(d)
     if not 0 <= tol < inf:
         raise ParameterError(f"tol must be finite and non-negative, got {tol}")
-    # a d past exactnum.MAX_DISC is refused here, before sqrt(d) can overflow
     root = QuadExt.sqrt(d) if d else QuadExt(0)
     sqrt_f = sqrt(d)
     # a value's checks before the walk, in order; the first failure waits

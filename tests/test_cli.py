@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from packinglab import serialize
+from packinglab import cli, serialize
 from packinglab.cli import main
 from packinglab.fixtures import COX6_DIAGRAM
 
@@ -422,6 +422,33 @@ def test_bad_parameter_is_clean_error(capsys, apollonian_path, hexpyr_gram_path,
     paths = {"system": apollonian_path, "gram": str(hexpyr_gram_path), "target": str(tetra_path),
              "packing": str(packing)}
     code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "ParameterError"
+
+
+def test_geometrize_d_past_max_disc_is_refused_before_realize(capsys, tetra_path, monkeypatch):
+    def unrun(*args, **kwargs):
+        raise AssertionError("realize ran")
+
+    monkeypatch.setattr(cli, "realize", unrun)
+    code, out, err = run(capsys, "geometrize", str(tetra_path), "--d", "10000000001")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": "ParameterError", "message": "d 10000000001 is over the limit of 1000000000"
+    }
+
+
+@pytest.mark.parametrize("modulus", ["0", "55109"])
+def test_lg_scan_bad_modulus_is_refused_before_the_packing(capsys, apollonian_path, monkeypatch,
+                                                            modulus):
+    def unrun(*args, **kwargs):
+        raise AssertionError("generate_packing ran")
+
+    monkeypatch.setattr(cli, "generate_packing", unrun)
+    code, out, err = run(capsys, "lg-scan", apollonian_path, "--bound", "20000",
+                         "--modulus", modulus, "--scan-bound", "10")
     assert code == 1 and out == ""
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == "ParameterError"

@@ -362,6 +362,13 @@ def test_guess_bad_tol_is_parameter_error(tol):
         algebraic_guess(0.5, d=3, denom_bound=6, tol=tol)
 
 
+@pytest.mark.parametrize("d", [-3, 4, 10**10, 10**10 + 1])
+def test_guess_bad_d_is_parameter_error(d):
+    # 10**10 + 1 is a non-square over exactnum.MAX_DISC: its sqrt QuadExt would not build
+    with pytest.raises(ParameterError, match=f"^d .*{d}"):
+        algebraic_guess(0.5, d=d, denom_bound=6, tol=1e-18)
+
+
 def test_guess_zero_tol_asks_for_exact_match():
     assert algebraic_guess(0.5, d=3, denom_bound=6, tol=0.0) == q(Fraction(1, 2))
     with pytest.raises(NoCandidate):

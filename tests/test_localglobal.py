@@ -17,6 +17,7 @@ from packinglab.fixtures import apollonian_system
 from packinglab.inversive import reflection_matrix
 from packinglab.localglobal import NonIntegralInput, ResidueOrbit, missing_bends, residue_orbit
 from packinglab.orbit import generate_packing
+from soddy import soddy_walls
 
 
 def apollonian_generators():
@@ -220,3 +221,67 @@ def test_bad_modulus_is_a_value_error():
         residue_orbit(GENS, START, 0)
     with pytest.raises(ValueError):
         residue_orbit(GENS, START, -5)
+
+
+# -- moved rows: a generator is multiplied only on the rows it changes mod m ---
+
+
+def soddy_generators():
+    walls = soddy_walls()
+    cluster = walls[:5]
+    return [bends_conjugate(reflection_matrix(w), cluster) for w in walls[5:]], bends_vector(cluster)
+
+
+@pytest.mark.parametrize("m", [3, 4, 8, 9, 12, 24])
+def test_soddy_orbit_matches_oracle(m):
+    gens, start = soddy_generators()
+    for g in gens:  # each Soddy-Gosset move changes one of the five bends
+        assert sum(list(row) != [int(r == c) for c in range(5)] for r, row in enumerate(g)) == 1
+    assert_matches_oracle(gens, start, m)
+    if m % 3 == 0:
+        assert {r % 3 for r in residue_orbit(gens, start, m).residues} <= {0, 2}
+
+
+def identity_mod(m, off):
+    """The identity plus m times off: the identity mod m, but not over Z."""
+    return [[int(r == c) + m * x for c, x in enumerate(row)] for r, row in enumerate(off)]
+
+
+@pytest.mark.parametrize("m", [2, 5, 7, 12])
+def test_generator_identity_mod_m_only_is_no_move(m):
+    rng = random.Random(m)
+    k = 4
+    start = [rng.randint(-20, 20) for _ in range(k)]
+    # m + 1 on the diagonal, +-m off it
+    signed = identity_mod(m, [[1 if r == c else (-1) ** (r + c) for c in range(k)] for r in range(k)])
+    assert residue_orbit([signed], start, m).vector_count == 1
+    other = identity_mod(m, [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)])
+    dense = random_generators(rng, k)[:2]
+    assert_matches_oracle([signed, dense[0], other, dense[1]], start, m)
+
+
+@pytest.mark.parametrize("m", [1, 6, 11])
+def test_identity_generator_mixed_with_dense_ones(m):
+    rng = random.Random(100 + m)
+    k = 3
+    eye = [[int(r == c) for c in range(k)] for r in range(k)]
+    start = [rng.randint(-20, 20) for _ in range(k)]
+    assert_matches_oracle([eye, *random_generators(rng, k), eye], start, m)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("m", [4, 9, 10])
+def test_two_moved_rows_and_all_rows_moved(seed, m):
+    rng = random.Random(10 * m + seed)
+    k = 4
+    # a 1 off the diagonal moves a row mod every m > 1
+    two = [[int(r == c) for c in range(k)] for r in range(k)]
+    for r in (1, 3):
+        two[r] = [rng.randint(-9, 9) for _ in range(k)]
+        two[r][(r + 1) % k] = 1
+    full = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)]
+    for r in range(k):
+        full[r][(r + 1) % k] = 1
+    start = [rng.randint(-20, 20) for _ in range(k)]
+    assert_matches_oracle([two], start, m)
+    assert_matches_oracle([two, full], start, m)

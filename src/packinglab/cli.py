@@ -17,7 +17,9 @@ from .coxeter import gram_from_diagram, parse_diagram, print_diagram
 from .errors import PackingLabError, ParameterError
 from .exactnum import QuadExt
 from .fixtures import REGISTRY
-from .geometrize import check_discriminant, cluster_split, guess_walls, realize, verify_realization
+from .geometrize import (
+    check_denominator_bound, check_discriminant, cluster_split, guess_walls, realize, verify_realization
+)
 from .inversive import reflection_matrix
 from .localglobal import missing_bends, residue_orbit
 from .orbit import WallSystem, generate_packing, generate_superpacking
@@ -108,8 +110,9 @@ def cmd_arith(args) -> int:
 
 def cmd_geometrize(args) -> int:
     spec = _load(args.target, "target")
-    # a d the guess would refuse is refused before realize runs
+    # a d or a --denom the guess would refuse is refused before realize runs
     check_discriminant(args.d)
+    check_denominator_bound(args.denom)
     system = realize(spec, seed=args.seed, tol=args.tol)
     guess_tol = max(args.tol, 1e-18)
     walls = guess_walls(system, args.d, args.denom, guess_tol)

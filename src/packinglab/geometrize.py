@@ -1,11 +1,11 @@
 """Numeric realization of product targets and recovery of exact coordinates.
 
 The pipeline is: realize (start from the target's init hint, or else from an
-eigendecomposition of its Gram matrix, then one damped Gauss-Newton loop run in
-float64, one Moebius map that puts a tangent triple on the frame, whose three
-walls are then set exactly and held fixed, and the same loop again for the
-other walls on exact fixed-point ints, each coordinate an int over 2**216,
-each residual row an exact int rounded once to a float), algebraic_guess
+eigendecomposition of its Gram matrix, one Moebius map that puts a tangent
+triple of the start on the frame, whose three walls are then set exactly and
+held fixed, and one damped Gauss-Newton loop for the other walls on exact
+fixed-point ints, each coordinate an int over 2**216, each residual row an
+exact int rounded once to a float), algebraic_guess
 (snap a value to (a + b*sqrt(d))/q with a bounded denominator: the rows
 (value, q) go in blocks, and a block of narrow windows finds the b a float
 prefilter can keep, those with frac(b*sqrt(d)) near frac(q*x), by
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, inf, isfinite, isqrt, sqrt
+from math import gcd, inf, isfinite, isqrt, nan, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -35,7 +35,7 @@ from .inversive import (
     q_matrix,
 )
 
-_P = 216  # realize's polish grid: a coordinate is an int X meaning X / 2**_P
+_P = 216  # realize's grid: a coordinate is an int X meaning X / 2**_P
 _CHUNK = 1 << 14  # rows (value, q) in one block of algebraic_guess, and cells in one pass
 _ROW_BITS = 24
 _ROW_CELLS = 1 << _ROW_BITS  # widest row of surd coefficients b algebraic_guess takes on
@@ -112,7 +112,7 @@ class TargetSpec:
 @dataclass
 class FloatWallSystem:
     """Realized walls, row per wall: each coordinate a Fraction, exactly a
-    value X / 2**216 of realize's polish grid."""
+    value X / 2**216 of realize's grid."""
 
     walls: list[list[Fraction]]
     residual: float
@@ -265,18 +265,10 @@ def _initial_walls(spec: TargetSpec, rng: np.random.Generator) -> np.ndarray:
 # -- solver ----------------------------------------------------------------
 
 
-def _residual_np(x: np.ndarray, pairs, values) -> np.ndarray:
-    diag = x[:, 0] * x[:, 1] - (x[:, 2:] ** 2).sum(axis=1) + 1.0
-    if not len(pairs):
-        return diag
-    u, v = x[pairs[:, 0]], x[pairs[:, 1]]
-    prod = 0.5 * (u[:, 0] * v[:, 1] + u[:, 1] * v[:, 0]) - (u[:, 2:] * v[:, 2:]).sum(axis=1)
-    return np.concatenate([diag, prod - values])
-
-
 def _jacobian_np(x: np.ndarray, pairs) -> np.ndarray:
-    """Jacobian of _residual_np at a float64 x: d Q(x_i) = 2 x_i Q, and
-    d <x_i, x_j> = x_j Q at wall i and x_i Q at wall j."""
+    """Jacobian of the residual at float64 walls x, row per wall then row per
+    target pair: d Q(x_i) = 2 x_i Q, and d <x_i, x_j> = x_j Q at wall i and
+    x_i Q at wall j."""
     k, width = x.shape
     xq = x @ _Q
     jac = np.zeros((k + len(pairs), k, width))
@@ -288,94 +280,73 @@ def _jacobian_np(x: np.ndarray, pairs) -> np.ndarray:
     return jac.reshape(len(jac), k * width)
 
 
-def _gauss_newton(x, stage, max_iter, fixed=(), floor=1e-13):
-    """Damped Gauss-Newton on the walls x of a stage, _Float64Stage or
-    _GridStage, which evaluates the residual as a float64 vector and adds a
-    float64 step.  Steps are minimum-norm least-squares solutions of the
-    float64 system over the walls not in fixed, whose rows are never
-    changed (_step, with the gauge rows when no wall is fixed); a step is
-    halved until max |residual| decreases, so accepted steps decrease it
-    monotonically.  A residual that is not finite stops the loop and is
-    returned as it is."""
-    free = ~np.isin(np.arange(len(x)), fixed)
-    columns = np.repeat(free, x.shape[1])
-    res = stage.residual(x)
+def _gauss_newton(X, grid, fixed, max_iter, tol):
+    """Damped Gauss-Newton on the grid walls X (_Grid), the rows in
+    fixed never changed.  Each step is the float64 least-squares step of
+    _step over the other walls, at the walls read as floats; it enters the
+    ints scaled by 2**_P and rounded toward zero, and is halved until max
+    |residual| decreases, so accepted steps decrease it monotonically.  The
+    loop stops once that norm is at most tol, or is not finite, or after
+    max_iter steps; a step that is not finite on the grid, or that no
+    halving makes decrease the norm, ends it where it is."""
+    free = ~np.isin(np.arange(len(X)), fixed)
+    columns = np.repeat(free, X.shape[1])
+    res = grid.residual(X)
     norm = np.abs(res).max()
     iterations = 0
     for _ in range(max_iter):
-        if norm < floor or not isfinite(norm):
+        if norm <= tol or not isfinite(norm):
             break
         iterations += 1
-        xf = stage.floats(x)
-        jac = _jacobian_np(xf, stage.pairs)[:, columns]
-        gauge = (xf @ _GAUGE).reshape(6, -1) if free.all() else np.empty((0, jac.shape[1]))
-        step = np.zeros(x.shape)
-        step[free] = _step(jac, res, gauge).reshape(-1, x.shape[1])
+        jac = _jacobian_np(np.ldexp(X.astype(float), -_P), grid.pairs)[:, columns]
+        step = np.zeros(X.shape)
+        step[free] = _step(jac, res).reshape(-1, X.shape[1])
+        with np.errstate(over="ignore"):
+            step = np.ldexp(step, _P)
+        if not np.isfinite(step).all():
+            break
         alpha, improved = 1.0, False
         for _ in range(25):
-            trial = stage.add(x, alpha * step)
-            trial_res = stage.residual(trial)
+            trial = X + _to_int(alpha * step)
+            trial_res = grid.residual(trial)
             trial_norm = np.abs(trial_res).max()
             if trial_norm < norm:
-                x, res, norm, improved = trial, trial_res, trial_norm, True
+                X, res, norm, improved = trial, trial_res, trial_norm, True
                 break
             alpha *= 0.5
         if not improved:
             break
-    return x, norm, iterations
+    return X, norm, iterations
 
 
-def _step(jac: np.ndarray, res: np.ndarray, gauge: np.ndarray) -> np.ndarray:
-    """The minimum-norm least-squares s of jac @ s = -res: R11 s = R12 for
-    R = [[R11, R12], [0, *]], the QR of [[jac, -res], [gauge, 0]].  jac maps
-    each gauge row to 0, so |jac s + res|^2 + |gauge s|^2 is least at the s
-    with no part along the gauge and jac s + res least, pinv(jac) @ -res
-    (Bjorck, Numerical Methods for Least Squares Problems, sec. 2.7).  Fewer
-    rows than columns, or min |diag R11| <= 1e-10 max |diag R11|, means
-    null directions past the gauge, and the step is lstsq's."""
+def _step(jac: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """The least-squares s of jac @ s = -res: R11 s = R12 for R = [[R11,
+    R12], [0, *]], the QR of [jac, -res].  With the frame fixed, jac of a
+    rigid target has full column rank and s is unique.  Fewer rows than
+    columns, or min |diag R11| <= 1e-10 max |diag R11|, means null
+    directions, a flexible target, and the step is lstsq's minimum-norm one."""
     m, n = jac.shape
-    if m + len(gauge) >= n:
-        a = np.zeros((m + len(gauge), n + 1))
-        a[:m, :n], a[:m, n], a[m:, :n] = jac, -res, gauge
-        r = np.linalg.qr(a, mode="r")
+    if m >= n:
+        r = np.linalg.qr(np.column_stack([jac, -res]), mode="r")
         diag = np.abs(np.diag(r)[:n])
         if diag.min() > 1e-10 * diag.max():
             return np.linalg.solve(r[:n, :n], r[:n, n])
     return np.linalg.lstsq(jac, -res, rcond=None)[0]
 
 
-class _Float64Stage:
-    """The walls as a float64 array: realize's first stage."""
-
-    def __init__(self, pairs, values):
-        self.pairs, self.values = pairs, values
-
-    def residual(self, x):
-        return _residual_np(x, self.pairs, self.values)
-
-    def floats(self, x):
-        return x
-
-    def add(self, x, step):
-        return x + step
-
-
 _to_int = np.frompyfunc(int, 1, 1)
 
 
-class _GridStage:
-    """The walls as fixed-point ints, realize's polish: an object array of
-    ints X, each the coordinate X / 2**_P.
+class _Grid:
+    """The walls as fixed-point ints, realize's representation: an object
+    array of ints X, each the coordinate X / 2**_P.
 
     Every residual row is an exact int at scale U = 2**(2P+1): for a wall,
     2*(X0*X1 - X2**2 - X3**2) + U, which is (Q(x) + 1)*U, and for a target
     pair, U0*V1 + U1*V0 - 2*(U2*V2 + U3*V3) - T, which is (<u, v> - t)*U
     but for T = floor(t*U), the target (a + b*sqrt(d))/q read with
     isqrt(d*U**2).  The rows become the float64 residual in one rounding
-    each.  A step enters the ints scaled by 2**_P and rounded toward zero.
-    A step that is not finite once scaled leaves the walls where they are,
-    and a trial with a row too large for a float has an infinite residual:
-    neither is taken, as a float64 trial past the float range is not."""
+    each; walls with a row too large for a float have an infinite residual."""
 
     def __init__(self, pairs, exact):
         self.pairs = pairs
@@ -396,19 +367,6 @@ class _GridStage:
             return np.array([inf])
         return np.ldexp(rows, -2 * _P - 1)
 
-    def floats(self, X):
-        return np.ldexp(X.astype(float), -_P)
-
-    def add(self, X, step):
-        with np.errstate(over="ignore"):
-            scaled = np.ldexp(step, _P)
-        return X + _to_int(scaled) if np.isfinite(scaled).all() else X
-
-    @staticmethod
-    def from_floats(x):
-        """The grid walls of a float64 array: exact for every |x| over 2**(52-P)."""
-        return _to_int(np.ldexp(x, _P))
-
     @staticmethod
     def walls(X):
         """The walls as Fractions, each coordinate the exact X / 2**_P."""
@@ -424,28 +382,23 @@ _FRAME = np.array(
 _Q = np.array(q_matrix(2), dtype=float)
 # x = y @ _TO_Q has Q(x) = y0^2 - y1^2 - y2^2 - y3^2
 _TO_Q = np.array([[1.0, 1.0, 0, 0], [1.0, -1.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0]])
-# x @ Q C, for each antisymmetric C, moves the walls x along their orbit
-# under O(Q), where no residual row changes (Q C = B Q^-1 for the
-# antisymmetric B = Q C Q).  _GAUGE holds Q C for the six basis C, by einsum:
-# a BLAS product at import would start BLAS in every process that imports it
-_GAUGE = np.einsum(
-    "ij,kjl->kil",
-    _Q,
-    [np.outer(e, f) - np.outer(f, e) for i, e in enumerate(np.eye(4)) for f in np.eye(4)[i + 1:]],
-)
 
 
 def _frame_map(x: np.ndarray, ia: int, ic: int, ib: int) -> np.ndarray:
-    """The matrix M with x @ M putting walls ia, ic, ib near the first three
-    rows of _FRAME (exactly, but for rounding).
+    """The matrix M with x @ M putting walls ia, ic, ib of a start on the
+    first three rows of _FRAME, but for rounding.
 
-    The three walls and the unit circle n orthogonal to them have the same
-    Gram matrix as the rows of _FRAME, so the one solution of S M = _FRAME
-    lies in O(Q).  The sign of n sets the sign of det M; det M > 0 makes the
-    map a Moebius transformation rather than a reflection."""
+    n is the null direction of the three walls, scaled to |Q(n)| = 1.  When
+    the walls are a tangent triple, n is the unit circle orthogonal to them,
+    the four have the Gram matrix of the rows of _FRAME, and the one solution
+    of S M = _FRAME lies in O(Q).  For a start that is not yet one, Q(n) may
+    be positive (no real circle is orthogonal to the three) and M is only
+    linear.  The sign of n sets the sign of det M; det M > 0 makes the map a
+    Moebius transformation rather than a reflection.  A singular S, or walls
+    that are not finite, raise LinAlgError or give an M that is not finite."""
     walls = x[[ia, ic, ib]]
     n = np.linalg.svd(walls @ _Q)[2][-1]
-    src = np.vstack([walls, n / np.sqrt(-(n @ _Q @ n))])
+    src = np.vstack([walls, n / np.sqrt(np.abs(n @ _Q @ n))])
     src[3] *= np.sign(np.linalg.det(src) * np.linalg.det(_FRAME))
     return np.linalg.solve(src, _FRAME)
 
@@ -471,32 +424,32 @@ def realize(
     """Solve for wall coordinates meeting every exact target.
 
     The start is the spec's init hint, or else the eigendecomposition of the
-    target Gram matrix (_initial_walls).  One damped Gauss-Newton loop with a
-    minimum-norm float64 least-squares step then runs in float64, and again,
-    at most 20 iterations, as a polish on the fixed-point grid 2**-216
-    (_GridStage): every coordinate an exact int over 2**216, every residual
-    row an exact int rounded once to a float.  Each step is one QR solve
-    (_step): in float64 the six Moebius gauge directions, the Jacobian's
-    null space, are stacked under it as rows, which keeps the least-squares
-    solution the minimum-norm step; the polish, frame fixed, has no gauge.
-    A flexible target, with null directions past the gauge, takes lstsq's
-    step.  Accepted steps decrease max
-    |residual| monotonically; the reported residual is that norm, over the
-    target rows <x_i, x_j> - target and the rows Q(x_i) + 1, and the polish
-    stops once it is under tol.  The grid, finer than 60-digit floats,
-    reaches about 1e-64 (3e-65 on the tetrahedron): a tol under that ends in
-    NoConvergence.  The Moebius
-    gauge is fixed once, by the first mutually tangent triple: after the
-    float64 solve, one linear solve finds the Moebius map (det > 0, never a
-    reflection) taking the triple to the line y=0 and the unit circles
-    resting on it at the origin and at (2,0).  Those three walls are then
-    set to the frame exactly and held fixed while the polish solves for the
-    other walls.  This is what makes the solved coordinates land on small
-    algebraic numbers.  Which of two mirror-image configurations is reached
-    depends on the start.  The returned walls are Fractions, each the exact
-    grid value.  Free pairs are not constrained here; verify them after
-    guessing exact coordinates.  A target value too large for a float, like
-    a seed or max_iter that is not a non-negative int, is a ParameterError.
+    target Gram matrix (_initial_walls).  The Moebius gauge is fixed on the
+    start, by the first mutually tangent triple: one linear solve
+    (_frame_map) maps the triple near the line y=0 and the unit circles
+    resting on it at the origin and at (2,0), and the three walls are then
+    set to that frame exactly and held fixed.  This is what makes the solved
+    coordinates land on small algebraic numbers; which of two mirror-image
+    configurations is reached depends on the start.  A start the map cannot
+    place (not finite, the triple's walls linearly dependent, or past the
+    float range once on the grid) is NoConvergence after 0 iterations, its
+    residual inf.
+
+    One damped Gauss-Newton loop (_gauss_newton), at most max_iter steps,
+    then solves for the other walls on the fixed-point grid 2**-216
+    (_Grid): every coordinate an exact int over 2**216, every residual
+    row an exact int rounded once to a float.  Each step is one float64 QR
+    solve (_step); with the frame fixed, a rigid target's Jacobian has full
+    column rank, and a flexible one takes lstsq's minimum-norm step.
+    Accepted steps decrease max |residual| monotonically; the reported
+    residual is that norm, over the target rows <x_i, x_j> - target and the
+    rows Q(x_i) + 1, and the loop stops once it is at most tol.  The grid,
+    finer than 60-digit floats, reaches about 1e-64 (3e-65 on the
+    tetrahedron): a tol under that ends in NoConvergence.  The returned walls
+    are Fractions, each the exact grid value.  Free pairs are not
+    constrained here; verify them after guessing exact coordinates.  A
+    target value too large for a float, like a seed or max_iter that is not
+    a non-negative int, is a ParameterError.
     """
     if type(seed) is not int or seed < 0:
         raise ParameterError(f"seed must be a non-negative int, got {seed!r}")
@@ -507,11 +460,9 @@ def realize(
     if spec.dim != 2:
         raise GaugeDeficient("only planar targets are supported")
     exact = spec.exact_pairs()
-    pairs = np.array([(i, j) for i, j, _ in exact], dtype=int).reshape(-1, 2)
-    values = np.empty(len(exact))
-    for r, (i, j, v) in enumerate(exact):
+    for i, j, v in exact:
         try:
-            values[r] = float(v)
+            float(v)
         except OverflowError:
             raise ParameterError(f"target of pair ({i},{j}) is too large for a float") from None
 
@@ -521,21 +472,23 @@ def realize(
         x = np.array(spec.init_hint) + rng.normal(0.0, 1e-4, (spec.wall_count, 4))
     else:
         x = _initial_walls(spec, rng)
-    with np.errstate(over="ignore", invalid="ignore"):  # a residual past float range ends the solve
-        x, norm, iterations = _gauss_newton(x, _Float64Stage(pairs, values), max_iter)
-    if not norm < 1e-10:
-        raise NoConvergence(iterations, float(norm))
-    x = x @ _frame_map(x, *frame)
-    x[list(frame)] = _FRAME[:3]
-
-    # the polish: the same loop on the fixed-point grid, converging far past
-    # double precision
-    grid = _GridStage(pairs, exact)
-    xg, norm, its = _gauss_newton(grid.from_floats(x), grid, 20, fixed=frame, floor=tol)
-    iterations += its
+    # the start on the frame, scaled to the grid (exact for every |x| over
+    # 2**(52-P)); one the frame map cannot place, or past the float range
+    # once scaled, ends here
+    with np.errstate(all="ignore"):
+        try:
+            x = x @ _frame_map(x, *frame)
+        except np.linalg.LinAlgError:
+            x[:] = nan
+        x[list(frame)] = _FRAME[:3]
+        x = np.ldexp(x, _P)
+    if not np.isfinite(x).all():
+        raise NoConvergence(0, inf)
+    grid = _Grid(np.array([(i, j) for i, j, _ in exact], dtype=int).reshape(-1, 2), exact)
+    X, norm, iterations = _gauss_newton(_to_int(x), grid, frame, max_iter, tol)
     if not norm <= tol:
         raise NoConvergence(iterations, float(norm))
-    return FloatWallSystem(walls=grid.walls(xg), residual=float(norm), iterations=iterations)
+    return FloatWallSystem(walls=grid.walls(X), residual=float(norm), iterations=iterations)
 
 
 # -- exact recovery --------------------------------------------------------
@@ -624,13 +577,19 @@ def check_discriminant(d: int) -> None:
         raise ParameterError(f"d {d} is over the limit of {MAX_DISC}")
 
 
-def _guess_values(values, d: int, denom_bound: int, tol: float) -> list[QuadExt]:
-    """algebraic_guess on each value in turn: the first value that fails
-    raises, and the values after it are not walked."""
+def check_denominator_bound(denom_bound: int) -> None:
+    """Refuse a denominator bound algebraic_guess cannot take: one under 1,
+    or over _ROW_CELLS, the widest row of the walk."""
     if denom_bound < 1:
         raise ParameterError(f"denominator bound must be positive, got {denom_bound}")
     if denom_bound > _ROW_CELLS:
         raise ParameterError(f"denominator bound {denom_bound} is over the limit of {_ROW_CELLS}")
+
+
+def _guess_values(values, d: int, denom_bound: int, tol: float) -> list[QuadExt]:
+    """algebraic_guess on each value in turn: the first value that fails
+    raises, and the values after it are not walked."""
+    check_denominator_bound(denom_bound)
     check_discriminant(d)
     if not 0 <= tol < inf:
         raise ParameterError(f"tol must be finite and non-negative, got {tol}")

@@ -1,11 +1,11 @@
-"""realize with its polish on mpmath floats, as an oracle.
+"""realize on mpmath floats, as an oracle.
 
-This is realize as packinglab first wrote it: the damped Gauss-Newton loop
-in float64, the Moebius map that puts the first tangent triple on the frame,
-and then the same loop again on a numpy object array of mpmath.mpf walls and
-mpf targets at 60 digits, the frame held fixed.  The realize under test
-polishes on fixed-point ints instead; the walls of the two must guess to
-the same exact walls, after the same number of iterations.
+The Moebius map puts the first tangent triple of the start on the frame,
+and one damped Gauss-Newton loop then runs on a numpy object array of
+mpmath.mpf walls and mpf targets at 60 digits, the frame held fixed, each
+step the float64 lstsq step.  The realize under test runs the same loop on
+fixed-point ints instead; the walls of the two must guess to the same exact
+walls, after the same number of iterations.
 """
 
 from math import inf, isfinite
@@ -23,22 +23,28 @@ from packinglab.geometrize import (
     _frame_triple,
     _initial_walls,
     _jacobian_np,
-    _residual_np,
 )
 
 _REFINE_DPS = 60
 
 
-def _gauss_newton(x, pairs, values, max_iter, fixed=(), floor=1e-13):
-    """Damped Gauss-Newton on x, a float64 array or an object array of mpf
-    with mpf values; every step is the float64 least-squares step."""
+def _residual_np(x, pairs, values):
+    diag = x[:, 0] * x[:, 1] - (x[:, 2:] ** 2).sum(axis=1) + 1.0
+    u, v = x[pairs[:, 0]], x[pairs[:, 1]]
+    prod = 0.5 * (u[:, 0] * v[:, 1] + u[:, 1] * v[:, 0]) - (u[:, 2:] * v[:, 2:]).sum(axis=1)
+    return np.concatenate([diag, prod - values])
+
+
+def _gauss_newton(x, pairs, values, fixed, max_iter, tol):
+    """Damped Gauss-Newton on x, an object array of mpf with mpf values;
+    every step is the float64 least-squares step."""
     free = ~np.isin(np.arange(len(x)), fixed)
     columns = np.repeat(free, x.shape[1])
     res = _residual_np(x, pairs, values)
     norm = np.abs(res).max()
     iterations = 0
     for _ in range(max_iter):
-        if norm < floor or not isfinite(norm):
+        if norm <= tol or not isfinite(norm):
             break
         iterations += 1
         jac = _jacobian_np(x.astype(float), pairs)[:, columns]
@@ -67,26 +73,20 @@ def realize(spec, seed=0, tol=1e-24, max_iter=400):
         raise GaugeDeficient("only planar targets are supported")
     exact = spec.exact_pairs()
     pairs = np.array([(i, j) for i, j, _ in exact], dtype=int).reshape(-1, 2)
-    values = np.array([float(v) for _, _, v in exact])
     frame = _frame_triple(spec)
     rng = np.random.default_rng(seed)
     if spec.init_hint is not None:
         x = np.array(spec.init_hint) + rng.normal(0.0, 1e-4, (spec.wall_count, 4))
     else:
         x = _initial_walls(spec, rng)
-    with np.errstate(over="ignore", invalid="ignore"):
-        x, norm, iterations = _gauss_newton(x, pairs, values, max_iter)
-    if not norm < 1e-10:
-        raise NoConvergence(iterations, float(norm))
     x = x @ _frame_map(x, *frame)
     x[list(frame)] = _FRAME[:3]
     with mpmath.workdps(_REFINE_DPS):
         fields = [(v.triple, v.disc) for _, _, v in exact]
         targets = np.array([(a + b * mpmath.sqrt(d)) / q for (a, b, q), d in fields], dtype=object)
-        xm, norm, its = _gauss_newton(
-            np.frompyfunc(mpmath.mpf, 1, 1)(x), pairs, targets, 20, fixed=frame, floor=tol
+        xm, norm, iterations = _gauss_newton(
+            np.frompyfunc(mpmath.mpf, 1, 1)(x), pairs, targets, frame, max_iter, tol
         )
-    iterations += its
     if not norm <= tol:
         raise NoConvergence(iterations, float(norm))
     return FloatWallSystem(walls=xm.tolist(), residual=float(norm), iterations=iterations)

@@ -440,6 +440,23 @@ def test_geometrize_d_past_max_disc_is_refused_before_realize(capsys, tetra_path
     }
 
 
+@pytest.mark.parametrize(
+    "denom, message",
+    [("0", "denominator bound must be positive, got 0"),
+     ("16777217", "denominator bound 16777217 is over the limit of 16777216")],
+    ids=["zero", "past-the-row-limit"],
+)
+def test_geometrize_bad_denom_is_refused_before_realize(capsys, tetra_path, monkeypatch, denom, message):
+    def unrun(*args, **kwargs):
+        raise AssertionError("realize ran")
+
+    monkeypatch.setattr(cli, "realize", unrun)
+    code, out, err = run(capsys, "geometrize", str(tetra_path), "--d", "0", "--denom", denom)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "ParameterError", "message": message}
+
+
 @pytest.mark.parametrize("modulus", ["0", "55109"])
 def test_lg_scan_bad_modulus_is_refused_before_the_packing(capsys, apollonian_path, monkeypatch,
                                                             modulus):
@@ -464,7 +481,7 @@ def test_geometrize_bad_tol_message(capsys, tetra_path, tol):
 
 
 def test_geometrize_tol_under_the_grid_is_clean_error(capsys, tetra_path):
-    # realize's polish grid reaches about 1e-65, so 1e-80 is never met
+    # realize's grid reaches about 1e-65, so 1e-80 is never met
     code, out, err = run(capsys, "geometrize", str(tetra_path), "--d", "0", "--tol", "1e-80")
     assert code == 1 and out == ""
     assert err.count("\n") == 1

@@ -107,6 +107,10 @@ def _closure(
     max_word: int,
     frontier_cap: int,
 ) -> Packing:
+    if type(max_word) is not int or max_word < 0:
+        raise ParameterError(f"max_word must be a non-negative int, got {max_word!r}")
+    if bend_bound.sign() < 0:
+        raise ParameterError(f"bend bound must not be negative, got {bend_bound}")
     d = walls_field(walls, bend_bound.disc)
     n = len(walls[0].code) - 1  # numerators; the denominator is code[n]
     gen_count = len(generator_idx)

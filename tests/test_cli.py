@@ -405,6 +405,11 @@ def tetra_path(capsys, tmp_path):
         ["render", "{packing}", "--half-width", "0"],
         ["render", "{packing}", "--half-width", "nan"],
         ["render", "{packing}", "--size", "0"],
+        ["render", "{packing}", "--stroke-width=-1"],
+        ["orbit", "{system}", "--bound", "20", "--max-word=-1"],
+        ["orbit", "{system}", "--bound=-5"],
+        ["orbit", "{system}", "--bound", "20", "--max-word=-1", "--super"],
+        ["orbit", "{system}", "--bound=-1/2", "--super"],
         # bends over --bound are never generated, so a scan past it would call them missing
         ["lg-scan", "{system}", "--bound", "30", "--max-word", "600", "--modulus", "24",
          "--scan-bound", "60"],
@@ -413,7 +418,8 @@ def tetra_path(capsys, tmp_path):
          "bound-discriminant", "negative-d", "square-d", "denom-zero", "seed-negative",
          "tol-nan", "tol-negative", "denom-too-large", "cluster-out-of-range",
          "cluster-repeated", "half-width-zero", "half-width-nan", "size-zero",
-         "scan-past-bound"],
+         "stroke-width-negative", "max-word-negative", "bound-negative",
+         "super-max-word-negative", "super-bound-negative", "scan-past-bound"],
 )
 def test_bad_parameter_is_clean_error(capsys, apollonian_path, hexpyr_gram_path, tetra_path,
                                       tmp_path, argv):

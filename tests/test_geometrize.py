@@ -256,6 +256,18 @@ def test_start_with_equal_frame_walls_is_no_convergence():
     assert info.value.iterations == 0
 
 
+def test_crawling_start_stops_at_the_stall_test():
+    # frame rows of (1e20, 1e20, 0, 0) place the other walls far off: each
+    # step takes a few percent off a residual near 1e17, and without the
+    # stall test the loop would spend all 400 iterations
+    spec = tetrahedron_target()
+    hint = [[1e20, 1e20, 0.0, 0.0]] * 3 + list(spec.init_hint[3:])
+    with pytest.raises(NoConvergence) as info:
+        realize(TargetSpec(spec.wall_count, dict(spec.targets), init_hint=hint))
+    assert geometrize._STALL < info.value.iterations < 40
+    assert info.value.residual > 1e15
+
+
 def test_frame_walls_without_a_real_orthogonal_circle_still_converge():
     from packinglab.geometrize import _Q, _frame_map, _frame_triple
 

@@ -7,8 +7,11 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+import soddy_oracle
 from descartes_oracle import gasket_bends
+from soddy import soddy_walls
 
+from packinglab.errors import ParameterError
 from packinglab.exactnum import QuadExt
 from packinglab.fixtures import apollonian_system, hexpyr_system
 from packinglab.inversive import inversive_product, plane_from_normal_offset, sphere_from_center_radius
@@ -38,8 +41,25 @@ def test_packing_matches_descartes_oracle():
     assert bends(p) == [str(b) for b in gasket_bends(60)]
 
 
+def _pairs(vector):
+    """An inversive vector over Q(sqrt(3)) as soddy_oracle's pairs."""
+    return tuple(
+        (Fraction(a, q), Fraction(b, q)) for a, b, q in (x.triple for x in vector.coords())
+    )
+
+
+def test_soddy_packing_matches_the_soddy_oracle():
+    walls = soddy_walls()
+    assert tuple(map(_pairs, walls[:5])) == soddy_oracle.ROOT
+    p = generate_packing(WallSystem(walls, range(5), range(5, 10)), QuadExt(30), max_word=1000)
+    assert p.saturated and certify_integral(p).integral
+    got = [_pairs(v) for v in p.vectors()]
+    assert len(got) == len(set(got)) == 1119
+    assert set(got) == soddy_oracle.soddy_spheres(30)
+
+
 def test_cluster_only_when_word_zero():
-    p = generate_packing(apollonian_system(), QuadExt(-10), max_word=0)
+    p = generate_packing(apollonian_system(), QuadExt(10), max_word=0)
     assert bends(p) == ["-1", "2", "2", "3"]
     assert not p.saturated
 
@@ -101,6 +121,28 @@ def test_superpacking_monotone_in_bound():
 def test_superpacking_word_zero_is_cluster():
     sp = generate_superpacking(apollonian_system(), QuadExt(100), max_word=0)
     assert bends(sp) == ["-1", "2", "2", "3"]
+
+
+@pytest.mark.parametrize("make", [generate_packing, generate_superpacking])
+@pytest.mark.parametrize(
+    "bound, max_word, message",
+    [(QuadExt(20), -1, "max_word must be a non-negative int, got -1"),
+     (QuadExt(20), 2.0, "max_word must be a non-negative int, got 2.0"),
+     (QuadExt(-5), 64, "bend bound must not be negative, got -5"),
+     ("1-1*sqrt(3)", 64, r"bend bound must not be negative, got 1-1\*sqrt\(3\)")],
+    ids=["word-negative", "word-float", "bound-negative", "bound-negative-surd"],
+)
+def test_negative_word_or_bound_is_refused(make, bound, max_word, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        make(apollonian_system(), bound, max_word=max_word)
+
+
+@pytest.mark.parametrize("make", [generate_packing, generate_superpacking])
+def test_zero_word_and_zero_bound_are_valid(make):
+    p = make(apollonian_system(), QuadExt(0), max_word=0)
+    assert bends(p) == ["-1", "2", "2", "3"] and not p.saturated
+    # past the seeds, a bound of 0 keeps planes alone
+    assert set(bends(make(apollonian_system(), QuadExt(0), max_word=8))) <= {"-1", "0", "2", "3"}
 
 
 def test_frontier_cap_enforced():

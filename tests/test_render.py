@@ -1,12 +1,15 @@
 """SVG rendering: determinism, filtering, labels."""
 
+from fractions import Fraction
+
 import pytest
 
 import render_oracle
-from packinglab.exactnum import QuadExt
+from packinglab.errors import ParameterError
+from packinglab.exactnum import QuadExt, max_abs
 from packinglab.fixtures import apollonian_system, hexpyr_system
 from packinglab.inversive import plane_from_normal_offset, sphere_from_center_radius
-from packinglab.orbit import Packing, WallSystem, generate_packing, generate_superpacking
+from packinglab.orbit import Packing, SphereRecord, WallSystem, generate_packing, generate_superpacking
 from packinglab.render import UnsupportedDimension, Viewport, render_svg
 
 GASKET15 = generate_packing(apollonian_system(), QuadExt(15), max_word=64)
@@ -124,3 +127,50 @@ def test_render_matches_the_float_oracle(name):
             assert render_svg(p, vp, labels=labels) == render_oracle.render_svg(p, vp, labels=labels)
     if name == "strip-with-planes":
         assert "<line" in render_svg(p, _ORACLE_VIEWPORTS[2])
+
+
+def _shifted(packing, dx):
+    """The packing's circles moved by dx along x, rebuilt from records."""
+    records = []
+    for rec in packing.spheres:
+        (x, y), radius = rec.vector.center(), rec.vector.radius()
+        moved = sphere_from_center_radius((x + dx, y), radius)
+        records.append(SphereRecord(moved, rec.word_length, rec.parent_generator))
+    return Packing(records, packing.saturated, packing.bend_bound, packing.max_word,
+                   packing.generator_idx, packing.dim)
+
+
+@pytest.mark.parametrize("dx", [Fraction(1, 3**12), Fraction(1, 3**40)],
+                         ids=["int64-codes", "object-codes"])
+def test_codes_past_2_53_match_the_float_oracle(dx):
+    # a shift by 1/3^k puts 3^(2k) in every code's den, so the products pass
+    # 2**53 and the columns run on Python ints, whether the codes are stored
+    # as int64 (k = 12) or, past 2**63, as Python ints (k = 40)
+    p = _shifted(_ORACLE_PACKINGS["apollonian-100"](), dx)
+    assert max_abs(p.codes) ** 2 >= 2**53
+    assert p.codes.dtype == (object if max_abs(p.codes) >= 2**63 else "int64")
+    for vp in _ORACLE_VIEWPORTS:
+        for labels in (False, True):
+            assert render_svg(p, vp, labels=labels) == render_oracle.render_svg(p, vp, labels=labels)
+
+
+def test_minus_zero_prints_as_zero_like_the_oracle():
+    # the circle of radius 1/2 about (1/2, 0) has its centre a hair left of
+    # the viewport's left edge, at -3.2e-7 px: "-0.000000", written 0.000000
+    vp = Viewport(center=(1.5 + 1e-9, 0.0), half_width=1.0, size_px=320)
+    scale = vp.size_px / (2.0 * vp.half_width)
+    assert f"{(0.5 - vp.center[0] + vp.half_width) * scale:.6f}" == "-0.000000"
+    out = render_svg(GASKET15, vp, labels=True)
+    assert out == render_oracle.render_svg(GASKET15, vp, labels=True)
+    assert '<circle cx="0.000000" cy="160.000000"' in out
+    assert "-0.000000" not in out
+
+
+@pytest.mark.parametrize("width", [-1.0, -1e-9])
+def test_negative_stroke_width_is_refused(width):
+    with pytest.raises(ParameterError, match="stroke_width must not be negative"):
+        render_svg(GASKET15, stroke_width=width)
+
+
+def test_zero_stroke_width_is_drawn():
+    assert 'stroke-width="0.000000"' in render_svg(GASKET15, stroke_width=0.0)

@@ -6,12 +6,12 @@ triple of the start on the frame, whose three walls are then set exactly and
 held fixed, and one damped Gauss-Newton loop for the other walls on exact
 fixed-point ints, each coordinate an int over 2**216, each residual row an
 exact int rounded once to a float), algebraic_guess
-(snap a value to (a + b*sqrt(d))/q with a bounded denominator: the rows
-(value, q) go in blocks, and a block of narrow windows finds the b a float
-prefilter can keep, those with frac(b*sqrt(d)) near frac(q*x), by
-searchsorted in one sorted table of those fractions, while a block of wide
-windows visits every b; only reduced triples, gcd(a, b, q) == 1, reach the
-exact check on ints; guess_walls runs one such pass over every value of a
+(snap a value to (a + b*sqrt(d))/q with a bounded denominator: a row
+(value, q) finds the b a float prefilter can keep, those with
+frac(b*sqrt(d)) near frac(q*x), segment by segment b0 + j, by searchsorted
+in one sorted table of frac(j*sqrt(d)), j < _CHUNK, the window shifted by
+frac(b0*sqrt(d)); only reduced triples, gcd(a, b, q) == 1, reach the exact
+check on ints; guess_walls runs one such pass over every value of a
 system), and verify_realization (exact re-check of every target against the
 guessed walls, on the int code of each wall).
 """
@@ -36,10 +36,8 @@ from .inversive import (
 )
 
 _P = 216  # realize's grid: a coordinate is an int X meaning X / 2**_P
-_CHUNK = 1 << 14  # rows (value, q) in one block of algebraic_guess, and cells in one pass
-_ROW_BITS = 24
-_ROW_CELLS = 1 << _ROW_BITS  # widest row of surd coefficients b algebraic_guess takes on
-_FRAC_BITS = 36  # the bits of frac(b*sqrt(d)) a fraction key holds
+_CHUNK = 1 << 14  # algebraic_guess's fraction table, and the segments and cells of one pass
+_ROW_CELLS = 1 << 24  # widest row of surd coefficients b algebraic_guess takes on
 _STALL = 5  # realize gives up once this many steps in a row have not halved the residual
 
 
@@ -524,17 +522,15 @@ def algebraic_guess(value, d: int, denom_bound: int, tol: float) -> QuadExt:
     kept ones are visited in order of q, then b, and only a reduced triple,
     gcd(a, b, q) == 1, reaches the exact test.  A kept b has
     frac(b*sqrt(d)) within a window about frac(q*x), the slack widened by
-    the float rounding.  The rows go _CHUNK to a block, and each block takes
-    one of two walks.  The table walk sorts frac(b*sqrt(d)) for every |b| up
-    to the widest row once per call and finds a row's b by two searchsorted
-    ranges, the second for a window that wraps past 1; the dense walk visits
-    every b of a row, _CHUNK at a time.  A block takes the table walk when
-    the cells it would return, the sum over its rows of the window's width
-    times the table's length, are at most _CHUNK, and the dense walk
-    otherwise, so that memory stays bounded on wide windows.  The float test
-    then decides the b either walk finds, and the walk stops at the first
-    Ambiguous.  When the widest row, q = denom_bound, would pass _ROW_CELLS
-    values of b, or denom_bound itself does, the call raises ParameterError.
+    the float rounding.  One table, frac(j*sqrt(d)) for 0 <= j < size with
+    size = min(_CHUNK, 2*b_max(denom_bound) + 1), is sorted once per call;
+    a row's b run in segments b0 + j, and a segment's b are those whose j
+    lies in the row's window shifted by frac(b0*sqrt(d)), found by
+    searchsorted.  The segments go in runs of at most _CHUNK cells, so that
+    memory stays bounded on wide windows, and the float test then decides
+    the b they hold; the walk stops at the first Ambiguous.  When the
+    widest row, q = denom_bound, would pass _ROW_CELLS values of b, or
+    denom_bound itself does, the call raises ParameterError.
     guess_walls runs the same pass over every value of a system at once.
     """
     return _guess_values([value], d, denom_bound, tol)[0]
@@ -544,9 +540,8 @@ def guess_walls(
     system: FloatWallSystem, d: int, denom_bound: int, tol: float
 ) -> list[InversiveVector]:
     """algebraic_guess on every coordinate of a realized float system, in one
-    pass whose blocks of rows run across values and share one fraction
-    table; it returns or raises what a row-major loop of algebraic_guess
-    would."""
+    pass whose runs of cells cross values and share one fraction table; it
+    returns or raises what a row-major loop of algebraic_guess would."""
     coords = iter(_guess_values([v for row in system.walls for v in row], d, denom_bound, tol))
     return [InversiveVector.from_coords([next(coords) for _ in row]) for row in system.walls]
 
@@ -648,9 +643,8 @@ def _guess_values(values, d: int, denom_bound: int, tol: float) -> list[QuadExt]
 
 def _walk(xfs, ratios, cap: int, d: int, root: QuadExt, sqrt_f: float, denom_bound: int, tol: float):
     """The candidates that pass the exact test, per value, in the order of q
-    then b.  The rows (value, q) are walked value by value, _CHUNK rows to a
-    block, and the walk ends when a value has two, so that every value before
-    it is complete."""
+    then b.  The rows (value, q) are walked value by value, and the walk ends
+    when a value has two, so that every value before it is complete."""
     found: list[list[QuadExt]] = [[] for _ in xfs]
     xs = np.array(xfs)
     # x = xn/xd and tol = tn/td exactly; |q*x - a - b*sqrt(d)| <= q*tol times
@@ -659,26 +653,56 @@ def _walk(xfs, ratios, cap: int, d: int, root: QuadExt, sqrt_f: float, denom_bou
     tn, td = Fraction(tol).as_integer_ratio()
     # (a + b*sqrt(d)) / q is (a + b*s*sqrt(f)) / q for square-free f
     s, f = root.triple[1], root.disc
-    keys = None
+    # the table: frac(fl(j*sqrt(d))) for 0 <= j < size, sorted, and its j;
+    # y - floor(y) is exact for a float y >= 0
+    size = min(_CHUNK, 2 * cap + 1)
+    table = np.arange(size) * sqrt_f
+    table -= np.floor(table)
+    table_j = np.argsort(table)
+    table = table[table_j]
+    # a row's b run in segments b0 + j, b0 = -b_max, -b_max + size, ...; the
+    # rows go in passes of at most _CHUNK segments
     n_rows = len(xfs) * denom_bound
-    for r0 in range(0, n_rows, _CHUNK):
-        value, q = np.divmod(np.arange(r0, min(r0 + _CHUNK, n_rows)), denom_bound)
+    step = max(_CHUNK // ((2 * cap + size) // size), 1)
+    for r0 in range(0, n_rows, step):
+        value, q = np.divmod(np.arange(r0, min(r0 + step, n_rows)), denom_bound)
         q += 1
         xq = xs[value] * q
         slack = q * tol * 1.125 + 1e-9
         b_max = _b_max(xq, slack, sqrt_f, denom_bound) if d else np.zeros(len(q))
         # the window on frac(b*sqrt(d)) about frac(q*x): the slack, widened
-        # by eight times the rounding of the float q*x - b*sqrt(d) and of
-        # the window's own ends, so that it holds every b the float test keeps
-        half = np.minimum(slack + 2.0**-50 * (np.abs(xq) + b_max * sqrt_f + 4), 0.5)
-        # the cells the table walk would return
-        if np.minimum(2 * half, 1.0).sum() * (2 * cap + 1) <= _CHUNK:
-            if keys is None:
-                keys = _fraction_keys(cap, sqrt_f)
-            cells = [_table_cells(keys, cap, xq, half, b_max)]
-        else:
-            cells = _dense_cells(b_max)
-        for row, b in cells:
+        # by sixteen times the rounding of the float q*x - b*sqrt(d), of the
+        # segment's shift and of the window's own ends, so that it holds
+        # every b the float test keeps
+        half = np.minimum(slack + 2.0**-49 * (np.abs(xq) + b_max * sqrt_f + 4), 0.5)
+        b_max = b_max.astype(np.int64)
+        n_seg = (2 * b_max + size) // size
+        seg_row = np.repeat(np.arange(len(q)), n_seg)
+        b0 = np.arange(len(seg_row)) * size - ((np.cumsum(n_seg) - n_seg) * size + b_max)[seg_row]
+        # a segment's window about frac(q*x - b0*sqrt(d)) is [lo, hi) with
+        # lo in [0, 1), or [0, 1) for the whole circle; the table's entry k
+        # stands for table[k - size] + 1 at k >= size, so that a window that
+        # wraps past 1 is one range of at most size entries, each j once
+        h = half[seg_row]
+        lo = xq[seg_row] - b0 * sqrt_f - h
+        lo -= np.floor(lo)
+        lo = np.where(h < 0.5, lo, 0.0)
+        hi = lo + 2 * h
+        wrap = hi >= 1.0
+        at = np.searchsorted(table, np.stack([lo, hi - wrap], 1))
+        at[:, 1] += size * wrap
+        count = np.minimum(at[:, 1] - at[:, 0], size)
+        for g0, g1 in _runs(count):
+            # the cells (row, b) of segments g0 to g1, |b| <= b_max of the row,
+            # in order of row then b
+            first, n = at[g0:g1, 0], count[g0:g1]
+            index = np.arange(n.sum()) + np.repeat(first - (np.cumsum(n) - n), n)
+            seg = np.repeat(np.arange(g0, g1), n)
+            row, b = seg_row[seg], b0[seg] + table_j[index % size]
+            keep = b <= b_max[row]
+            row, b = row[keep], b[keep]
+            order = np.lexsort((b, row))
+            row, b = row[order], b[order]
             # the float test, as on the whole row
             approx = xq[row] - b * sqrt_f
             dev = np.round(approx)
@@ -708,59 +732,16 @@ def _walk(xfs, ratios, cap: int, d: int, root: QuadExt, sqrt_f: float, denom_bou
     return found
 
 
-def _fraction_keys(cap: int, sqrt_f: float) -> np.ndarray:
-    """Every |b| <= cap as one int64 key, the first _FRAC_BITS bits of
-    frac(b*sqrt(d)) above the _ROW_BITS of b + cap (under _ROW_CELLS by the
-    row guard), sorted.  The fraction is read off fl(b*sqrt_f), the product
-    the float test subtracts from q*x: y - floor(y) is exact for a float y,
-    but for a rounding of at most 2**-53 when y is a tiny negative number."""
-    b = np.arange(-cap, cap + 1)
-    frac = b * sqrt_f
-    frac -= np.floor(frac)
-    frac *= 2.0**_FRAC_BITS
-    np.minimum(frac, (1 << _FRAC_BITS) - 1, out=frac)
-    keys = frac.astype(np.int64)
-    keys <<= _ROW_BITS
-    b += cap
-    keys += b
-    keys.sort()
-    return keys
-
-
-def _table_cells(keys, cap: int, xq, half, b_max):
-    """The cells (row, b), |b| <= b_max of the row, of a block whose
-    fraction key lies in the keys that cover the row's window
-    [frac(q*x) - half, frac(q*x) + half], in order of row then b: two
-    searchsorted ranges per row, the second empty unless the window wraps
-    past 1."""
-    top = 1 << _FRAC_BITS
-    center = np.where(half < 0.5, xq - np.floor(xq), 0.0)
-    first = np.floor((center - half) * top)
-    width = np.minimum(np.floor((center + half) * top) - first + 1, top).astype(np.int64)
-    first = first.astype(np.int64) & (top - 1)
-    window = np.zeros((len(xq), 4), dtype=np.int64)
-    window[:, 0] = first
-    window[:, 1] = np.minimum(first + width, top)
-    window[:, 3] = np.maximum(first + width - top, 0)
-    window <<= _ROW_BITS
-    at = np.searchsorted(keys, window).reshape(-1, 2)
-    count = at[:, 1] - at[:, 0]
-    index = np.arange(count.sum()) + np.repeat(at[:, 0] - (np.cumsum(count) - count), count)
-    row = np.repeat(np.arange(len(count)) >> 1, count)
-    b = (keys[index] & (_ROW_CELLS - 1)) - cap
-    keep = np.abs(b) <= b_max[row]
-    row, b = row[keep], b[keep]
-    order = np.lexsort((b, row))
-    return row[order], b[order]
-
-
-def _dense_cells(b_max):
-    """Every cell (row, b) of a block, |b| <= b_max of the row, in order of
-    row then b, _CHUNK values of b at a time."""
-    for r, top in enumerate(b_max.astype(np.int64).tolist()):
-        for at in range(-top, top + 1, _CHUNK):
-            b = np.arange(at, min(at + _CHUNK, top + 1))
-            yield np.full(len(b), r), b
+def _runs(cells):
+    """Consecutive runs (start, stop) of segments whose cells sum to at most
+    _CHUNK, or of one segment, which holds at most _CHUNK."""
+    total = np.cumsum(cells)
+    start = 0
+    while start < len(cells):
+        limit = total[start] - cells[start] + _CHUNK
+        stop = max(int(np.searchsorted(total, limit, "right")), start + 1)
+        yield start, stop
+        start = stop
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Small dense matrices over Q(sqrt(d)).
 
-At the API a matrix is nested tuples of QuadExt (identity, transpose and
-matrix build them).  Every product and inverse computes on one int form,
+At the API a matrix is nested tuples of QuadExt (identity and transpose
+build them).  Every product and inverse computes on one int form,
 IntMatrix: the rows' numerator pairs over one common denominator, plus the
 field d, built and reduced by the same exactnum helpers as a vector's int
 code.  IntMatrix.left_mul maps a vector's code to its image's canonical
@@ -30,14 +30,6 @@ class SingularMatrix(PackingLabError):
 
 def as_quad(x) -> QuadExt:
     return x if isinstance(x, QuadExt) else QuadExt(x)
-
-
-def vector(entries) -> Vector:
-    return tuple(as_quad(x) for x in entries)
-
-
-def matrix(rows) -> Matrix:
-    return tuple(vector(row) for row in rows)
 
 
 def identity(k: int) -> Matrix:

@@ -87,6 +87,9 @@ class WallSystem:
             raise ParameterError("cluster and cocluster must partition the walls")
         if not self.cluster_idx:
             raise ParameterError("cluster must be nonempty")
+        for i, w in enumerate(self.walls):
+            if w.dim != self.dim:
+                raise ParameterError(f"wall {i} has dimension {w.dim}, not {self.dim} as wall 0 has")
 
     @property
     def dim(self) -> int:

@@ -82,20 +82,26 @@ def render_svg(
     if packing.dim != 2:
         raise UnsupportedDimension(f"can only draw planar packings, got dim {packing.dim}")
     vp = viewport or Viewport()
-    if not (0 < vp.half_width < inf and 0 < vp.size_px < inf):
+    try:
+        half_width, size, min_radius_px, stroke_width, cx0, cy0 = map(
+            float, (vp.half_width, vp.size_px, vp.min_radius_px, stroke_width, *vp.center)
+        )
+    except OverflowError:
+        raise ParameterError(
+            "half_width, size_px, center, min_radius_px and stroke_width must be in the float range"
+        ) from None
+    if not (0 < half_width < inf and 0 < size < inf):
         raise ParameterError(f"half_width and size_px must be positive and finite: {vp}")
-    if not all(map(isfinite, (*vp.center, vp.min_radius_px, stroke_width))):
+    if not all(map(isfinite, (cx0, cy0, min_radius_px, stroke_width))):
         raise ParameterError(
             f"center, min_radius_px and stroke_width must be finite: {vp}, {stroke_width=}"
         )
     if stroke_width < 0:
         raise ParameterError(f"stroke_width must not be negative, got {stroke_width}")
-    size = float(vp.size_px)
-    scale = size / (2.0 * vp.half_width)
-    cx0, cy0 = vp.center
+    scale = size / (2.0 * half_width)
 
     def to_px(x, y):
-        return ((x - cx0 + vp.half_width) * scale, (cy0 + vp.half_width - y) * scale)
+        return ((x - cx0 + half_width) * scale, (cy0 + half_width - y) * scale)
 
     codes, d = packing.codes, packing.d
     plane = (codes[:, 2] == 0) & (codes[:, 3] == 0)
@@ -105,7 +111,7 @@ def render_svg(
         nx, ny = (triple_float(a, b, den, d) for a, b in zip(bz[0::2], bz[1::2]))
         offset = triple_float(ca, cb, den, d) / 2.0
         px, py = offset * nx, offset * ny
-        reach = 4.0 * (vp.half_width + abs(px) + abs(py) + abs(cx0) + abs(cy0)) + 4.0
+        reach = 4.0 * (half_width + abs(px) + abs(py) + abs(cx0) + abs(cy0)) + 4.0
         a = to_px(px - reach * -ny, py - reach * nx)
         b = to_px(px + reach * -ny, py + reach * nx)
         clipped = _clip_segment(a, b, size)
@@ -131,7 +137,7 @@ def render_svg(
     ]
     r = np.abs(_ratios(den * ba, -den * bb, norm, d)) * scale
     x, y = to_px(*center)
-    keep = ~(r < vp.min_radius_px) & ~((x + r < 0) | (x - r > size) | (y + r < 0) | (y - r > size))
+    keep = ~(r < min_radius_px) & ~((x + r < 0) | (x - r > size) | (y + r < 0) | (y - r > size))
     rows, x, y, r = rows[keep], x[keep], y[keep], r[keep]
     # as _fmt writes them: every |v| <= 5e-7 (the double just under 5e-7)
     # prints as 0.000000 or -0.000000, and is written 0.000000
@@ -152,7 +158,7 @@ def render_svg(
             for t in zip(xs, ys, fs.tolist(), label)
         ]
 
-    px_str = _fmt(float(vp.size_px))
+    px_str = _fmt(size)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{vp.size_px}" height="{vp.size_px}" '

@@ -405,6 +405,7 @@ def tetra_path(capsys, tmp_path):
         ["render", "{packing}", "--half-width", "0"],
         ["render", "{packing}", "--half-width", "nan"],
         ["render", "{packing}", "--size", "0"],
+        ["render", "{packing}", "--size", "1" + "0" * 400],
         ["render", "{packing}", "--stroke-width=-1"],
         ["orbit", "{system}", "--bound", "20", "--max-word=-1"],
         ["orbit", "{system}", "--bound=-5"],
@@ -418,7 +419,7 @@ def tetra_path(capsys, tmp_path):
          "bound-discriminant", "negative-d", "square-d", "denom-zero", "seed-negative",
          "tol-nan", "tol-negative", "denom-too-large", "cluster-out-of-range",
          "cluster-repeated", "half-width-zero", "half-width-nan", "size-zero",
-         "stroke-width-negative", "max-word-negative", "bound-negative",
+         "size-past-float-range", "stroke-width-negative", "max-word-negative", "bound-negative",
          "super-max-word-negative", "super-bound-negative", "scan-past-bound"],
 )
 def test_bad_parameter_is_clean_error(capsys, apollonian_path, hexpyr_gram_path, tetra_path,

@@ -511,8 +511,12 @@ def _tolerance_edge():
 # 5613/16838 in the second, and the one candidate 1/17000 in the second
 @example((1 / 3 + 0.98e-5, 0, 20000, 1e-5))
 @example((1 / 17000, 0, 20000, 1e-18))
-def test_guess_matches_grid_oracle(case):
-    assert guess_outcome(algebraic_guess, *case) == guess_outcome(oracle.algebraic_guess, *case)
+# a table of 3 fractions runs every row of d > 0 in many segments
+@pytest.mark.parametrize("chunk", [3, 1 << 14])
+def test_guess_matches_grid_oracle(chunk, case):
+    with mock.patch.object(geometrize, "_CHUNK", chunk):
+        got = guess_outcome(algebraic_guess, *case)
+    assert got == guess_outcome(oracle.algebraic_guess, *case)
 
 
 @pytest.mark.parametrize(
@@ -534,7 +538,7 @@ def test_guess_too_wide_row_is_parameter_error():
 
 def test_guess_grid_memory_is_bounded():
     # at |x| near 100 with d = 6 a row of the grid is about 5,400 cells wide,
-    # so a block holds only a few rows
+    # one segment of the fraction table
     with mpmath.workdps(60):
         x = (500 + 3 * mpmath.sqrt(6)) / 5
     algebraic_guess(x, d=6, denom_bound=64, tol=1e-18)
@@ -549,7 +553,7 @@ def test_guess_grid_memory_is_bounded():
 
 
 @pytest.mark.parametrize(
-    "d, tol, error, limit_mb", [(2, 1e-2, Ambiguous, 4), (6, 1e-18, NoCandidate, 32)]
+    "d, tol, error, limit_mb", [(2, 1e-2, Ambiguous, 4), (6, 1e-18, NoCandidate, 2)]
 )
 def test_guess_worst_case_memory_is_bounded(d, tol, error, limit_mb):
     # at q = 64 a row holds about 1.1M (d = 2) or 645k (d = 6) surd
@@ -570,7 +574,7 @@ def test_guess_worst_case_memory_is_bounded(d, tol, error, limit_mb):
 
 
 def test_guess_large_denominator_bound_memory_is_bounded():
-    # 2**20 rows of one value, d = 0: the rows go _CHUNK to a block
+    # 2**20 rows of one value, d = 0: the rows go _CHUNK to a pass
     def guess():
         return algebraic_guess(0.5, d=0, denom_bound=1 << 20, tol=1e-18)
 
@@ -585,26 +589,30 @@ def test_guess_large_denominator_bound_memory_is_bounded():
     assert peak < 8 << 20
 
 
-def test_guess_matches_grid_oracle_when_blocks_take_both_walks():
-    # in blocks of 64 rows, the rows q <= 64 of 0.5 at d = 2 are narrow enough
-    # for the table walk and the rows q > 64 are not; 1/2 is found in the
-    # first block and 295/112-169/112*sqrt(2) in the second
-    walks = []
+def test_guess_memory_is_bounded_at_large_values():
+    # at q = 64 a row of 300000.1 at d = 6 holds about 15.7M surd
+    # coefficients, 958 segments of the table of 16384 fractions
+    def guess():
+        with pytest.raises(NoCandidate):
+            algebraic_guess(300000.1, d=6, denom_bound=64, tol=1e-18)
 
-    def spy(walk):
-        def spied(*args):
-            walks.append(walk.__name__)
-            return walk(*args)
-        return spied
+    guess()
+    tracemalloc.start()
+    try:
+        guess()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
+
+def test_guess_matches_grid_oracle_across_segments():
+    # with a table of 64 fractions every row of 0.5 at d = 2 runs in five or
+    # six segments, and the rows go ten to a pass; 1/2 is found at q = 2 and
+    # 295/112-169/112*sqrt(2) at q = 112
     case = (0.5, 2, 128, 2e-5)
-    with (
-        mock.patch.object(geometrize, "_CHUNK", 64),
-        mock.patch.object(geometrize, "_table_cells", spy(geometrize._table_cells)),
-        mock.patch.object(geometrize, "_dense_cells", spy(geometrize._dense_cells)),
-    ):
+    with mock.patch.object(geometrize, "_CHUNK", 64):
         got = guess_outcome(algebraic_guess, *case)
-    assert walks == ["_table_cells", "_dense_cells"]
     assert got == guess_outcome(oracle.algebraic_guess, *case)
     assert got[2] == [QuadExt.parse("295/112-169/112*sqrt(2)"), q(Fraction(1, 2))]
 

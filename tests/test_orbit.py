@@ -145,6 +145,15 @@ def test_zero_word_and_zero_bound_are_valid(make):
     assert set(bends(make(apollonian_system(), QuadExt(0), max_word=8))) <= {"-1", "0", "2", "3"}
 
 
+@pytest.mark.parametrize("at", [1, 6], ids=["cluster", "cocluster"])
+def test_wall_of_another_dimension_is_refused(at):
+    # a 3-D unit sphere among the circles of the strip gasket
+    walls = list(apollonian_system().walls)
+    walls[at] = sphere_from_center_radius((0, 0, 0), 1)
+    with pytest.raises(ParameterError, match=f"^wall {at} has dimension 3, not 2 as wall 0 has$"):
+        WallSystem(walls, range(4), range(4, 8))
+
+
 def test_frontier_cap_enforced():
     with pytest.raises(FrontierOverflow):
         generate_packing(apollonian_system(), QuadExt(5000), max_word=5000, frontier_cap=10)

@@ -172,5 +172,24 @@ def test_negative_stroke_width_is_refused(width):
         render_svg(GASKET15, stroke_width=width)
 
 
+_HUGE = 10**400
+
+
+@pytest.mark.parametrize(
+    "viewport, stroke_width",
+    [
+        (Viewport(size_px=_HUGE), 1.0),
+        (Viewport(half_width=_HUGE), 1.0),
+        (Viewport(center=(0.0, -_HUGE)), 1.0),
+        (Viewport(min_radius_px=_HUGE), 1.0),
+        (Viewport(), _HUGE),
+    ],
+    ids=["size_px", "half_width", "center", "min_radius_px", "stroke_width"],
+)
+def test_value_past_float_range_is_refused(viewport, stroke_width):
+    with pytest.raises(ParameterError, match="must be in the float range"):
+        render_svg(GASKET15, viewport, stroke_width=stroke_width)
+
+
 def test_zero_stroke_width_is_drawn():
     assert 'stroke-width="0.000000"' in render_svg(GASKET15, stroke_width=0.0)

@@ -16,7 +16,7 @@ from typing import Sequence
 from .coxeter import GramMatrix, check_symmetric
 from .errors import PackingLabError, ParameterError
 from .exactnum import QuadExt, field_disc, from_triple
-from .inversive import InversiveVector, ReflectionMatrix, inversive_product, walls_field
+from .inversive import InversiveVector, ReflectionMatrix, inversive_product
 from . import linalg
 from .linalg import IntMatrix
 
@@ -68,7 +68,8 @@ def bends_conjugate(
     if len(walls) != walls[0].dim + 2:
         raise SingularCluster(f"need {walls[0].dim + 2} walls, got {len(walls)}")
     den = lcm(*(w.code[-1] for w in walls))
-    v = IntMatrix([[x * (den // w.code[-1]) for x in w.code[:-1]] for w in walls], den, walls_field(walls))
+    rows = [[x * (den // w.code[-1]) for x in w.code[:-1]] for w in walls]
+    v = IntMatrix(rows, den, field_disc(w.d for w in walls))
     try:
         v_inv = v.inverse()
     except linalg.SingularMatrix:
@@ -128,7 +129,7 @@ def vinberg_test(gram: GramMatrix, max_len: int = 8) -> VinbergVerdict:
         raise ParameterError(f"max_len must be an int, not {type(max_len).__name__}")
     if max_len < 2:
         raise ParameterError("max_len must be at least 2")
-    d = field_disc([x for row in gram.entries for x in row])
+    d = field_disc(x.disc for row in gram.entries for x in row)
     edges = [[(x * 2).triple if x else None for x in row] for row in gram.entries]
     check_symmetric(edges)  # in one field, equal triples are equal entries
     witness = _first_violation(edges, d, 2)

@@ -51,12 +51,12 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 def _gram_from_path(path: str):
     if path.endswith(".cox"):
-        return gram_from_diagram(parse_diagram(Path(path).read_text()))
+        return gram_from_diagram(parse_diagram(serialize.read_text(path)))
     return _load(path, "gram")
 
 
 def cmd_parse(args) -> int:
-    diagram = parse_diagram(Path(args.diagram).read_text())
+    diagram = parse_diagram(serialize.read_text(args.diagram))
     gram = gram_from_diagram(diagram)
     _write_or_print(serialize.dumps(gram), args.out)
     return 0
@@ -194,7 +194,7 @@ def cmd_fixtures(args) -> int:
 
 
 def cmd_show(args) -> int:
-    diagram = parse_diagram(Path(args.diagram).read_text())
+    diagram = parse_diagram(serialize.read_text(args.diagram))
     sys.stdout.write(print_diagram(diagram))
     return 0
 

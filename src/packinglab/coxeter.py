@@ -199,28 +199,7 @@ def print_diagram(diagram: CoxeterDiagram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _edge_discs(diagram: CoxeterDiagram) -> set[int]:
-    discs = set()
-    for kind in diagram.edges.values():
-        if isinstance(kind, Angle):
-            if kind.m not in COS_TABLE:
-                raise UnrepresentableAngle(
-                    f"cos(pi/{kind.m}) does not live in a quadratic field"
-                )
-            discs.add(COS_TABLE[kind.m].disc)
-        elif isinstance(kind, Disjoint) and kind.value is not None:
-            discs.add(kind.value.disc)
-    discs.discard(0)
-    return discs
-
-
 def gram_from_diagram(diagram: CoxeterDiagram) -> GramMatrix:
-    discs = _edge_discs(diagram)
-    if len(discs) > 1:
-        raise UnrepresentableAngle(
-            "edges need more than one quadratic field: "
-            + ", ".join(f"sqrt({d})" for d in sorted(discs))
-        )
     k = diagram.vertex_count
     rows = [[QuadExt(0)] * k for _ in range(k)]
     placeholders = set()
@@ -235,9 +214,16 @@ def gram_from_diagram(diagram: CoxeterDiagram) -> GramMatrix:
                 placeholders.add((i, j))
             else:
                 value = kind.value
-        else:
+        elif kind.m in COS_TABLE:
             value = COS_TABLE[kind.m]
+        else:
+            raise UnrepresentableAngle(f"cos(pi/{kind.m}) does not live in a quadratic field")
         rows[i][j] = rows[j][i] = value
+    discs = sorted({x.disc for row in rows for x in row} - {0})
+    if len(discs) > 1:
+        raise UnrepresentableAngle(
+            "edges need more than one quadratic field: " + ", ".join(f"sqrt({d})" for d in discs)
+        )
     return GramMatrix.from_rows(rows, placeholders)
 
 

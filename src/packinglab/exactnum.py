@@ -412,15 +412,15 @@ ZERO = _raw(0, 0, 1, 0)
 ONE = _raw(1, 0, 1, 0)
 
 
-def field_disc(values) -> int:
-    """The one square-free d > 0 among the values' fields, or 0 if all are
-    rational; two different nonzero discriminants raise DiscMismatch."""
+def field_disc(discs) -> int:
+    """The one field of a collection, given its discriminants in order (ints,
+    0 for Q): the one square-free d > 0 among them, or 0 if every one is 0.
+    A fold by _field: the first nonzero d unlike an earlier nonzero one
+    raises DiscMismatch("sqrt(earlier) vs sqrt(d)")."""
     d = 0
-    for x in values:
-        if x._d and x._d != d:
-            if d:
-                raise DiscMismatch(f"sqrt({d}) vs sqrt({x._d})")
-            d = x._d
+    for x in discs:
+        if x and x != d:
+            d = _field(d, x)
     return d
 
 

@@ -7,9 +7,9 @@ held fixed, and one damped Gauss-Newton loop for the other walls on exact
 fixed-point ints, each coordinate an int over 2**216, each residual row an
 exact int rounded once to a float), algebraic_guess
 (snap a value to (a + b*sqrt(d))/q with a bounded denominator: a row
-(value, q) finds the b a float prefilter can keep, those with
-frac(b*sqrt(d)) near frac(q*x), segment by segment b0 + j, by searchsorted
-in one sorted table of frac(j*sqrt(d)), j < _CHUNK, the window shifted by
+(value, q) finds the b with frac(b*sqrt(d)) in a window about frac(q*x),
+the only float filter, segment by segment b0 + j, by searchsorted in one
+sorted table of frac(j*sqrt(d)), j < _CHUNK, the window shifted by
 frac(b0*sqrt(d)); only reduced triples, gcd(a, b, q) == 1, reach the exact
 check on ints; guess_walls runs one such pass over every value of a
 system), and verify_realization (exact re-check of every target against the
@@ -517,20 +517,19 @@ def algebraic_guess(value, d: int, denom_bound: int, tol: float) -> QuadExt:
 
     The candidates are every q <= denom_bound and every |b| <= b_max(q),
     with b_max(q) just past |q*x| / sqrt(d) + denom_bound (b = 0 when
-    d == 0), and a the integer nearest q*x - b*sqrt(d).  A float prefilter
-    keeps a candidate when q*x - b*sqrt(d) lies within a slack of a; the
-    kept ones are visited in order of q, then b, and only a reduced triple,
-    gcd(a, b, q) == 1, reaches the exact test.  A kept b has
-    frac(b*sqrt(d)) within a window about frac(q*x), the slack widened by
-    the float rounding.  One table, frac(j*sqrt(d)) for 0 <= j < size with
+    d == 0), and a the integer nearest q*x - b*sqrt(d), exact at d == 0.
+    The only float filter keeps a b when frac(b*sqrt(d)) lies within a
+    window about frac(q*x): a slack of 1.125*q*tol + 1e-9, widened by the
+    float rounding.  The kept ones are visited in order of q, then b, and
+    only a reduced triple, gcd(a, b, q) == 1, reaches the exact test.  One
+    table, frac(j*sqrt(d)) for 0 <= j < size with
     size = min(_CHUNK, 2*b_max(denom_bound) + 1), is sorted once per call;
     a row's b run in segments b0 + j, and a segment's b are those whose j
     lies in the row's window shifted by frac(b0*sqrt(d)), found by
     searchsorted.  The segments go in runs of at most _CHUNK cells, so that
-    memory stays bounded on wide windows, and the float test then decides
-    the b they hold; the walk stops at the first Ambiguous.  When the
-    widest row, q = denom_bound, would pass _ROW_CELLS values of b, or
-    denom_bound itself does, the call raises ParameterError.
+    memory stays bounded on wide windows; the walk stops at the first
+    Ambiguous.  When the widest row, q = denom_bound, would pass _ROW_CELLS
+    values of b, or denom_bound itself does, the call raises ParameterError.
     guess_walls runs the same pass over every value of a system at once.
     """
     return _guess_values([value], d, denom_bound, tol)[0]
@@ -673,7 +672,7 @@ def _walk(xfs, ratios, cap: int, d: int, root: QuadExt, sqrt_f: float, denom_bou
         # the window on frac(b*sqrt(d)) about frac(q*x): the slack, widened
         # by sixteen times the rounding of the float q*x - b*sqrt(d), of the
         # segment's shift and of the window's own ends, so that it holds
-        # every b the float test keeps
+        # every b that passes the exact test
         half = np.minimum(slack + 2.0**-49 * (np.abs(xq) + b_max * sqrt_f + 4), 0.5)
         b_max = b_max.astype(np.int64)
         n_seg = (2 * b_max + size) // size
@@ -703,26 +702,23 @@ def _walk(xfs, ratios, cap: int, d: int, root: QuadExt, sqrt_f: float, denom_bou
             row, b = row[keep], b[keep]
             order = np.lexsort((b, row))
             row, b = row[order], b[order]
-            # the float test, as on the whole row
-            approx = xq[row] - b * sqrt_f
-            dev = np.round(approx)
-            dev -= approx
-            np.abs(dev, out=dev)
-            keep = dev <= slack[row]
-            row, b = row[keep], b[keep]
-            a = np.round(approx[keep])
-            # an int64 gcd drops most triples that are not reduced
-            small = np.abs(a) < 2.0**62
-            keep = ~small | (np.gcd(np.gcd(np.where(small, a, 0).astype(np.int64), b), q[row]) == 1)
-            row = row[keep]
-            kept = zip(value[row].tolist(), q[row].tolist(), a[keep].tolist(), b[keep].tolist())
-            for v, qq, a, b in kept:
-                a = int(a)  # a Python int: it can pass 2**63
+            # a, the integer nearest q*x - b*sqrt(d), is read off floats at
+            # d > 0, where the row guard keeps it under 2**40, and exactly at
+            # d = 0 (b = 0), where q*x can pass 2**52 or x be off its float.
+            # An int64 gcd on the float a drops most triples that are not
+            # reduced; at d = 0 only in a window under 1/4, which keeps
+            # |q*x| < 2**47 and the float a the exact one
+            a = np.round(xq[row] - b * sqrt_f)
+            sure = (half[row] < 0.25) | bool(d)
+            keep = ~sure | (np.gcd(np.gcd(np.where(sure, a, 0).astype(np.int64), b), q[row]) == 1)
+            row, a, b = row[keep], a[keep], b[keep]
+            for v, qq, a, b in zip(value[row].tolist(), q[row].tolist(), a.tolist(), b.tolist()):
+                xn, xd = ratios[v]
+                a = int(a) if d else (2 * qq * xn + xd) // (2 * xd)
                 # the test is unchanged when (a, b, q) is scaled, so a value's
                 # reduced triple, its first occurrence, decides it
                 if gcd(a, b, qq) != 1:
                     continue
-                xn, xd = ratios[v]
                 r, sb, c = (qq * xn - a * xd) * td, b * xd * td, qq * tn * xd
                 if quad_sign(c - r, sb, d) >= 0 and quad_sign(c + r, -sb, d) >= 0:
                     hits = found[v]

@@ -59,7 +59,7 @@ class InversiveVector:
 
     def __init__(self, cobend, bend, bz):
         coords = (as_quad(cobend), as_quad(bend), *map(as_quad, bz))
-        _set_d(self, field_disc(coords))
+        _set_d(self, field_disc(x.disc for x in coords))
         _set_code(self, encode(coords))
 
     def __setattr__(self, name, value):
@@ -193,13 +193,6 @@ def plane_from_normal_offset(normal, offset) -> InversiveVector:
 
 def inversive_product(u: InversiveVector, v: InversiveVector) -> QuadExt:
     return from_triple(*_product(u, v))
-
-
-def walls_field(walls, d: int = 0) -> int:
-    """The one field of the walls and of Q(sqrt(d)), as exactnum.field_disc."""
-    for w in walls:
-        d = _field(d, w.d)
-    return d
 
 
 def _product(u: InversiveVector, v: InversiveVector) -> tuple[int, int, int, int]:

@@ -66,7 +66,8 @@ class IntMatrix:
         flat = [x for row in m for x in row]
         code = encode(flat)
         w = 2 * len(m[0]) if m else 0
-        return cls([code[i * w : (i + 1) * w] for i in range(len(m))], code[-1], field_disc(flat))
+        rows = [code[i * w : (i + 1) * w] for i in range(len(m))]
+        return cls(rows, code[-1], field_disc(x.disc for x in flat))
 
     def decode(self) -> Matrix:
         return tuple([decode((*row, self.den), self.d) for row in self.rows])
@@ -159,7 +160,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def vec_mat(v: Vector, m: Matrix) -> Vector:
     m = IntMatrix.encode(m)
-    d = _field(field_disc(v), m.d)
+    d = field_disc([*(x.disc for x in v), m.d])
     return decode(m.left_mul(encode(v), d), d)
 
 

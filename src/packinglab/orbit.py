@@ -55,8 +55,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PackingLabError, ParameterError
-from .exactnum import QuadExt, dtype_under, encode, int_array, max_abs, quad_sign, quad_sign_array
-from .inversive import InversiveVector, walls_field
+from .exactnum import QuadExt, dtype_under, encode, field_disc, int_array, max_abs, quad_sign, quad_sign_array
+from .inversive import InversiveVector
 from .linalg import as_quad
 # the packing type and its certificate are part of this module's API
 from .packing import IntegralityReport, Packing, SphereRecord, _steps, certify_integral
@@ -114,7 +114,7 @@ def _closure(
         raise ParameterError(f"max_word must be a non-negative int, got {max_word!r}")
     if bend_bound.sign() < 0:
         raise ParameterError(f"bend bound must not be negative, got {bend_bound}")
-    d = walls_field(walls, bend_bound.disc)
+    d = field_disc([bend_bound.disc, *(w.d for w in walls)])
     n = len(walls[0].code) - 1  # numerators; the denominator is code[n]
     gen_count = len(generator_idx)
     # per generator g with code s: 2Qs for Q = [[0, 1/2], [1/2, 0]] + (-I)

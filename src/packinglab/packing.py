@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .exactnum import QuadExt, dtype_under, from_triple, int_array, max_abs, quad_sign_array
-from .inversive import InversiveVector, decode_rows, walls_field
+from .exactnum import QuadExt, dtype_under, field_disc, from_triple, int_array, max_abs, quad_sign_array
+from .inversive import InversiveVector, decode_rows
 
 _MAX_WITNESSES = 10  # non-integral spheres certify_integral reports
 
@@ -62,7 +62,7 @@ class Packing:
         if len({len(v.code) for v in vectors}) > 1:
             raise ParameterError("spheres must all have one dimension")
         self._init(
-            int_array([v.code for v in vectors]), walls_field(vectors),
+            int_array([v.code for v in vectors]), field_disc(v.d for v in vectors),
             [rec.word_length for rec in spheres], [rec.parent_generator for rec in spheres],
             saturated, bend_bound, max_word, generator_idx, dim, boundary_walls,
         )

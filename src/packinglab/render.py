@@ -99,6 +99,8 @@ def render_svg(
     if stroke_width < 0:
         raise ParameterError(f"stroke_width must not be negative, got {stroke_width}")
     scale = size / (2.0 * half_width)
+    if not (isfinite(scale) and isfinite(4.0 * (half_width + abs(cx0) + abs(cy0)) + 4.0)):
+        raise ParameterError(f"the viewport's pixel scale and extent must be finite: {vp}")
 
     def to_px(x, y):
         return ((x - cx0 + half_width) * scale, (cy0 + half_width - y) * scale)

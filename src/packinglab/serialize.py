@@ -48,7 +48,7 @@ from .coxeter import GramMatrix
 from .errors import PackingLabError
 from .exactnum import DiscMismatch, QuadExt, encode_rows, field_disc, int_array, triple_str
 from .geometrize import DisjointFree, Exact, TargetSpec
-from .inversive import InversiveVector, decode_rows, inversive_product, q_is_minus_one, walls_field
+from .inversive import InversiveVector, decode_rows, inversive_product, q_is_minus_one
 from .orbit import WallSystem
 from .packing import Packing
 
@@ -116,13 +116,13 @@ def _vectors(objs, dim, what: str) -> tuple[np.ndarray, int]:
         # the first vector in two fields, or in another field than those before it
         for i, row in enumerate(at, start=1):
             try:
-                d = field_disc([values[j] for j in row] + ([QuadExt.sqrt(d)] if d else []))
+                d = field_disc([*(values[j].disc for j in row), d])
             except DiscMismatch as exc:
                 error = FormatError(f"{what} {i}: {type(exc).__name__}: {exc}")
                 del at[i - 1 :]
                 break
     else:
-        d = field_disc(values)
+        d = field_disc(x.disc for x in values)
     at = np.array(at, dtype=np.intp).reshape(len(at), -1 if at else 0)
     codes = encode_rows(values, at)
     off = np.flatnonzero(~q_is_minus_one(codes.T, d)) if len(codes) else ()
@@ -143,7 +143,7 @@ def system_text(system: WallSystem) -> str:
         "cocluster": sorted(system.cocluster_idx),
     }
     codes = int_array([w.code for w in system.walls])
-    return _with_vectors(head, "walls", codes, walls_field(system.walls))
+    return _with_vectors(head, "walls", codes, field_disc(w.d for w in system.walls))
 
 
 def system_from_obj(doc: dict) -> WallSystem:
@@ -279,7 +279,7 @@ def dumps(obj) -> str:
 def loads(text: str):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise FormatError(f"invalid JSON: {exc}") from exc
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if not isinstance(kind, str) or kind not in KINDS:
@@ -296,5 +296,14 @@ def save(obj, path) -> None:
     Path(path).write_text(dumps(obj))
 
 
+def read_text(path) -> str:
+    """An input file's text, decoded as UTF-8 whatever the locale; bytes
+    that are not UTF-8 are a FormatError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def load(path):
-    return loads(Path(path).read_text())
+    return loads(read_text(path))

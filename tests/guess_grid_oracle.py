@@ -53,15 +53,20 @@ def algebraic_guess(value, d: int, denom_bound: int, tol: float) -> QuadExt:
             xq = xf * q
             slack = q * tol * 1.125 + 1e-9
             if d == 0:
+                b_max = 0
                 bs = np.array([0])
             else:
                 b_max = int(np.floor((abs(xq) + slack + 1.0) / sqrt_f)) + 1 + denom_bound
                 bs = np.arange(-b_max, b_max + 1)
             approx = xq - bs * sqrt_f
             a_round = np.round(approx)
-            keep = np.abs(approx - a_round) <= slack
+            # the slack widened by the float rounding of approx, as the
+            # guesser's window is; at d = 0 a is the exact integer nearest
+            # q*x, which the float round is not past 2**52 or where
+            # float(x) is not x
+            keep = np.abs(approx - a_round) <= slack + 2.0**-49 * (abs(xq) + b_max * sqrt_f + 4)
             for b, a in zip(bs[keep], a_round[keep]):
-                a = int(a)
+                a = int(a) if d else (2 * q * x.numerator + x.denominator) // (2 * x.denominator)
                 b = int(b)
                 if abs(FractionQuadExt(q * x - a, -b, d)) <= q * bound:
                     key = (Fraction(a, q), Fraction(b, q))

@@ -168,6 +168,41 @@ def test_missing_file_is_clean_error(capsys):
     assert json.loads(err)["error"] == "OSError"
 
 
+_READERS = [
+    ["certify"], ["orbit", "--bound", "3"], ["render"],
+    ["lg-scan", "--bound", "10", "--modulus", "24", "--scan-bound", "10"],
+    ["geometrize", "--d", "0"], ["parse"], ["show"], ["arith"], ["decompose"],
+]
+_READER_IDS = ["certify", "orbit", "render", "lg-scan", "geometrize", "parse", "show", "arith",
+               "decompose"]
+
+
+@pytest.mark.parametrize("command", _READERS, ids=_READER_IDS)
+def test_file_not_utf8_is_clean_error(capsys, tmp_path, command):
+    bad = tmp_path / "bad.cox"
+    bad.write_bytes(b"\xff")
+    code, out, err = run(capsys, command[0], str(bad), *command[1:])
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": "FormatError",
+        "message": f"{bad} is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0:"
+                   " invalid start byte",
+    }
+
+
+@pytest.mark.parametrize("command", [c for c in _READERS if c[0] not in ("parse", "show")],
+                         ids=[i for i in _READER_IDS if i not in ("parse", "show")])
+def test_json_nested_too_deep_is_clean_error(capsys, tmp_path, command):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run(capsys, command[0], str(bad), *command[1:])
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["error"] == "FormatError" and doc["message"].startswith("invalid JSON: ")
+
+
 @pytest.mark.parametrize(
     "edit, command",
     [
@@ -407,6 +442,8 @@ def tetra_path(capsys, tmp_path):
         ["render", "{packing}", "--size", "0"],
         ["render", "{packing}", "--size", "1" + "0" * 400],
         ["render", "{packing}", "--stroke-width=-1"],
+        # the pixel scale 640 / 2e-320 overflows
+        ["render", "{packing}", "--half-width", "1e-320"],
         ["orbit", "{system}", "--bound", "20", "--max-word=-1"],
         ["orbit", "{system}", "--bound=-5"],
         ["orbit", "{system}", "--bound", "20", "--max-word=-1", "--super"],
@@ -419,7 +456,8 @@ def tetra_path(capsys, tmp_path):
          "bound-discriminant", "negative-d", "square-d", "denom-zero", "seed-negative",
          "tol-nan", "tol-negative", "denom-too-large", "cluster-out-of-range",
          "cluster-repeated", "half-width-zero", "half-width-nan", "size-zero",
-         "size-past-float-range", "stroke-width-negative", "max-word-negative", "bound-negative",
+         "size-past-float-range", "stroke-width-negative", "half-width-underflows-scale",
+         "max-word-negative", "bound-negative",
          "super-max-word-negative", "super-bound-negative", "scan-past-bound"],
 )
 def test_bad_parameter_is_clean_error(capsys, apollonian_path, hexpyr_gram_path, tetra_path,

@@ -46,6 +46,7 @@ from packinglab.geometrize import (
 )
 from packinglab.inversive import InversiveVector
 from fractions import Fraction
+from math import gcd
 
 
 def q(rat, surd=0, disc=0):
@@ -617,6 +618,53 @@ def test_guess_matches_grid_oracle_across_segments():
     assert got[2] == [QuadExt.parse("295/112-169/112*sqrt(2)"), q(Fraction(1, 2))]
 
 
+def _exact_draws(count, seed):
+    """(a, b, q, d) with gcd(a, b, q) == 1, 10**5 <= |a| <= 10**7, |b| <= 50
+    and q <= 8: the float q*x - b*sqrt(d) of such a value can be off by more
+    than 1e-9, the width of a float test on it at tol 1e-18."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    while len(draws) < count:
+        d, qq, b = int(rng.choice([2, 3, 5, 6, 7])), int(rng.integers(1, 9)), int(rng.integers(-50, 51))
+        a = int(rng.choice([-1, 1])) * int(rng.integers(10**5, 10**7 + 1))
+        if gcd(a, b, qq) == 1:
+            draws.append((a, b, qq, d))
+    return draws
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        10**16 + 1, 2**53 + 1, 10**20 + 1, Fraction(10**20 + 1, 3), Fraction(2**60 + 1, 7),
+        # under 2**52, but float(x) is not x: 7 * float(x) is a + 1/4, a - 1/8
+        Fraction(2093336427414619, 7), Fraction(1021601337734564, 7),
+    ],
+)
+@pytest.mark.parametrize("tol", [0, 1e-18])
+def test_guess_recovers_exact_rationals_past_the_float_grid(x, tol):
+    assert algebraic_guess(x, 0, 64, tol) == q(x)
+
+
+def test_guess_recovers_exact_surds_near_the_row_guard():
+    # every value is built exactly from its (a, b, q): no oracle decides;
+    # a draw the row guard refuses is not counted
+    counted, missed = 0, []
+    for a, b, qq, d in _exact_draws(1000, 1):
+        with mpmath.workdps(60):
+            x = (a + b * mpmath.sqrt(d)) / qq
+        try:
+            got = algebraic_guess(x, d, 8, 1e-18)
+        except ParameterError as exc:
+            assert str(exc).endswith("over the limit of 16777216")
+            continue
+        except NoCandidate:
+            got = None
+        counted += 1
+        if got != q(Fraction(a, qq), Fraction(b, qq), d):
+            missed.append((a, b, qq, d))
+    assert counted > 700 and missed == []
+
+
 # -- guess_walls -----------------------------------------------------------------
 
 _TARGETS = {"tetrahedron": (tetrahedron_target, 0), "cuboctahedron": (cuboctahedron_target, 6)}
@@ -656,9 +704,11 @@ _INF = "inf has no exact match with denominator <= 64"
             "1e+17 needs grid rows of 5225578117937446912 cells at d = 6 and denominator"
             " bound 64, over the limit of 16777216",
         ),
+        # 5000 * 3.9999 is 19999.4999...: its float rounds to 19999.5, but the
+        # integer nearest it is 19999, so 19999/5000 comes before 20003/5001
         (
             "tetrahedron", 3.9999, 5001, 1e-3, Ambiguous,
-            "3.9999 matches several exact values within tolerance: 20003/5001, 4",
+            "3.9999 matches several exact values within tolerance: 19999/5000, 4",
         ),
     ],
     ids=["nan-d0", "nan-d6", "inf-d0", "-inf-d6", "mpf-past-float-d0", "row-guard-d6", "ambiguous-d0"],
@@ -676,7 +726,7 @@ def test_guess_walls_fails_where_the_per_value_loop_fails(
         guess_walls(FloatWallSystem(walls, system.residual, system.iterations), d, denom_bound, tol)
     assert type(info.value) is error and str(info.value) == message
     if error is Ambiguous:
-        assert info.value.candidates == [QuadExt.parse("20003/5001"), q(4)]
+        assert info.value.candidates == [QuadExt.parse("19999/5000"), q(4)]
 
 
 # -- verify_realization ----------------------------------------------------------

@@ -157,7 +157,7 @@ def test_level_just_under_the_int64_guard(system, monkeypatch):
     """
     sysm = system()
     codes = [encode(w.coords()) for w in sysm.walls]
-    d = field_disc([x for w in sysm.walls for x in w.coords()])
+    d = field_disc(x.disc for w in sysm.walls for x in w.coords())
     n = len(codes[0]) - 1
     gens = [codes[g] for g in sysm.cocluster_idx]
     m = max(abs(x) for i in sysm.cluster_idx for x in codes[i])

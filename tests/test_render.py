@@ -191,5 +191,18 @@ def test_value_past_float_range_is_refused(viewport, stroke_width):
         render_svg(GASKET15, viewport, stroke_width=stroke_width)
 
 
+@pytest.mark.parametrize(
+    "viewport",
+    [Viewport(half_width=1e-320), Viewport(half_width=1e308), Viewport(center=(1e308, 0.0))],
+    ids=["scale", "half_width", "center"],
+)
+def test_viewport_past_float_range_in_pixels_is_refused(viewport):
+    # its pixel scale or its extent overflows: a circle or a plane would be
+    # drawn at nan or inf
+    strip = _ORACLE_PACKINGS["strip-with-planes"]()
+    with pytest.raises(ParameterError, match="pixel scale and extent must be finite"):
+        render_svg(strip, viewport)
+
+
 def test_zero_stroke_width_is_drawn():
     assert 'stroke-width="0.000000"' in render_svg(GASKET15, stroke_width=0.0)

@@ -166,6 +166,18 @@ def test_unknown_kind_rejected():
         serialize.loads(json.dumps({"format": 1, "kind": "mystery"}))
 
 
+def test_json_nested_too_deep_is_format_error():
+    with pytest.raises(FormatError, match="^invalid JSON: "):
+        serialize.loads('{"kind": ' + "[" * 200_000 + "]" * 200_000 + "}")
+
+
+def test_file_not_utf8_is_format_error(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"kind": "\xff"}')
+    with pytest.raises(FormatError, match="is not UTF-8 text: 'utf-8' codec can't decode byte 0xff"):
+        serialize.load(bad)
+
+
 @pytest.mark.parametrize(
     "build, edit, prefix",
     [

@@ -57,7 +57,7 @@ def cases(draw):
 def assert_canonical(v: InversiveVector):
     assert v.code[-1] > 0 and gcd(*v.code) == 1
     assert all(type(x) is int for x in v.code)
-    assert v.d == field_disc(v.coords())
+    assert v.d == field_disc(x.disc for x in v.coords())
 
 
 @settings(max_examples=150, deadline=None)
@@ -67,7 +67,7 @@ def test_a_vector_is_its_code(case):
         coords = v.coords()
         again = InversiveVector.from_coords(coords)
         assert again == v and hash(again) == hash(v)
-        assert v.code == encode(coords) and v.d == field_disc(coords)
+        assert v.code == encode(coords) and v.d == field_disc(x.disc for x in coords)
         assert (v.cobend, v.bend, *v.bz) == coords and v.dim == len(coords) - 2
         assert InversiveVector.from_code(v.code, v.d) == v
 

@@ -13,7 +13,7 @@ from itertools import combinations
 from math import lcm
 from typing import Sequence
 
-from .coxeter import GramMatrix, check_symmetric
+from .coxeter import GramMatrix, check_square, check_symmetric
 from .errors import PackingLabError, ParameterError
 from .exactnum import QuadExt, field_disc, from_triple
 from .inversive import InversiveVector, ReflectionMatrix, inversive_product
@@ -42,7 +42,9 @@ def gram_matrix(walls: Sequence[InversiveVector]) -> GramMatrix:
 
 
 def dual_form(gram: GramMatrix) -> GramMatrix:
-    """Exact inverse of a symmetric Gram matrix; bends vectors are isotropic for it."""
+    """Exact inverse of a symmetric Gram matrix; bends vectors are isotropic for
+    it.  A singular matrix is refused before an asymmetric one."""
+    check_square(gram.entries)
     try:
         inv = linalg.inverse(gram.entries)
     except linalg.SingularMatrix as exc:
@@ -129,7 +131,7 @@ def vinberg_test(gram: GramMatrix, max_len: int = 8) -> VinbergVerdict:
         raise ParameterError(f"max_len must be an int, not {type(max_len).__name__}")
     if max_len < 2:
         raise ParameterError("max_len must be at least 2")
-    d = field_disc(x.disc for row in gram.entries for x in row)
+    d = field_disc([x._d for row in gram.entries for x in row])
     edges = [[(x * 2).triple if x else None for x in row] for row in gram.entries]
     check_symmetric(edges)  # in one field, equal triples are equal entries
     witness = _first_violation(edges, d, 2)

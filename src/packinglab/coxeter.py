@@ -107,11 +107,15 @@ class GramMatrix:
         return (min(i, j), max(i, j)) in self.placeholders
 
 
+def check_square(entries, error: type[Exception] = ParameterError) -> None:
+    if any(len(row) != len(entries) for row in entries):
+        raise error("matrix must be square")
+
+
 def check_symmetric(entries, error: type[Exception] = ParameterError) -> None:
     """Raise error unless the matrix is square, and at the first pair
     (i, j), i < j, whose entries differ."""
-    if any(len(row) != len(entries) for row in entries):
-        raise error("matrix must be square")
+    check_square(entries, error)
     for i, row in enumerate(entries):
         for j in range(i + 1, len(row)):
             if row[j] != entries[j][i]:
@@ -219,7 +223,7 @@ def gram_from_diagram(diagram: CoxeterDiagram) -> GramMatrix:
         else:
             raise UnrepresentableAngle(f"cos(pi/{kind.m}) does not live in a quadratic field")
         rows[i][j] = rows[j][i] = value
-    discs = sorted({x.disc for row in rows for x in row} - {0})
+    discs = sorted({x._d for row in rows for x in row} - {0})
     if len(discs) > 1:
         raise UnrepresentableAngle(
             "edges need more than one quadratic field: " + ", ".join(f"sqrt({d})" for d in discs)

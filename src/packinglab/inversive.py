@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import PackingLabError
+from .errors import PackingLabError, ParameterError
 from .exactnum import ONE, ZERO, QuadExt, _field, decode, dtype_under, encode, field_disc, from_triple, max_abs
 from .exactnum import reduce_code
 from .linalg import IntMatrix, Matrix, as_quad
@@ -59,7 +59,7 @@ class InversiveVector:
 
     def __init__(self, cobend, bend, bz):
         coords = (as_quad(cobend), as_quad(bend), *map(as_quad, bz))
-        _set_d(self, field_disc(x.disc for x in coords))
+        _set_d(self, field_disc([x._d for x in coords]))
         _set_code(self, encode(coords))
 
     def __setattr__(self, name, value):
@@ -239,6 +239,10 @@ class ReflectionMatrix:
         self._entries = entries
         self.dim = dim
         self.code = IntMatrix.encode(entries) if code is None else code
+        k, rows = dim + 2, self.code.rows
+        if len(rows) != k or (rows and len(rows[0]) != 2 * k):
+            shape = f"{len(rows)}x{len(rows[0]) // 2 if rows else 0}"
+            raise ParameterError(f"a reflection in dimension {dim} needs a {k}x{k} matrix, not {shape}")
 
     @property
     def entries(self) -> Matrix:

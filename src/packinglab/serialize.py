@@ -112,17 +112,17 @@ def _vectors(objs, dim, what: str) -> tuple[np.ndarray, int]:
             break
         at.append(row)
     d = 0
-    if len({x.disc for x in values} - {0}) > 1:
+    if len({x._d for x in values} - {0}) > 1:
         # the first vector in two fields, or in another field than those before it
         for i, row in enumerate(at, start=1):
             try:
-                d = field_disc([*(values[j].disc for j in row), d])
+                d = field_disc([*(values[j]._d for j in row), d])
             except DiscMismatch as exc:
                 error = FormatError(f"{what} {i}: {type(exc).__name__}: {exc}")
                 del at[i - 1 :]
                 break
     else:
-        d = field_disc(x.disc for x in values)
+        d = field_disc([x._d for x in values])
     at = np.array(at, dtype=np.intp).reshape(len(at), -1 if at else 0)
     codes = encode_rows(values, at)
     off = np.flatnonzero(~q_is_minus_one(codes.T, d)) if len(codes) else ()
@@ -177,7 +177,7 @@ def gram_from_obj(doc: dict) -> GramMatrix:
     if type(size) is not int or size != k:
         raise FormatError(f"bad gram document: 'size' is {size!r}, but 'entries' has {k} rows")
     rows = [[QuadExt.parse(s) for s in row] for row in entries]
-    discs = sorted({x.disc for row in rows for x in row} - {0})
+    discs = sorted({x._d for row in rows for x in row} - {0})
     if len(discs) > 1:
         raise FormatError(
             "bad gram document: entries need more than one quadratic field: "

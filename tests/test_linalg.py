@@ -24,11 +24,12 @@ from packinglab.fixtures import apollonian_system, hexpyr_expected_gram, hexpyr_
 from packinglab.inversive import (
     InvalidWall,
     InversiveVector,
+    ReflectionMatrix,
     inversive_product,
     reflection_matrix,
     sphere_from_center_radius,
 )
-from packinglab.linalg import IntMatrix, SingularMatrix, inverse, mat_mul, vec_mat
+from packinglab.linalg import IntMatrix, SingularMatrix, identity, inverse, mat_mul, vec_mat
 from soddy import soddy_gram
 
 FIELDS = [0, 2, 3, 5]
@@ -134,6 +135,75 @@ def test_int_form_is_canonical():
     assert (square.rows, square.den) == (((1, 0, 0, 0), (0, 0, 1, 0)), 4)
     twice = IntMatrix([[2, 0], [4, 0]], -6, 0)
     assert (twice.rows, twice.den) == (((-1, 0), (-2, 0)), 3)
+
+
+@st.composite
+def mixed_products(draw):
+    """One operand rational and the other over Q(sqrt(d)) with a surd first
+    entry, in either order: the product's field is d, not the field of
+    either operand alone."""
+    d = draw(st.sampled_from(FIELDS[1:]))
+    k, m, n = (draw(st.integers(1, 4)) for _ in range(3))
+    fields = (0, d) if draw(st.booleans()) else (d, 0)
+    a = [list(row) for row in draw(matrices(fields[0], k, m))]
+    b = [list(row) for row in draw(matrices(fields[1], m, n))]
+    surd = a if fields[0] else b
+    surd[0][0] = draw(surd_value(d))
+    return tuple(map(tuple, a)), tuple(map(tuple, b)), d
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_products())
+def test_rational_times_surd_matches_oracle_in_both_orders(case):
+    a, b, d = case
+    want = oracle.mat_mul(a, b)
+    got = {
+        "mat_mul": mat_mul(a, b),
+        "IntMatrix @": (IntMatrix.encode(a) @ IntMatrix.encode(b)).decode(),
+        "vec_mat": (vec_mat(a[0], b),),
+    }
+    for name, m in got.items():
+        assert m == want[: len(m)], name
+        for row, want_row in zip(m, want):
+            for x, y in zip(row, want_row):
+                assert (x.triple, x.disc) == (y.triple, y.disc), name
+                assert x.disc == (d if x.triple[1] else 0), name
+
+
+def test_mat_mul_refuses_shapes_that_do_not_fit():
+    with pytest.raises(ParameterError, match=r"^cannot multiply a 1x2 matrix by a 1x1 matrix$"):
+        mat_mul(((QuadExt(1), QuadExt(2)),), ((QuadExt(3),),))
+
+
+def test_vec_mat_refuses_a_vector_longer_than_the_matrix():
+    v = (QuadExt(1), QuadExt(2), QuadExt(3))
+    with pytest.raises(ParameterError, match=r"^cannot multiply a 1x3 matrix by a 2x2 matrix$"):
+        vec_mat(v, identity(2))
+
+
+def test_inverse_refuses_a_matrix_that_is_not_square():
+    with pytest.raises(ParameterError, match=r"^cannot invert a 1x2 matrix$"):
+        inverse(((QuadExt(1), QuadExt(2)),))
+
+
+def test_int_matrix_refuses_ragged_pair_rows():
+    with pytest.raises(ParameterError, match=r"^pair rows of \[4, 2\] numerators are not a matrix$"):
+        IntMatrix([[1, 0, 2, 0], [3, 0]], 1, 0)
+    with pytest.raises(ParameterError, match=r"^not a matrix: row 1 has 1 entries, row 0 has 2$"):
+        mat_mul(((QuadExt(1), QuadExt(2)), (QuadExt(3),)), identity(2))
+
+
+def test_reflection_matrix_refuses_a_matrix_of_another_dimension():
+    with pytest.raises(ParameterError, match=r"^a reflection in dimension 2 needs a 4x4 matrix, not 2x2$"):
+        ReflectionMatrix(identity(2), 2)
+
+
+def test_matrices_with_no_rows_stay_valid():
+    assert mat_mul((), ()) == () and mat_mul((), identity(2)) == ()
+    assert mat_mul(((),), ()) == ((),)
+    assert vec_mat((), ()) == () and inverse(()) == ()
+    empty = IntMatrix.encode(())
+    assert (empty @ empty).decode() == empty.transpose().decode() == ()
 
 
 # -- walls ------------------------------------------------------------------------

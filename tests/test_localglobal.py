@@ -9,6 +9,8 @@ from fractions import Fraction
 import pytest
 
 import residue_orbit_oracle as oracle
+import soddy_oracle
+from packinglab import serialize
 from packinglab.arithmetic import bends_conjugate, bends_vector
 from packinglab.cli import main
 from packinglab.errors import ParameterError
@@ -16,7 +18,7 @@ from packinglab.exactnum import QuadExt
 from packinglab.fixtures import apollonian_system
 from packinglab.inversive import reflection_matrix
 from packinglab.localglobal import NonIntegralInput, ResidueOrbit, missing_bends, residue_orbit
-from packinglab.orbit import generate_packing
+from packinglab.orbit import WallSystem, generate_packing
 from soddy import soddy_walls
 
 
@@ -240,6 +242,24 @@ def test_soddy_orbit_matches_oracle(m):
     assert_matches_oracle(gens, start, m)
     if m % 3 == 0:
         assert {r % 3 for r in residue_orbit(gens, start, m).residues} <= {0, 2}
+
+
+def test_lg_scan_on_soddy_matches_both_oracles(capsys, tmp_path):
+    """lg-scan on the Soddy system, cluster walls 1-5: its residues are the
+    residue BFS oracle's, every one 0 or 2 mod 3, and its missing list is
+    the admissible n <= 30 that no sphere of soddy_oracle's packing bends."""
+    system = tmp_path / "soddy.json"
+    system.write_text(serialize.dumps(WallSystem(soddy_walls(), range(5), range(5, 10))))
+    code = main(["lg-scan", str(system), "--bound", "30", "--max-word", "64",
+                 "--modulus", "24", "--scan-bound", "30"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    residues = sorted(oracle.residue_orbit(*soddy_generators(), 24).residues)
+    assert doc["admissible_residues"] == residues and len(residues) == 16
+    assert {r % 3 for r in residues} <= {0, 2}
+    bends = {bend for _, (bend, surd), *_ in soddy_oracle.soddy_spheres(30) if bend > 0 and not surd}
+    want = [n for n in range(1, 31) if n % 24 in residues and n not in bends]
+    assert doc["saturated"] and doc["missing"] == want == []
 
 
 def identity_mod(m, off):

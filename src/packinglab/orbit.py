@@ -19,21 +19,25 @@ den(s)^2 are stacked into arrays once.  One matmul gives every product
 p = v . 2Qs of the level, and broadcasting gives every child
 (v den(s)^2 + p s) / (den(v) den(s)^2).  A child with p = 0 is its parent,
 and the generator that made the parent maps it back to the grandparent;
-both are dropped before any other work.  The plane and |bend| <= bound tests
-are decided for the whole level by exactnum.quad_sign_array, the survivors
-are reduced by their gcd, and one Python pass over them, parent by parent
-and generator by generator (the order a FIFO queue pops them), does the
-dedup and raises FrontierOverflow when the level's unexpanded parents plus
-the next level exceed the cap.  The new children are the next frontier; its
+both are dropped before any other work.  The plane test is exact, and the
+|bend| <= bound test is decided for the whole level in float64 wherever a
+proven rounding margin allows (_bend_test); the few children inside the
+margin take exactnum.quad_sign_array.  The survivors are reduced by their
+gcd, and one Python pass over them, parent by parent and generator by
+generator (the order a FIFO queue pops them), does the dedup and raises
+FrontierOverflow when the level's unexpanded parents plus the next level
+exceed the cap.  The new children are the next frontier; its
 level is their word length and the generators that made them their parents.  A
 child over the bound is dropped without a key: the bound test is a function
 of the code, so a repeat would be dropped again.
 
 dtype rule.  numpy int64 arithmetic wraps silently, so a level runs in int64
 only when _level_dtype proves, from the largest frontier entry, the largest
-2Qs entry, the largest den(s)^2, k, d and the bound's triple, that no
-product, child entry or square in the sign test can reach 2**63.  Otherwise
-it runs the same expressions on Python ints in dtype=object arrays.
+2Qs entry, the largest den(s)^2, k and d, that no product or child entry can
+reach 2**63.  Otherwise it runs the same expressions on Python ints in
+dtype=object arrays.  The bound does not enter: the children that the exact
+bend test takes run on the dtype proved from their own entries and the
+bound's triple.
 
 Verified order.  The kept spheres are sorted by (bend,) + coords.  One
 np.lexsort on float64 values proposes the order, and _steps confirms every
@@ -151,7 +155,7 @@ def _closure(
         if length >= max_word:
             capped = True
             break
-        dtype = _level_dtype(max_abs(frontier), gen_max, s2_max, n // 2, d, bound)
+        dtype = _level_dtype(max_abs(frontier), gen_max, s2_max, n // 2, d)
         if dtype not in tables:
             tables[dtype] = tuple(x.astype(dtype) for x in tables[object])
         twice_qs, s_pa, s_pb, s2 = tables[dtype]
@@ -202,34 +206,85 @@ def _closure(
     )
 
 
-def _level_dtype(frontier_max: int, gen_max: int, s2_max: int, pairs: int, d: int, bound) -> type:
-    """np.int64 when no value a level computes can reach 2**63, else object.
+def _level_dtype(frontier_max: int, gen_max: int, s2_max: int, pairs: int, d: int) -> type:
+    """np.int64 when no product or child a level computes can reach 2**63,
+    else object.
 
     M = frontier_max bounds every entry of the level's frontier, W = gen_max
-    every entry of 2Qs (and so of s), S2 = s2_max every den(s)^2; k = pairs
-    is the number of coordinates and bound the bend bound's code
-    (ba, bb, bq).  The products are at most Pa = k (1 + d) M W and
-    Pb = 2 k M W (0 when d = 0), a child's entries (unreduced) at most
-    C = M S2 + W (Pa + max(d, 1) Pb), the bend test's differences at most
-    E = C (bq + max(|ba|, |bb|)), and for d > 0 its squares at most d E^2.
+    every entry of 2Qs (and so of s), S2 = s2_max every den(s)^2, and k =
+    pairs is the number of coordinates.  The products are at most Pa =
+    k (1 + d) M W and Pb = 2 k M W (0 when d = 0), and a child's entries
+    (unreduced), with every partial sum on the way, at most
+    C = M S2 + W (Pa + max(d, 1) Pb), which is at least Pa and Pb.  The bend
+    test sizes its own exact rows (_bend_test), so the bound does not enter.
     """
     m, w = frontier_max, gen_max
     pa = pairs * (1 + d) * m * w
     pb = 2 * pairs * m * w if d else 0
-    c = m * s2_max + w * (pa + max(d, 1) * pb)
-    ba, bb, bq = bound
-    e = c * (bq + max(abs(ba), abs(bb)))
-    return dtype_under(d * e * e if d else e)
+    return dtype_under(m * s2_max + w * (pa + max(d, 1) * pb))
 
 
 def _bend_test(a: np.ndarray, b: np.ndarray, den: np.ndarray, d: int, bound) -> tuple[np.ndarray, np.ndarray]:
-    """(plane, keep) for bends (a + b sqrt(d)) / den: keep a plane, or a
-    sphere with |bend| <= the bound (ba + bb sqrt(d)) / bq."""
+    """(plane, keep) for bends (a + b sqrt(d)) / den, den > 0: keep a plane,
+    or a sphere with |bend| <= the bound (ba + bb sqrt(d)) / bq, that is with
+    x = |a + b sqrt(d)| bq at most y = (ba + bb sqrt(d)) den.
+
+    Floats decide every row whose x - y lies clear of a rounding margin, and
+    only the rest take the exact test.  The margin, with u = 2**-53 and
+    gamma_n = n u / (1 - n u): each int rounds once to a float and sqrt(d)
+    at most twice, and each operation once, so float64 gives a + b sqrt(d)
+    to within gamma_5 T, for T = |a| + |b| sqrt(d), and x to within
+    gamma_7 T bq; likewise y to within gamma_7 TB den, for
+    TB = |ba| + |bb| sqrt(d).  The margin m = 2**-48 (T bq + TB den) is
+    computed the same way, so it is at least (1 - gamma_8) of its exact
+    value, and the float x - y is rounded once more.  So when the float
+    |x - y| exceeds m, the exact x - y has the float's sign, as
+    2**-48 = 32 u exceeds gamma_7 (1 + u) / (1 - gamma_8) < 7.01 u.
+    That bound needs no underflow and no overflow.  No product underflows:
+    its factors are 0 or at least 2**-52 in magnitude (ints, sqrt(d) > 1,
+    and the sum a + b sqrt(d) of two multiples of 2**-52), and sums never
+    do.  An overflow does not pass unseen: by monotone rounding every
+    intermediate is at most m / 2**-48 in magnitude, so an inf or nan
+    anywhere makes m inf or the comparison false, and the row undecided.
+    An int too large for a float sends the whole level to the exact test.
+
+    A bend equal to the bound (an integer bound on an integral packing, say)
+    is always left undecided.  The undecided rows run on the dtype that
+    dtype_under proves from their own largest entry C: the differences
+    a bq - ba den are at most E = C (bq + max(|ba|, |bb|)), and for d > 0
+    quad_sign_array's squares at most d E^2.
+    """
     ba, bb, bq = bound
     plane = (a == 0) & (b == 0)
-    neg = quad_sign_array(a, b, d) < 0
-    a, b = np.where(neg, -a, a), np.where(neg, -b, b)
-    return plane, plane | (quad_sign_array(a * bq - ba * den, b * bq - bb * den, d) <= 0)
+    try:
+        af, bf, denf = a.astype(np.float64), b.astype(np.float64), den.astype(np.float64)
+        baf, bbf, bqf = float(ba), float(bb), float(bq)
+    except OverflowError:
+        keep, exact = plane.copy(), np.arange(len(a))
+    else:
+        root = math.sqrt(d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            surd = bf * root
+            t = np.abs(af)
+            af += surd
+            t += np.abs(surd, out=surd)  # T
+            diff = np.abs(af, out=af) * bqf
+            diff -= (baf + bbf * root) * denf
+            margin = t * bqf
+            margin += (abs(baf) + abs(bbf * root)) * denf
+            margin *= 2.0**-48
+            decided = np.abs(diff) > margin
+        keep = plane | (decided & (diff < 0))
+        exact = (~decided).nonzero()[0]
+    if len(exact):
+        a, b, den = a[exact], b[exact], den[exact]
+        e = max(map(max_abs, (a, b, den))) * (bq + max(abs(ba), abs(bb)))
+        dtype = dtype_under(d * e * e if d else e)
+        a, b, den = a.astype(dtype, copy=False), b.astype(dtype, copy=False), den.astype(dtype, copy=False)
+        neg = quad_sign_array(a, b, d) < 0
+        a, b = np.where(neg, -a, a), np.where(neg, -b, b)
+        keep[exact] |= quad_sign_array(a * bq - ba * den, b * bq - bb * den, d) <= 0
+    return plane, keep
 
 
 def _code_order(codes: np.ndarray, d: int) -> np.ndarray:

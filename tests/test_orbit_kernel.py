@@ -8,7 +8,6 @@ float-proposed, exactly confirmed order are tested here too.
 import sys
 from fractions import Fraction
 from functools import cmp_to_key
-from math import isqrt
 from pathlib import Path
 
 import numpy as np
@@ -38,10 +37,14 @@ def assert_same_packing(got, want):
     assert serialize.dumps(got) == serialize.dumps(want)
 
 
-def scaled(system, lam):
-    """The system under z -> lam*z: cobend * lam, bend / lam, bz unchanged."""
+def scaled(system, lam, only=None):
+    """The system under z -> lam*z: cobend * lam, bend / lam, bz unchanged;
+    only the walls at the indices only, if given."""
     lam = QuadExt(lam)
-    walls = [InversiveVector(w.cobend * lam, w.bend / lam, w.bz) for w in system.walls]
+    walls = [
+        InversiveVector(w.cobend * lam, w.bend / lam, w.bz) if only is None or i in only else w
+        for i, w in enumerate(system.walls)
+    ]
     return WallSystem(walls, system.cluster_idx, system.cocluster_idx)
 
 
@@ -146,34 +149,110 @@ def level_dtypes(monkeypatch):
 
 @pytest.mark.parametrize("system", [apollonian_system, hexpyr_system], ids=["d=0", "d=3"])
 def test_level_just_under_the_int64_guard(system, monkeypatch):
-    """The first level at the largest integer bend bound B whose values
-    provably fit int64 runs in int64, and at B + 1 in object dtype.
+    """The first level of the largest frontier whose values provably fit
+    int64 runs in int64, and one step past it in object dtype.
 
-    The bound, written out from the seeds: frontier entries M, 2Qs entries
-    W, den^2 at most S2, k coordinates; |pa| <= k (1 + d) M W, |pb| <=
-    2 k M W (0 for d = 0), child entries C = M S2 + W (pa + max(d, 1) pb),
-    bend-test differences E = C (1 + B), and d E^2 for the squares when
-    d > 0.  A guard that is off by any factor moves one of the two runs.
+    The cluster walls alone are scaled by 1/N, which moves the seeds'
+    largest entry M and leaves the generators.  The bound, written out:
+    2Qs entries W, den^2 at most S2, k coordinates; |pa| <= k (1 + d) M W,
+    |pb| <= 2 k M W (0 for d = 0), child entries C = M S2 + W (pa +
+    max(d, 1) pb).  N and N + 1 straddle C = 2**63, and C moves by a factor
+    under 1 + 2**-20 between them, so a guard that is off by more moves
+    one of the two runs.
     """
-    sysm = system()
-    codes = [encode(w.coords()) for w in sysm.walls]
-    d = field_disc(x.disc for w in sysm.walls for x in w.coords())
-    n = len(codes[0]) - 1
-    gens = [codes[g] for g in sysm.cocluster_idx]
-    m = max(abs(x) for i in sysm.cluster_idx for x in codes[i])
-    w = max(abs(x) for s in gens for x in s[2:4] + s[0:2] + tuple(2 * y for y in s[4:n]))
-    s2 = max(s[n] ** 2 for s in gens)
-    k = n // 2
-    pa, pb = k * (1 + d) * m * w, 2 * k * m * w if d else 0
-    c = m * s2 + w * (pa + max(d, 1) * pb)
-    e_max = isqrt((2**63 - 1) // d) if d else 2**63 - 1
-    under = e_max // c - 1  # c * (1 + under) <= e_max < c * (2 + under)
+    base = system()
+    d = field_disc(x.disc for w in base.walls for x in w.coords())
+
+    def frontier(scale):
+        sysm = scaled(base, Fraction(1, scale), base.cluster_idx)
+        codes = [encode(w.coords()) for w in sysm.walls]
+        n = len(codes[0]) - 1
+        gens = [codes[g] for g in sysm.cocluster_idx]
+        m = max(abs(x) for i in sysm.cluster_idx for x in codes[i])
+        w = max(abs(x) for s in gens for x in s[2:4] + s[0:2] + tuple(2 * y for y in s[4:n]))
+        s2 = max(s[n] ** 2 for s in gens)
+        k = n // 2
+        pa, pb = k * (1 + d) * m * w, 2 * k * m * w if d else 0
+        return sysm, m * s2 + w * (pa + max(d, 1) * pb)
+
+    under, over = 1, 2**40  # C fits at under and not at over
+    while over - under > 1:
+        mid = (under + over) // 2
+        under, over = (mid, over) if frontier(mid)[1] < 2**63 else (under, mid)
+    assert frontier(over)[1] < frontier(under)[1] * (1 + 2**-20)
     seen = level_dtypes(monkeypatch)
-    for bound, dtype in ((under, np.int64), (under + 1, object)):
+    for scale, dtype in ((under, np.int64), (over, object)):
+        sysm = frontier(scale)[0]
         seen.clear()
-        got = generate_packing(sysm, QuadExt(bound), max_word=2)
-        assert seen[0] is dtype, bound
-        assert_same_packing(got, oracle.generate_packing(sysm, QuadExt(bound), max_word=2))
+        got = generate_packing(sysm, QuadExt(60), max_word=2)
+        assert seen[0] is dtype, scale
+        assert_same_packing(got, oracle.generate_packing(sysm, QuadExt(60), max_word=2))
+
+
+def test_deep_hexpyr_levels_run_in_int64(monkeypatch):
+    # no kept entry needs more than 11 bits, so every level's children fit
+    seen = level_dtypes(monkeypatch)
+    got = generate_packing(hexpyr_system(), QuadExt(500), max_word=400)
+    assert len(got.spheres) == 836 and got.saturated
+    assert len(seen) > 10 and all(dtype is np.int64 for dtype in seen)
+    assert_same_packing(got, oracle.generate_packing(hexpyr_system(), QuadExt(500), max_word=400))
+
+
+def bend_test_rows(monkeypatch):
+    """(children, rows the exact test took) for each level of the next
+    closures."""
+    seen = []
+    real_test, real_sign = orbit._bend_test, orbit.quad_sign_array
+
+    def bend_test(a, *args):
+        seen.append((len(a), 0))
+        return real_test(a, *args)
+
+    def sign(a, b, d):
+        seen[-1] = (seen[-1][0], len(a))
+        return real_sign(a, b, d)
+
+    monkeypatch.setattr(orbit, "_bend_test", bend_test)
+    monkeypatch.setattr(orbit, "quad_sign_array", sign)
+    return seen
+
+
+def surd_hexpyr():
+    """hexpyr under z -> (1 + sqrt 3) z: bends (sqrt 3 - 1)/2 times hexpyr's,
+    each with a rational and a surd part."""
+    return scaled(hexpyr_system(), 1 + QuadExt.sqrt(3))
+
+
+@pytest.mark.parametrize(
+    "system, bend",
+    [(apollonian_system, QuadExt(98)), (surd_hexpyr, QuadExt(59) * (QuadExt.sqrt(3) - 1) / 2)],
+    ids=["gasket-98", "hexpyr-59(sqrt3-1)/2"],
+)
+@pytest.mark.parametrize(
+    "offset", [0, Fraction(1, 10**30), -Fraction(1, 10**30)], ids=["at", "above", "below"]
+)
+def test_bound_at_a_bend_takes_the_exact_test(system, bend, offset, monkeypatch):
+    sysm, bound = system(), bend + offset
+    rows = bend_test_rows(monkeypatch)
+    got = generate_packing(sysm, bound, max_word=400)
+    assert_same_packing(got, oracle.generate_packing(sysm, bound, max_word=400))
+    # the bend is held exactly when the bound reaches it, and no float could
+    # tell the two apart
+    assert (bend in [r.vector.bend for r in got.spheres]) == (offset >= 0)
+    assert any(exact for _, exact in rows)
+
+
+@pytest.mark.parametrize(
+    "system, bound", [(apollonian_system, 100), (hexpyr_system, 60)], ids=["d=0", "d=3"]
+)
+def test_bend_test_falls_back_when_floats_overflow(system, bound, monkeypatch):
+    lam = Fraction(1, 10**400)
+    sysm, bound = scaled(system(), lam), QuadExt(bound) / lam
+    rows = bend_test_rows(monkeypatch)
+    got = generate_packing(sysm, bound, max_word=400)
+    assert_same_packing(got, oracle.generate_packing(sysm, bound, max_word=400))
+    # every child of every level took the exact test
+    assert len(rows) > 3 and all(exact == children for children, exact in rows)
 
 
 def exact_order(codes):

@@ -53,10 +53,6 @@ def dual_form(gram: GramMatrix) -> GramMatrix:
     return GramMatrix(inv, frozenset(), signature_hint="(1,n+1)")
 
 
-def is_rational_matrix(gram: GramMatrix) -> bool:
-    return all(x.is_rational() for row in gram.entries for x in row)
-
-
 def bends_vector(walls: Sequence[InversiveVector]) -> tuple[QuadExt, ...]:
     return tuple(w.bend for w in walls)
 

@@ -136,7 +136,7 @@ def parse_diagram(text: str) -> CoxeterDiagram:
         if tokens[0] == "vertices":
             if vertex_count is not None:
                 raise ParseError(lineno, "duplicate vertices declaration")
-            if len(tokens) != 2 or not tokens[1].isdigit() or int(tokens[1]) < 1:
+            if len(tokens) != 2 or not tokens[1].isdecimal() or int(tokens[1]) < 1:
                 raise ParseError(lineno, "expected: vertices <positive count>")
             vertex_count = int(tokens[1])
             continue

@@ -27,7 +27,7 @@ import numpy as np
 
 from .coxeter import _PLACEHOLDER_SEPARATION
 from .errors import PackingLabError, ParameterError
-from .exactnum import MAX_DISC, QuadExt, from_triple, quad_sign
+from .exactnum import MAX_DISC, QuadExt, _squarefree_split, from_triple, quad_sign
 from .inversive import (
     InversiveVector,
     _product,
@@ -548,14 +548,14 @@ def guess_walls(
 def _read_value(value, denom_bound: int) -> tuple[float, int, int]:
     """A value to guess as its float, rounded to nearest, and its exact ratio
     xn/xd: a float, an int, a Fraction, or an mpf, whose _mpf_ (sign, man,
-    exp, bc) is (-1)**sign * man * 2**exp.  A value whose float is not
-    finite, +-inf past the float range, has no candidate."""
+    exp, bc) is (-1)**sign * man * 2**exp; -0.0 reads as 0.0.  A value whose
+    float is not finite, +-inf past the float range, has no candidate."""
     mpf = getattr(value, "_mpf_", None)
     if mpf is None and not isinstance(value, (float, int, Fraction)):
         name = type(value).__name__
         raise ParameterError(f"a value to guess must be a float, an int, a Fraction or an mpf, not {name}")
     try:
-        xf = float(value)
+        xf = float(value) + 0.0
     except OverflowError:
         xf = inf if value > 0 else -inf
     if not isfinite(xf):
@@ -574,7 +574,7 @@ def _b_max(xq, slack, sqrt_f: float, denom_bound: int):
 
 def check_discriminant(d: int) -> None:
     """Refuse a d that algebraic_guess cannot take: a negative or square d,
-    or one over exactnum.MAX_DISC, whose sqrt(d) QuadExt would not build."""
+    or one over exactnum.MAX_DISC, whose square-free split would not run."""
     if d < 0 or (d and isqrt(d) ** 2 == d):
         raise ParameterError(f"d must be 0 or a positive non-square, got {d}")
     if d > MAX_DISC:
@@ -597,7 +597,6 @@ def _guess_values(values, d: int, denom_bound: int, tol: float) -> list[QuadExt]
     check_discriminant(d)
     if not 0 <= tol < inf:
         raise ParameterError(f"tol must be finite and non-negative, got {tol}")
-    root = QuadExt.sqrt(d) if d else QuadExt(0)
     sqrt_f = sqrt(d)
     # a value's checks before the walk, in order; the first failure waits
     # until the values before it are walked
@@ -627,7 +626,7 @@ def _guess_values(values, d: int, denom_bound: int, tol: float) -> list[QuadExt]
             )
             del xfs[i:], ratios[i:]
         cap = int(caps[:len(xfs)].max(initial=0))
-        found = _walk(xfs, ratios, cap, d, root, sqrt_f, denom_bound, tol)
+        found = _walk(xfs, ratios, cap, d, denom_bound, tol)
     out = []
     for xf, hits in zip(xfs, found):
         if len(hits) > 1:
@@ -640,7 +639,7 @@ def _guess_values(values, d: int, denom_bound: int, tol: float) -> list[QuadExt]
     return out
 
 
-def _walk(xfs, ratios, cap: int, d: int, root: QuadExt, sqrt_f: float, denom_bound: int, tol: float):
+def _walk(xfs, ratios, cap: int, d: int, denom_bound: int, tol: float):
     """The candidates that pass the exact test, per value, in the order of q
     then b.  The rows (value, q) are walked value by value, and the walk ends
     when a value has two, so that every value before it is complete."""
@@ -650,8 +649,9 @@ def _walk(xfs, ratios, cap: int, d: int, root: QuadExt, sqrt_f: float, denom_bou
     # xd*td is |r - sb*sqrt(d)| <= c for r = (q*xn - a*xd)*td, sb = b*xd*td
     # and c = q*tn*xd
     tn, td = Fraction(tol).as_integer_ratio()
-    # (a + b*sqrt(d)) / q is (a + b*s*sqrt(f)) / q for square-free f
-    s, f = root.triple[1], root.disc
+    # (a + b*sqrt(d)) / q is (a + b*s*sqrt(f)) / q, f square-free; b = 0 at d = 0
+    s, f = _squarefree_split(d)
+    sqrt_f = sqrt(d)
     # the table: frac(fl(j*sqrt(d))) for 0 <= j < size, sorted, and its j;
     # y - floor(y) is exact for a float y >= 0
     size = min(_CHUNK, 2 * cap + 1)

@@ -23,7 +23,8 @@ arithmetic.bends_conjugate): its encode, @ and decode are the same helpers,
 @ reducing its product by the gcd of all its numerators, and left_mul maps
 a vector's code to its image's canonical code through _product, so a
 reflection never leaves the code.  The inverse is a fraction-free (Bareiss)
-Gauss-Jordan elimination over Z[sqrt(d)] on an IntMatrix, so no fraction
+Gauss-Jordan elimination over Z[sqrt(d)] on an IntMatrix, one update for
+every row in every field (at d == 0 the surd parts stay 0), so no fraction
 is formed before the last step.  Operands whose shapes do not fit raise
 ParameterError naming the shapes before their product is formed.
 """
@@ -183,10 +184,11 @@ class IntMatrix:
         for a matrix that is not square.
 
         After column c every row other than the pivot row is updated to
-        (p_c * x - f * y) / p_{c-1}, p_c the pivot and p_{-1} = 1; the
-        division is exact in Z[sqrt(d)], as each entry is a minor of [N | I].
-        A row with f = 0 takes the short form p_c * x / p_{c-1}.  At the end
-        the left block is p * I for the last pivot p, so the inverse is
+        (p_c * x - f * y) / p_{c-1}, p_c the pivot and p_{-1} = 1, in every
+        field on (a, b) pairs.  The division is a product with conj(p_{c-1})
+        over its norm, the conjugate taken into p_c and f once per row; it
+        is exact in Z[sqrt(d)], as each entry is a minor of [N | I].  At the
+        end the left block is p * I for the last pivot p, so the inverse is
         den * R / p = den * R * conj(p) / norm(p) for the right block R.
         """
         k, d = len(self.rows), self.d
@@ -202,24 +204,15 @@ class IntMatrix:
             ra[c], ra[piv], rb[c], rb[piv] = ra[piv], ra[c], rb[piv], rb[c]
             ka, kb = ra[c][c], rb[c][c]
             ya, yb = ra[c][c + 1 :], rb[c][c + 1 :]
+            qa, qb = ka * pa - d * kb * pb, kb * pa - ka * pb
             for r in range(k):
                 if r == c:
                     continue
                 fa, fb = ra[r][c], rb[r][c]
-                xa, xb = ra[r][c + 1 :], rb[r][c + 1 :]
-                if d:  # x / p = x * conj(p) / norm(p)
-                    if fa or fb:
-                        na = [ka * x + d * (kb * y - fb * v) - fa * u for x, y, u, v in zip(xa, xb, ya, yb)]
-                        nb = [ka * y + kb * x - fa * v - fb * u for x, y, u, v in zip(xa, xb, ya, yb)]
-                    else:
-                        na = [ka * x + d * kb * y for x, y in zip(xa, xb)]
-                        nb = [ka * y + kb * x for x, y in zip(xa, xb)]
-                    ra[r][c + 1 :] = [(a * pa - d * b * pb) // norm for a, b in zip(na, nb)]
-                    rb[r][c + 1 :] = [(b * pa - a * pb) // norm for a, b in zip(na, nb)]
-                elif fa:
-                    ra[r][c + 1 :] = [(ka * x - fa * u) // pa for x, u in zip(xa, ya)]
-                else:
-                    ra[r][c + 1 :] = [ka * x // pa for x in xa]
+                ga, gb = fa * pa - d * fb * pb, fb * pa - fa * pb
+                xy = list(zip(ra[r][c + 1 :], rb[r][c + 1 :], ya, yb))
+                ra[r][c + 1 :] = [(qa * x + d * (qb * y - gb * v) - ga * u) // norm for x, y, u, v in xy]
+                rb[r][c + 1 :] = [(qa * y + qb * x - ga * v - gb * u) // norm for x, y, u, v in xy]
             pa, pb = ka, kb
             norm = pa * pa - d * pb * pb
         den = self.den

@@ -22,28 +22,28 @@ and the generator that made the parent maps it back to the grandparent;
 both are dropped before any other work.  The plane test is exact, and the
 |bend| <= bound test is decided for the whole level in float64 wherever a
 proven rounding margin allows (_bend_test); the few children inside the
-margin take exactnum.quad_sign_array.  The survivors are reduced by their
-gcd, and one Python pass over them, parent by parent and generator by
-generator (the order a FIFO queue pops them), does the dedup and raises
-FrontierOverflow when the level's unexpanded parents plus the next level
-exceed the cap.  The new children are the next frontier; its
-level is their word length and the generators that made them their parents.  A
-child over the bound is dropped without a key: the bound test is a function
-of the code, so a repeat would be dropped again.
+margin are decided on QuadExt, as abs(bend) <= bound.  The survivors are
+reduced by their gcd, and one Python pass over them, parent by parent and
+generator by generator (the order a FIFO queue pops them), does the dedup
+and raises FrontierOverflow when the level's unexpanded parents plus the
+next level exceed the cap.  The new children are the next frontier; its
+level is their word length and the generators that made them their
+parents.  A child over the bound is dropped without a key: the bound test
+is a function of the code, so a repeat would be dropped again.
 
 dtype rule.  numpy int64 arithmetic wraps silently, so a level runs in int64
 only when _level_dtype proves, from the largest frontier entry, the largest
 2Qs entry, the largest den(s)^2, k and d, that no product or child entry can
 reach 2**63.  Otherwise it runs the same expressions on Python ints in
-dtype=object arrays.  The bound does not enter: the children that the exact
-bend test takes run on the dtype proved from their own entries and the
-bound's triple.
+dtype=object arrays.  The bound does not enter, as the bend test decides
+the rows its floats leave open on QuadExt.
 
 Verified order.  The kept spheres are sorted by (bend,) + coords.  One
 np.lexsort on float64 values proposes the order, and _steps confirms every
 adjacent pair exactly, on whole columns (int64 where its own bound holds,
 Python ints otherwise).  If a pair fails or a value overflows a float, the
-exact comparison sort decides; floats never decide the order unverified.
+rows are sorted by their decoded (bend,) + coords QuadExt tuples, the order
+Packing.bends_list falls back to; floats never decide the order unverified.
 
 The kept codes, in that order, are the Packing that the closure returns
 (packing.py).
@@ -53,14 +53,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cmp_to_key
 from typing import Sequence
 
 import numpy as np
 
 from .errors import PackingLabError, ParameterError
-from .exactnum import QuadExt, dtype_under, encode, field_disc, int_array, max_abs, quad_sign, quad_sign_array
-from .inversive import InversiveVector
+from .exactnum import QuadExt, dtype_under, field_disc, from_triple, int_array, max_abs
+from .inversive import InversiveVector, decode_rows
 from .linalg import as_quad
 # the packing type and its certificate are part of this module's API
 from .packing import IntegralityReport, Packing, SphereRecord, _steps, certify_integral
@@ -141,7 +140,6 @@ def _closure(
         s2[g] = s[n] * s[n]
     tables = {object: (twice_qs, s_pa, s_pb, s2)}
     s2_max = max(s2, default=0)
-    bound = encode((bend_bound,))
 
     seeds = list(dict.fromkeys(walls[i].code for i in seed_idx))
     kept = set(seeds)
@@ -168,7 +166,7 @@ def _closure(
         rows, gens = np.nonzero(live)  # parent-major, generator-minor: the queue's order
         pa, pb = pa[rows, gens][:, None], pb[rows, gens][:, None]
         children = frontier[rows] * s2[gens][:, None] + pa * s_pa[gens] + pb * s_pb[gens]
-        plane, keep = _bend_test(children[:, 2], children[:, 3], children[:, n], d, bound)
+        plane, keep = _bend_test(children[:, 2], children[:, 3], children[:, n], d, bend_bound)
         children, rows, gens, plane = children[keep], rows[keep], gens[keep], plane[keep]
         children //= np.gcd.reduce(children, axis=1)[:, None]
         # the dedup, and the cap on a FIFO queue, which would hold the level's
@@ -216,7 +214,8 @@ def _level_dtype(frontier_max: int, gen_max: int, s2_max: int, pairs: int, d: in
     k (1 + d) M W and Pb = 2 k M W (0 when d = 0), and a child's entries
     (unreduced), with every partial sum on the way, at most
     C = M S2 + W (Pa + max(d, 1) Pb), which is at least Pa and Pb.  The bend
-    test sizes its own exact rows (_bend_test), so the bound does not enter.
+    test decides its exact rows on QuadExt (_bend_test), so the bound does
+    not enter.
     """
     m, w = frontier_max, gen_max
     pa = pairs * (1 + d) * m * w
@@ -224,21 +223,22 @@ def _level_dtype(frontier_max: int, gen_max: int, s2_max: int, pairs: int, d: in
     return dtype_under(m * s2_max + w * (pa + max(d, 1) * pb))
 
 
-def _bend_test(a: np.ndarray, b: np.ndarray, den: np.ndarray, d: int, bound) -> tuple[np.ndarray, np.ndarray]:
+def _bend_test(a: np.ndarray, b: np.ndarray, den: np.ndarray, d: int, bound: QuadExt) -> tuple[np.ndarray, np.ndarray]:
     """(plane, keep) for bends (a + b sqrt(d)) / den, den > 0: keep a plane,
     or a sphere with |bend| <= the bound (ba + bb sqrt(d)) / bq, that is with
     x = |a + b sqrt(d)| bq at most y = (ba + bb sqrt(d)) den.
 
     Floats decide every row whose x - y lies clear of a rounding margin, and
-    only the rest take the exact test.  The margin, with u = 2**-53 and
-    gamma_n = n u / (1 - n u): each int rounds once to a float and sqrt(d)
-    at most twice, and each operation once, so float64 gives a + b sqrt(d)
-    to within gamma_5 T, for T = |a| + |b| sqrt(d), and x to within
-    gamma_7 T bq; likewise y to within gamma_7 TB den, for
-    TB = |ba| + |bb| sqrt(d).  The margin m = 2**-48 (T bq + TB den) is
-    computed the same way, so it is at least (1 - gamma_8) of its exact
-    value, and the float x - y is rounded once more.  So when the float
-    |x - y| exceeds m, the exact x - y has the float's sign, as
+    only the rest are decided exactly, as abs(bend) <= bound on QuadExt.
+    The margin, with u = 2**-53 and gamma_n = n u / (1 - n u): each int
+    rounds once to a float and sqrt(d) at most twice, and each operation
+    once, so float64 gives a + b sqrt(d) to within gamma_5 T, for
+    T = |a| + |b| sqrt(d), and x to within gamma_7 T bq; likewise y to
+    within gamma_7 TB den, for TB = |ba| + |bb| sqrt(d).  The margin
+    m = 2**-48 (T bq + TB den) is computed the same way, so it is at least
+    (1 - gamma_8) of its exact value, and the float x - y is rounded once
+    more.  So when the float |x - y| exceeds m, the exact x - y has the
+    float's sign, as
     2**-48 = 32 u exceeds gamma_7 (1 + u) / (1 - gamma_8) < 7.01 u.
     That bound needs no underflow and no overflow.  No product underflows:
     its factors are 0 or at least 2**-52 in magnitude (ints, sqrt(d) > 1,
@@ -246,15 +246,12 @@ def _bend_test(a: np.ndarray, b: np.ndarray, den: np.ndarray, d: int, bound) -> 
     do.  An overflow does not pass unseen: by monotone rounding every
     intermediate is at most m / 2**-48 in magnitude, so an inf or nan
     anywhere makes m inf or the comparison false, and the row undecided.
-    An int too large for a float sends the whole level to the exact test.
+    An int too large for a float leaves the whole level undecided.
 
     A bend equal to the bound (an integer bound on an integral packing, say)
-    is always left undecided.  The undecided rows run on the dtype that
-    dtype_under proves from their own largest entry C: the differences
-    a bq - ba den are at most E = C (bq + max(|ba|, |bb|)), and for d > 0
-    quad_sign_array's squares at most d E^2.
+    is always left undecided.
     """
-    ba, bb, bq = bound
+    ba, bb, bq = bound.triple
     plane = (a == 0) & (b == 0)
     try:
         af, bf, denf = a.astype(np.float64), b.astype(np.float64), den.astype(np.float64)
@@ -276,14 +273,8 @@ def _bend_test(a: np.ndarray, b: np.ndarray, den: np.ndarray, d: int, bound) -> 
             decided = np.abs(diff) > margin
         keep = plane | (decided & (diff < 0))
         exact = (~decided).nonzero()[0]
-    if len(exact):
-        a, b, den = a[exact], b[exact], den[exact]
-        e = max(map(max_abs, (a, b, den))) * (bq + max(abs(ba), abs(bb)))
-        dtype = dtype_under(d * e * e if d else e)
-        a, b, den = a.astype(dtype, copy=False), b.astype(dtype, copy=False), den.astype(dtype, copy=False)
-        neg = quad_sign_array(a, b, d) < 0
-        a, b = np.where(neg, -a, a), np.where(neg, -b, b)
-        keep[exact] |= quad_sign_array(a * bq - ba * den, b * bq - bb * den, d) <= 0
+    rows = zip(a[exact].tolist(), b[exact].tolist(), den[exact].tolist())
+    keep[exact] |= np.array([abs(from_triple(x, y, q, d)) <= bound for x, y, q in rows], dtype=bool)
     return plane, keep
 
 
@@ -296,7 +287,7 @@ def _code_order(codes: np.ndarray, d: int) -> np.ndarray:
     confirmed sequence is the sorted one.  Each value is taken from its own
     lowest-terms triple, so equal coordinates tie and the next one decides.
     If a pair fails or a value does not fit a float, the rows are sorted by
-    the exact compare alone.
+    (v.bend, *v.coords()) of their decoded vectors, compared on QuadExt.
     """
     if len(codes) < 2:
         return np.arange(len(codes))
@@ -316,18 +307,8 @@ def _code_order(codes: np.ndarray, d: int) -> np.ndarray:
         order = np.lexsort((*values.T[::-1], values[:, 1]))
         if (_steps(codes[order], cols, d) > 0).all():
             return order
-    rows = codes.tolist()
-
-    def compare(i: int, j: int) -> int:
-        x, y = rows[i], rows[j]
-        xd, yd = x[n], y[n]
-        for c in cols:
-            s = quad_sign(x[c] * yd - y[c] * xd, x[c + 1] * yd - y[c + 1] * xd, d)
-            if s:
-                return s
-        return 0
-
-    return np.array(sorted(range(len(rows)), key=cmp_to_key(compare)))
+    keys = [(v.bend, *v.coords()) for v in decode_rows(codes, d)]
+    return np.array(sorted(range(len(keys)), key=keys.__getitem__))
 
 
 def generate_packing(

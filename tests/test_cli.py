@@ -595,3 +595,54 @@ def test_gram_in_two_fields_is_clean_error(capsys, tmp_path, argv):
     error = json.loads(err)
     assert error["error"] == "FormatError"
     assert error["message"].endswith("more than one quadratic field: sqrt(2), sqrt(3)")
+
+
+@pytest.mark.parametrize("command", ["parse", "show", "arith", "decompose"])
+def test_vertex_count_int_refuses_is_clean_error(capsys, tmp_path, command):
+    # "²" passes str.isdigit, but int() refuses it
+    path = tmp_path / "sup.cox"
+    path.write_text("vertices ²\n")
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert json.loads(err) == {"error": "ParseError", "message": "line 1: expected: vertices <positive count>"}
+
+
+def test_angle_outside_every_quadratic_field_is_clean_error(capsys, tmp_path):
+    path = tmp_path / "angle7.cox"
+    path.write_text("vertices 2\n1 2 angle 7\n")
+    code, out, err = run(capsys, "arith", str(path))
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": "UnrepresentableAngle", "message": "cos(pi/7) does not live in a quadratic field"
+    }
+
+
+def test_lg_scan_on_a_cluster_of_seven_walls_is_clean_error(capsys, tmp_path):
+    # hexpyr's cluster has 7 walls; a bend conjugate needs dim + 2 = 4
+    path = tmp_path / "hexpyr.json"
+    run(capsys, "fixtures", "hexpyr", "--out", str(path))
+    code, out, err = run(capsys, "lg-scan", str(path), "--bound", "30", "--modulus", "24", "--scan-bound", "10")
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert json.loads(err) == {"error": "SingularCluster", "message": "need 4 walls, got 7"}
+
+
+def test_geometrize_guess_that_fails_verification_is_clean_error(capsys, tetra_path, monkeypatch):
+    # the guessed walls with wall 1 turned inside out: Q(v) = -1 still, but
+    # its products with the other walls change sign
+    guessed = []
+
+    def guess_flipped(*args):
+        walls = real_guess(*args)
+        guessed.append([-walls[0], *walls[1:]])
+        return guessed[-1]
+
+    real_guess = cli.guess_walls
+    monkeypatch.setattr(cli, "guess_walls", guess_flipped)
+    code, out, err = run(capsys, "geometrize", str(tetra_path), "--d", "0")
+    assert code == 1 and out == "" and err.count("\n") == 1
+    mismatches = cli.verify_realization(guessed[0], serialize.load(tetra_path)).mismatches
+    assert mismatches and all(m.startswith("pair (1,") for m in mismatches)
+    assert json.loads(err) == {
+        "error": "PackingLabError",
+        "message": "guessed walls fail exact verification: " + "; ".join(mismatches),
+    }

@@ -150,3 +150,53 @@ def test_explicit_disjoint_value_survives():
 def test_comments_and_blank_lines_ignored():
     text = "# heading\n\nvertices 2\n  # indented comment\n1 2 tangent\n"
     assert parse_diagram(text).edges == {(0, 1): Tangent()}
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("vertices 3\nvertices 3\n", ParseError, "line 2: duplicate vertices declaration"),
+        ("vertices\n", ParseError, "line 1: expected: vertices <positive count>"),
+        ("vertices 3 4\n", ParseError, "line 1: expected: vertices <positive count>"),
+        ("vertices 0\n", ParseError, "line 1: expected: vertices <positive count>"),
+        ("vertices -2\n", ParseError, "line 1: expected: vertices <positive count>"),
+        # a digit to str.isdigit, but not to int
+        ("vertices ²\n", ParseError, "line 1: expected: vertices <positive count>"),
+        ("# walls\n1 2 tangent\n", ParseError, "line 2: edge before vertices declaration"),
+        ("vertices 3\n1 2\n", ParseError, "line 2: expected: <i> <j> <relation>"),
+        ("vertices 3\na 2 tangent\n", ParseError, "line 2: vertex labels must be integers"),
+        ("vertices 3\n1 2.0 tangent\n", ParseError, "line 2: vertex labels must be integers"),
+        ("vertices 3\n2 2 tangent\n", ParseError, "line 2: self-loops are not allowed"),
+        ("vertices 3\n1 2 tangent 1\n", ParseError, "line 2: tangent takes no arguments"),
+        ("vertices 3\n1 2 disjoint 3\n", ParseError, "line 2: disjoint takes no extra tokens"),
+        ("vertices 3\n1 2 disjoint=3 4\n", ParseError, "line 2: disjoint takes no extra tokens"),
+        ("vertices 3\n1 2 disjoint=1\n", ParseError, "line 2: separation value must exceed 1"),
+        ("vertices 3\n1 2 disjoint=-2\n", ParseError, "line 2: separation value must exceed 1"),
+        ("vertices 3\n1 2 disjoint=1/2*sqrt(2)\n", ParseError, "line 2: separation value must exceed 1"),
+        ("vertices 3\n1 2 disjoint=abc\n", ParseError,
+         "line 2: bad separation value: not a valid exact-number literal: 'abc'"),
+        ("vertices 3\n1 2 disjoint=1/0\n", ParseError,
+         "line 2: bad separation value: zero denominator in exact-number literal '1/0'"),
+        ("vertices 3\n1 2 angle\n", ParseError, "line 2: expected: <i> <j> angle <m>"),
+        ("vertices 3\n1 2 angle 3 4\n", ParseError, "line 2: expected: <i> <j> angle <m>"),
+        ("vertices 3\n1 2 angle 3.5\n", ParseError, "line 2: multiplicity must be an integer"),
+        ("vertices 3\n1 2 angle 1\n", BadMultiplicity, "line 2: angle multiplicity 1 < 3"),
+        ("vertices 3\n1 2 orthogonal\n", ParseError, "line 2: unknown relation 'orthogonal'"),
+        ("", ParseError, "line 1: missing vertices declaration"),
+        ("# no statements\n\n", ParseError, "line 1: missing vertices declaration"),
+    ],
+)
+def test_parse_failures_name_the_line_and_the_fault(text, error, message):
+    with pytest.raises(ParseError) as exc:
+        parse_diagram(text)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+    assert exc.value.line == int(message.split(":")[0].split()[1])
+
+
+def test_angle_without_a_quadratic_cosine_rejected():
+    d = parse_diagram("vertices 2\n1 2 angle 7\n")
+    assert d.edges == {(0, 1): Angle(7)}
+    with pytest.raises(UnrepresentableAngle) as exc:
+        gram_from_diagram(d)
+    assert str(exc.value) == "cos(pi/7) does not live in a quadratic field"

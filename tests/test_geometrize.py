@@ -18,7 +18,7 @@ import mpf_polish_oracle
 import verify_oracle
 from packinglab import geometrize
 from packinglab.arithmetic import gram_matrix
-from packinglab.errors import ParameterError
+from packinglab.errors import PackingLabError, ParameterError
 from packinglab.exactnum import QuadExt
 from packinglab.fixtures import (
     apollonian_system,
@@ -520,6 +520,15 @@ def test_guess_matches_grid_oracle(chunk, case):
     assert got == guess_outcome(oracle.algebraic_guess, *case)
 
 
+def test_negative_zero_reads_as_zero():
+    # the oracle reads -0.0 through mpmath, which has no negative zero, so
+    # its Ambiguous message names 0.0
+    case = (-0.0, 2, 16, 0.01)
+    got = guess_outcome(algebraic_guess, *case)
+    assert got == guess_outcome(oracle.algebraic_guess, *case)
+    assert got[1].startswith("0.0 matches several exact values")
+
+
 @pytest.mark.parametrize(
     "x, d", [(1e17, 0), (1e300, 0), (10**20 + 1, 0), (12345.678, 2), (12345.678, 6)]
 )
@@ -911,6 +920,19 @@ def test_hintless_target_realizes_on_every_seed(target, d):
 
 def test_cluster_split_tetrahedron():
     assert cluster_split(tetrahedron_target()) == ((0, 1, 2, 3), (4, 5, 6, 7))
+
+
+@pytest.mark.parametrize(
+    "targets, count",
+    [({(0, 1): Exact(QuadExt(1)), (1, 2): Exact(QuadExt(1))}, 1),
+     # a disjoint or orthogonal pair joins no component
+     ({(0, 1): Exact(QuadExt(2)), (1, 2): DisjointFree(), (0, 2): Exact(QuadExt(0))}, 3)],
+    ids=["one-component", "three-components"],
+)
+def test_cluster_split_needs_two_tangency_components(targets, count):
+    with pytest.raises(PackingLabError) as exc:
+        cluster_split(TargetSpec(3, targets))
+    assert str(exc.value) == f"tangency graph has {count} components, expected 2; pass the cluster explicitly"
 
 
 def test_polyhedron_target_counts():

@@ -154,6 +154,19 @@ def test_wall_of_another_dimension_is_refused(at):
         WallSystem(walls, range(4), range(4, 8))
 
 
+@pytest.mark.parametrize(
+    "cluster, cocluster, message",
+    [(range(4), range(3, 8), "cluster and cocluster must partition the walls"),
+     (range(4), range(4, 7), "cluster and cocluster must partition the walls"),
+     (range(4), range(4, 9), "cluster and cocluster must partition the walls"),
+     ((), range(8), "cluster must be nonempty")],
+    ids=["overlap", "short", "past-the-walls", "empty-cluster"],
+)
+def test_wall_system_indices_must_partition_the_walls(cluster, cocluster, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        WallSystem(apollonian_system().walls, cluster, cocluster)
+
+
 def test_frontier_cap_enforced():
     with pytest.raises(FrontierOverflow):
         generate_packing(apollonian_system(), QuadExt(5000), max_word=5000, frontier_cap=10)

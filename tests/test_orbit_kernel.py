@@ -7,7 +7,6 @@ float-proposed, exactly confirmed order are tested here too.
 
 import sys
 from fractions import Fraction
-from functools import cmp_to_key
 from pathlib import Path
 
 import numpy as np
@@ -17,13 +16,12 @@ sys.path.insert(0, str(Path(__file__).parent))
 import quadext_orbit_oracle as oracle
 
 from packinglab import orbit, serialize
-from packinglab.exactnum import DiscMismatch, QuadExt, field_disc
+from packinglab.exactnum import DiscMismatch, QuadExt, encode, field_disc
 from packinglab.fixtures import apollonian_system, hexpyr_system
-from packinglab.inversive import InversiveVector, plane_from_normal_offset, sphere_from_center_radius
+from packinglab.inversive import InversiveVector, decode_rows, plane_from_normal_offset, sphere_from_center_radius
 from packinglab.orbit import (
     FrontierOverflow,
     WallSystem,
-    encode,
     generate_packing,
     generate_superpacking,
 )
@@ -202,18 +200,18 @@ def bend_test_rows(monkeypatch):
     """(children, rows the exact test took) for each level of the next
     closures."""
     seen = []
-    real_test, real_sign = orbit._bend_test, orbit.quad_sign_array
+    real_test, real_from_triple = orbit._bend_test, orbit.from_triple
 
     def bend_test(a, *args):
         seen.append((len(a), 0))
         return real_test(a, *args)
 
-    def sign(a, b, d):
-        seen[-1] = (seen[-1][0], len(a))
-        return real_sign(a, b, d)
+    def from_triple(*args):
+        seen[-1] = (seen[-1][0], seen[-1][1] + 1)
+        return real_from_triple(*args)
 
     monkeypatch.setattr(orbit, "_bend_test", bend_test)
-    monkeypatch.setattr(orbit, "quad_sign_array", sign)
+    monkeypatch.setattr(orbit, "from_triple", from_triple)
     return seen
 
 
@@ -269,7 +267,7 @@ def test_order_falls_back_to_the_exact_compare(top, monkeypatch):
     # wrong exact order, so the stable float sort keeps them wrong
     codes = [(1, 0, top + 1, 0, 0, 0, 0, 0, 3), (1, 0, top, 0, 0, 0, 0, 0, 3), (1, 0, 5, 0, 0, 0, 0, 0, 3)]
     fallbacks = []
-    monkeypatch.setattr(orbit, "cmp_to_key", lambda f: fallbacks.append(f) or cmp_to_key(f))
+    monkeypatch.setattr(orbit, "decode_rows", lambda *args: fallbacks.append(args) or decode_rows(*args))
     order = orbit._code_order(np.array(codes, dtype=object), 0)
     assert [codes[i] for i in order] == exact_order(codes)
     assert len(fallbacks) == 1
@@ -277,7 +275,7 @@ def test_order_falls_back_to_the_exact_compare(top, monkeypatch):
 
 def test_order_confirmed_without_the_fallback(monkeypatch):
     fallbacks = []
-    monkeypatch.setattr(orbit, "cmp_to_key", lambda f: fallbacks.append(f) or cmp_to_key(f))
+    monkeypatch.setattr(orbit, "decode_rows", lambda *args: fallbacks.append(args) or decode_rows(*args))
     got = generate_packing(apollonian_system(), QuadExt(200), max_word=600)
     assert fallbacks == []
     codes = [encode(r.vector.coords()) for r in got.spheres]

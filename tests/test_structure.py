@@ -136,3 +136,11 @@ def test_enumeration_deterministic_order():
     a = [sorted(d.cluster) for d in enumerate_decompositions(COX6_GRAM)]
     b = [sorted(d.cluster) for d in enumerate_decompositions(COX6_GRAM)]
     assert a == b == sorted(a)
+
+
+def test_orthogonal_cluster_pair_is_a_violation():
+    # walls 0 and 2 share no edge, so they are orthogonal; every cross pair
+    # is tangent, disjoint or orthogonal
+    rep = check_decomposition(COX6_GRAM, Decomposition(frozenset({0, 2}), frozenset({1, 3, 4, 5})))
+    assert not rep.valid
+    assert rep.violations == [(0, 2, "cluster pair is orthogonal")]

@@ -136,18 +136,17 @@ def parse_diagram(text: str) -> CoxeterDiagram:
         if tokens[0] == "vertices":
             if vertex_count is not None:
                 raise ParseError(lineno, "duplicate vertices declaration")
-            if len(tokens) != 2 or not tokens[1].isdecimal() or int(tokens[1]) < 1:
+            vertex_count = _digits(tokens[1]) if len(tokens) == 2 else None
+            if vertex_count is None or vertex_count < 1:
                 raise ParseError(lineno, "expected: vertices <positive count>")
-            vertex_count = int(tokens[1])
             continue
         if vertex_count is None:
             raise ParseError(lineno, "edge before vertices declaration")
         if len(tokens) < 3:
             raise ParseError(lineno, "expected: <i> <j> <relation>")
-        try:
-            i, j = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise ParseError(lineno, "vertex labels must be integers") from None
+        i, j = _digits(tokens[0]), _digits(tokens[1])
+        if i is None or j is None:
+            raise ParseError(lineno, "vertex labels must be integers")
         if not (1 <= i <= vertex_count and 1 <= j <= vertex_count):
             raise ParseError(lineno, f"vertex label out of range 1..{vertex_count}")
         if i == j:
@@ -176,10 +175,9 @@ def parse_diagram(text: str) -> CoxeterDiagram:
         elif rel == "angle":
             if len(tokens) != 4:
                 raise ParseError(lineno, "expected: <i> <j> angle <m>")
-            try:
-                m = int(tokens[3])
-            except ValueError:
-                raise ParseError(lineno, "multiplicity must be an integer") from None
+            m = _digits(tokens[3])
+            if m is None:
+                raise ParseError(lineno, "multiplicity must be an integer")
             if m < 3:
                 raise BadMultiplicity(lineno, f"angle multiplicity {m} < 3")
             edges[key] = Angle(m)
@@ -188,6 +186,13 @@ def parse_diagram(text: str) -> CoxeterDiagram:
     if vertex_count is None:
         raise ParseError(1, "missing vertices declaration")
     return CoxeterDiagram(vertex_count, edges)
+
+
+def _digits(token: str) -> int | None:
+    """The value of a token of ASCII digits only, else None.  int() would
+    also take a sign, underscores and non-ASCII digits, none of which
+    print_diagram writes."""
+    return int(token) if token.isascii() and token.isdigit() else None
 
 
 def print_diagram(diagram: CoxeterDiagram) -> str:

@@ -5,29 +5,49 @@ residues are those reachable from the starting bend vector, and any bend in
 an admissible class that never shows up in the actual packing is reported as
 missing up to the bound scanned.
 
-The orbit is closed level by level on numpy int64 arrays.  The frontier is
-an (n, k) array of vectors reduced mod m.  Each vector packs into one int64
-key, its coordinates read as digits in radix m, so equal keys are equal
-vectors.  A generator reduced mod m moves only the coordinates whose rows
-differ from the identity's rows mod m, and one that moves none is dropped,
-since its images are the vectors themselves.  A level's images are computed
-one generator at a time, and only on its moved rows: the frontier times
-those r <= k columns gives the new digits, and an image's key is its
-parent's key plus the new digits less the old, weighted by their powers of
-m.  The Descartes and Soddy moves change one bend each, so they cost 1/k of
-a dense product, and the transient arrays stay at n*k entries.  The keys of
-a level are sorted and their repeats dropped, the ones already reached are
-dropped by a binary search in one sorted array of seen keys, and the rest
-are merged into it and decoded into the next frontier by k in-place divmods,
-one digit each; the frontier's distinct residues are kept per level.  The
-arithmetic is exact only while m**k and k*(m-1)**2 both fit in an int64; a
-larger modulus is refused with ParameterError before any work.
+One level kernel closes an orbit on numpy int64 arrays and yields it a
+level at a time.  The frontier is an (n, k) array of vectors reduced mod m.
+Each vector packs into one int64 key, its coordinates read as digits in
+radix m, so equal keys are equal vectors.  A generator reduced mod m moves
+only the coordinates whose rows differ from the identity's rows mod m, and
+one that moves none is dropped, since its images are the vectors
+themselves.  A level of at most about a thousand images is one product of
+the frontier and every generator's matrix.  Past that, the generators that
+move the same rows are applied together and only on those rows: the
+frontier times their r <= k columns gives the new digits, and an image's
+key is its parent's key plus the new digits less the old, weighted by their
+powers of m, so the Descartes and Soddy moves cost 1/k of a dense product.
+The keys of a level are sorted and their repeats dropped, the ones already
+reached are dropped by a binary search in one sorted array of seen keys,
+and the rest are merged into it and decoded into the next frontier.
+
+When m has two or more prime-power factors and every generator squares to
+the identity mod m, as every reflection conjugate does, O_m is not
+enumerated.  The kernel closes O_q for each prime power q of m, and the
+factors are joined in ascending order of |O_q|, the product of the ones
+joined so far being A.  The Schreier generators t_v^-1 g t_u mod A of the
+stabilizer of the start mod q come from O_q's BFS tree, read off its
+levels: t_u is the word from the start to u, v = g u, and since every
+generator is an involution, t_v^-1 is t_v's word reversed.  In BFS order,
+and without the ones that are the identity mod A, they are added in
+doubling batches, and the kernel closes the start mod A under them.  That
+fiber lies in O_A, and once it fills O_A the join is certified: O_{Aq} is
+O_A x O_q, |O_{Aq}| is |O_A| |O_q|, and coordinate j's residues mod Aq are
+the CRT combinations of its residues mod A and mod q.  If every Schreier
+generator is used and the fiber is still short, the kernel closes O_m
+itself, so the answer is exact either way.  The last join enumerates a
+fiber of |O_m| / |O_q| vectors, q the prime power with the largest orbit.
+
+The arithmetic is exact only while m**k and k*(m-1)**2 both fit in an
+int64; a larger modulus is refused with ParameterError before any
+generator is read, whichever path would run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import accumulate
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,6 +56,11 @@ from .exactnum import QuadExt, is_rational_integer
 
 
 _INT64_MAX = 2**63 - 1
+# up to this many images a level, one product of every generator's whole
+# matrix beats one product per set of moved rows (2-core Xeon, Descartes moves)
+_DENSE_IMAGES = 1024
+# vectors per block of Schreier generators: a block's matrices stay near 2 MB
+_BLOCK = 4096
 
 
 class NonIntegralInput(PackingLabError):
@@ -66,55 +91,267 @@ def residue_orbit(
     start: Sequence,
     modulus: int,
 ) -> ResidueOrbit:
-    """Breadth-first closure of the start bend vector under the generator
-    matrices, everything reduced mod modulus."""
+    """The orbit of the start bend vector under the generator matrices,
+    everything reduced mod modulus: its bend residues and its size."""
+    mats, x = _read(generators, start, modulus)
+    powers = _prime_powers(modulus)
+    if len(powers) > 1 and (mats @ mats % modulus == np.eye(len(x), dtype=np.int64)).all():
+        joined = _joined_orbit(mats, x, powers)
+        if joined is not None:
+            return joined
+    return _bfs(mats, x, modulus)
+
+
+def _read(generators, start, modulus: int) -> tuple[np.ndarray, np.ndarray]:
+    """The generators as one (r, k, k) array and the start as a vector, both
+    reduced mod modulus, once the modulus has passed the int64 guard."""
     if modulus < 1:
         raise ParameterError("modulus must be positive")
     k = len(start)
     if modulus**k > _INT64_MAX or k * (modulus - 1) ** 2 > _INT64_MAX:
         raise ParameterError(f"modulus {modulus} is too large for exact int64 keys of {k} bends")
-    radix = modulus ** np.arange(k, dtype=np.int64)
-    identity = np.eye(k, dtype=np.int64) % modulus
-    moves = []  # per generator that moves a row mod m: those rows, transposed, and their weights
+    mats = []
     for g, mat in enumerate(generators):
         entries = [[_as_int(e, f"generator {g + 1} entry") % modulus for e in row] for row in mat]
         if len(entries) != k or any(len(r) != k for r in entries):
             raise ValueError(f"generator {g + 1} is not {k}x{k}")
-        mat = np.array(entries, dtype=np.int64).reshape(k, k)
-        rows = np.flatnonzero((mat != identity).any(axis=1))
-        if len(rows):
-            moves.append((rows, mat[rows].T, radix[rows]))
-    frontier = np.array([[_as_int(b, "bend") % modulus for b in start]], dtype=np.int64)
+        mats.append(entries)
+    mats = np.array(mats, dtype=np.int64).reshape(len(mats), k, k)
+    return mats, np.array([_as_int(b, "bend") % modulus for b in start], dtype=np.int64)
 
-    keys = seen = frontier @ radix
-    levels = [_residues(frontier, modulus)]
-    while len(frontier):
+
+def _bfs(mats: np.ndarray, x: np.ndarray, modulus: int) -> ResidueOrbit:
+    """The orbit closed by the kernel on the whole modulus."""
+    count, codes = 0, []
+    for keys, vectors in _levels(mats, x[None], modulus):
+        count += len(keys)
+        codes.append(_codes(vectors, modulus))
+    residues = _distinct(np.concatenate(codes) % modulus)
+    return ResidueOrbit(modulus, frozenset(residues.tolist()), count)
+
+
+def _prime_powers(n: int) -> list[int]:
+    """The prime powers q of n with q | n and n/q prime to q, by trial division."""
+    powers = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            q = 1
+            while n % p == 0:
+                n //= p
+                q *= p
+            powers.append(q)
+        p += 1 if p == 2 else 2
+    if n > 1:
+        powers.append(n)
+    return powers
+
+
+def _joined_orbit(mats: np.ndarray, x: np.ndarray, powers: list[int]) -> ResidueOrbit | None:
+    """The orbit mod the product of powers joined from one orbit per prime
+    power, or None where a join cannot be certified.  Every generator is an
+    involution mod the product."""
+    k = len(x)
+    factors = []
+    for q in powers:
+        mats_q = mats % q
+        levels = list(_levels(mats_q, (x % q)[None], q))
+        keys, vectors = (np.concatenate(part) for part in zip(*levels))
+        starts = list(accumulate((len(level[0]) for level in levels), initial=0))
+        codes = _codes(vectors, q)
+        cuts = np.searchsorted(codes, q * np.arange(k + 1))
+        per_coordinate = [codes[cuts[j]:cuts[j + 1]] - j * q for j in range(k)]
+        factors.append((len(keys), q, (keys, vectors, starts, mats_q, q), per_coordinate))
+    factors.sort(key=lambda f: f[:2])
+    count, a, _, residues = factors[0]
+    for size, q, orbit, per_coordinate in factors[1:]:
+        schreier = _schreier_generators(*orbit, mats % a, a)
+        # a first batch of twice as many as the group has generators: 4 to
+        # 11 of them in BFS order certified every Apollonian join tried
+        if not _fiber_fills(schreier, x % a, a, count, 2 * len(mats)):
+            return None
+        # e_a is 1 mod a and 0 mod q, e_q the reverse; the sum stays below
+        # (a + q) * a * q, inside an int64 for every modulus the guard admits
+        e_a, e_q = q * pow(q, -1, a), a * pow(a, -1, q)
+        residues = [
+            ((ra[:, None] * e_a + rq * e_q) % (a * q)).ravel()
+            for ra, rq in zip(residues, per_coordinate)
+        ]
+        count *= size
+        a *= q
+    return ResidueOrbit(a, frozenset().union(*(r.tolist() for r in residues)), count)
+
+
+def _schreier_generators(
+    keys: np.ndarray, vectors: np.ndarray, starts: list[int],
+    mats_q: np.ndarray, q: int, mats_a: np.ndarray, a: int,
+) -> Iterator[np.ndarray]:
+    """The Schreier generators t_v^-1 g t_u mod a of the start's stabilizer
+    mod q, for the edges u -> v = g u of the orbit mod q in BFS order, a
+    block of levels at a time, leaving out the ones that are the identity
+    mod a.  The orbit's keys and vectors are in BFS order, and level d is
+    rows starts[d] to starts[d + 1].
+
+    The tree is read off each level's images: a vector of the next level is
+    the image of some vector p of this one under some g, and t_u = g t_p.
+    Every generator is an involution, so t_u^-1 = t_p^-1 g.  An image lies
+    on its own level or a neighbouring one, so the words of a block, and of
+    the levels either side, are all that is held at once.
+    """
+    r, k = mats_q.shape[:2]
+    eye = np.eye(k, dtype=np.int64)
+    radix = q ** np.arange(k, dtype=np.int64)
+    order = np.argsort(keys)
+    found = keys[order]
+    depths = len(starts) - 1
+    words = {0: (eye[None], eye[None])}  # per level, t_u and t_u^-1 mod a of its vectors
+    depth, budget = 0, 64
+    while depth < depths:
+        # a block of levels with at most budget vectors, or one level; the
+        # budget doubles up to _BLOCK, as the consumer's batches do
+        end = depth + 1
+        while end < depths and starts[end + 1] - starts[depth] <= budget:
+            end += 1
+        budget = min(2 * budget, _BLOCK)
+        lo = starts[depth]
+        images = radix @ (mats_q @ vectors[lo:starts[end]].T % q)
+        # v[(u - lo)*r + g]: the row of g u
+        v = order[np.searchsorted(found, images.T.ravel())]
+        for d in range(depth, min(end, depths - 1)):
+            # any edge into a vector of the next level serves as its tree edge
+            out = v[(starts[d] - lo) * r:(starts[d + 1] - lo) * r]
+            into = np.flatnonzero(out >= starts[d + 1])
+            edge = np.empty(starts[d + 2] - starts[d + 1], dtype=np.int64)
+            edge[out[into] - starts[d + 1]] = into
+            parent, gen = np.divmod(edge, r)
+            t, t_inv = words[d]
+            g = mats_a[gen]
+            words[d + 1] = (g @ t[parent] % a, t_inv[parent] @ g % a)
+        first = max(depth - 1, 0)
+        t_inv = np.concatenate([words[d][1] for d in range(first, min(end + 1, depths))])
+        t = np.concatenate([words[d][0] for d in range(depth, end)])
+        v -= starts[first]
+        for b in range(0, len(t), _BLOCK):
+            g_t = (mats_a @ t[b:b + _BLOCK, None] % a).reshape(-1, k, k)
+            s = t_inv[v[b * r:(b + _BLOCK) * r]] @ g_t % a
+            yield s[(s != eye).any(axis=(1, 2))]
+        for d in range(first, end - 1):
+            del words[d]
+        depth = end
+
+
+def _fiber_fills(schreier: Iterator[np.ndarray], x: np.ndarray, a: int, target: int, batch: int) -> bool:
+    """Whether the orbit of x mod a under the Schreier generators reaches
+    target vectors.  The generators are added in batches that double from
+    the given size, and each closure starts from the orbit so far."""
+    if target == 1:
+        return True
+    rows = x[None]
+    pool = np.empty((0, len(x), len(x)), dtype=np.int64)
+    used = 0
+    for s in schreier:
+        pool = np.concatenate((pool, s))
+        while len(pool) >= max(2 * used, batch):
+            used = max(2 * used, batch)
+            rows = _orbit_rows(pool[:used], rows, a, target)
+            if len(rows) == target:
+                return True
+    if len(pool) > used:
+        rows = _orbit_rows(pool, rows, a, target)
+    return len(rows) == target
+
+
+def _orbit_rows(mats: np.ndarray, rows: np.ndarray, modulus: int, most: int) -> np.ndarray:
+    """The vectors of the orbit of rows, or its first levels once they hold
+    as many as most."""
+    found, count = [], 0
+    for _, vectors in _levels(mats, rows, modulus):
+        found.append(vectors)
+        count += len(vectors)
+        if count >= most:
+            break
+    return np.concatenate(found)
+
+
+def _levels(mats: np.ndarray, rows: np.ndarray, modulus: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The orbit of the distinct vectors rows under mats, all reduced mod
+    modulus, a level at a time: each level's keys and vectors, the first
+    level being the rows, and the keys of every later one sorted."""
+    k = rows.shape[1]
+    radix = modulus ** np.arange(k, dtype=np.int64)
+    moved = (mats != np.eye(k, dtype=np.int64) % modulus).any(axis=2)
+    moving = np.flatnonzero(moved.any(axis=1))
+    whole = mats[moving].transpose(0, 2, 1)
+    by_rows = None
+
+    frontier = rows
+    keys = frontier @ radix
+    seen = np.sort(keys)
+    while len(keys):
+        yield keys, frontier
         n = len(frontier)
-        images = np.empty(n * len(moves), dtype=np.int64)
-        for g, (rows, cols, weights) in enumerate(moves):
-            digits = frontier @ cols
-            digits %= modulus
-            digits -= frontier[:, rows]
-            out = images[g * n:(g + 1) * n]
-            np.matmul(digits, weights, out=out)
-            out += keys
-        keys = _distinct(images)
+        if n * len(moving) <= _DENSE_IMAGES:
+            images = frontier @ whole
+            images %= modulus
+            images = images @ radix
+        else:
+            if by_rows is None:
+                by_rows = _by_moved_rows(moved, moving, mats, radix)
+            images = np.empty((len(moving), n), dtype=np.int64)
+            at = 0
+            for gens, on, cols, weights in by_rows:
+                digits = frontier @ cols
+                digits %= modulus
+                digits -= frontier[:, on]
+                out = images[at:at + len(gens)]
+                np.matmul(digits, weights, out=out)
+                out += keys
+                at += len(gens)
+        keys = _distinct(images.ravel())
         # a key past the end of seen differs from seen[-1], which is smaller
         pos = np.searchsorted(seen, keys)
         keys = keys[seen[np.minimum(pos, len(seen) - 1)] != keys]
         seen = np.concatenate((seen, keys))
         # two sorted runs: the stable sort (timsort) merges them in linear time
         seen.sort(kind="stable")
-        frontier = np.empty((len(keys), k), dtype=np.int64)
-        rest = keys.copy()
-        for j in range(k):
-            np.divmod(rest, modulus, out=(rest, frontier[:, j]))
-        levels.append(_residues(frontier, modulus))
-    return ResidueOrbit(
-        modulus=modulus,
-        residues=frozenset(_distinct(np.concatenate(levels)).tolist()),
-        vector_count=len(seen),
-    )
+        if len(keys) <= 256:
+            # past a few hundred keys, k in-place divmods beat one division
+            # by every power of the modulus
+            frontier = keys[:, None] // radix % modulus
+        else:
+            frontier = np.empty((len(keys), k), dtype=np.int64)
+            rest = keys.copy()
+            for j in range(k):
+                np.divmod(rest, modulus, out=(rest, frontier[:, j]))
+
+
+def _by_moved_rows(moved, moving, mats, radix):
+    """The moving generators grouped by the rows they move: for each set of
+    rows, its generators, the rows, their columns and their weights."""
+    patterns = moved[moving] @ (1 << np.arange(moved.shape[1], dtype=np.int64))
+    groups = []
+    for p in sorted(set(patterns.tolist())):  # np.unique's first call costs a MB of RSS
+        gens = moving[patterns == p]
+        on = np.flatnonzero(moved[gens[0]])
+        groups.append((gens, on, mats[gens][:, on].transpose(0, 2, 1), radix[on]))
+    return groups
+
+
+def _codes(vectors: np.ndarray, modulus: int) -> np.ndarray:
+    """The sorted distinct codes j*modulus + x_j of the vectors, x_j being
+    coordinate j's residue.
+
+    A table of all codes is the fastest way, but it is used only when it is
+    no larger than the array, so that memory follows the orbit and not the
+    modulus.
+    """
+    size = vectors.shape[1] * modulus
+    codes = (vectors + modulus * np.arange(vectors.shape[1], dtype=np.int64)).ravel()
+    if size > len(codes):
+        return _distinct(codes)
+    table = np.zeros(size, dtype=bool)
+    table[codes] = True
+    return np.flatnonzero(table)
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -129,21 +366,6 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     keep[:1] = True
     np.not_equal(values[1:], values[:-1], out=keep[1:])
     return values[keep]
-
-
-def _residues(frontier: np.ndarray, modulus: int) -> np.ndarray:
-    """The distinct entries of a frontier, sorted.
-
-    A table of all residues is the fastest way, but it is used only when it
-    is no larger than the frontier, so that memory follows the orbit and not
-    the modulus.
-    """
-    values = frontier.ravel()
-    if modulus > len(values):
-        return _distinct(values.copy())
-    table = np.zeros(modulus, dtype=bool)
-    table[values] = True
-    return np.flatnonzero(table)
 
 
 def missing_bends(

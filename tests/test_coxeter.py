@@ -162,10 +162,17 @@ def test_comments_and_blank_lines_ignored():
         ("vertices -2\n", ParseError, "line 1: expected: vertices <positive count>"),
         # a digit to str.isdigit, but not to int
         ("vertices ²\n", ParseError, "line 1: expected: vertices <positive count>"),
+        # digits to int and str.isdecimal, but not ASCII digits
+        ("vertices \u0663\n", ParseError, "line 1: expected: vertices <positive count>"),
+        ("vertices 1_0\n", ParseError, "line 1: expected: vertices <positive count>"),
         ("# walls\n1 2 tangent\n", ParseError, "line 2: edge before vertices declaration"),
         ("vertices 3\n1 2\n", ParseError, "line 2: expected: <i> <j> <relation>"),
         ("vertices 3\na 2 tangent\n", ParseError, "line 2: vertex labels must be integers"),
         ("vertices 3\n1 2.0 tangent\n", ParseError, "line 2: vertex labels must be integers"),
+        # int() reads these as 10, 2 and 3
+        ("vertices 12\n1_0 2 tangent\n", ParseError, "line 2: vertex labels must be integers"),
+        ("vertices 12\n1 +2 tangent\n", ParseError, "line 2: vertex labels must be integers"),
+        ("vertices 3\n1 \u0663 tangent\n", ParseError, "line 2: vertex labels must be integers"),
         ("vertices 3\n2 2 tangent\n", ParseError, "line 2: self-loops are not allowed"),
         ("vertices 3\n1 2 tangent 1\n", ParseError, "line 2: tangent takes no arguments"),
         ("vertices 3\n1 2 disjoint 3\n", ParseError, "line 2: disjoint takes no extra tokens"),
@@ -180,6 +187,9 @@ def test_comments_and_blank_lines_ignored():
         ("vertices 3\n1 2 angle\n", ParseError, "line 2: expected: <i> <j> angle <m>"),
         ("vertices 3\n1 2 angle 3 4\n", ParseError, "line 2: expected: <i> <j> angle <m>"),
         ("vertices 3\n1 2 angle 3.5\n", ParseError, "line 2: multiplicity must be an integer"),
+        # int() reads these as 12 and 4
+        ("vertices 3\n1 2 angle 1_2\n", ParseError, "line 2: multiplicity must be an integer"),
+        ("vertices 3\n1 2 angle +4\n", ParseError, "line 2: multiplicity must be an integer"),
         ("vertices 3\n1 2 angle 1\n", BadMultiplicity, "line 2: angle multiplicity 1 < 3"),
         ("vertices 3\n1 2 orthogonal\n", ParseError, "line 2: unknown relation 'orthogonal'"),
         ("", ParseError, "line 1: missing vertices declaration"),

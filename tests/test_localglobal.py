@@ -10,7 +10,7 @@ import pytest
 
 import residue_orbit_oracle as oracle
 import soddy_oracle
-from packinglab import serialize
+from packinglab import localglobal, serialize
 from packinglab.arithmetic import bends_conjugate, bends_vector
 from packinglab.cli import main
 from packinglab.errors import ParameterError
@@ -305,3 +305,85 @@ def test_two_moved_rows_and_all_rows_moved(seed, m):
     start = [rng.randint(-20, 20) for _ in range(k)]
     assert_matches_oracle([two], start, m)
     assert_matches_oracle([two, full], start, m)
+
+
+# -- the prime-power join, against the kernel's BFS on the whole modulus ------
+
+
+def kernel_bfs(gens, start, m):
+    """The kernel's BFS on m itself, the path residue_orbit falls back to."""
+    return localglobal._bfs(*localglobal._read(gens, start, m), m)
+
+
+def record(monkeypatch, name):
+    """The modulus of every call of a localglobal function."""
+    moduli = []
+    wrapped = getattr(localglobal, name)
+
+    def recording(*args):
+        moduli.append(args[-1])
+        return wrapped(*args)
+
+    monkeypatch.setattr(localglobal, name, recording)
+    return moduli
+
+
+@pytest.mark.parametrize("m, count", [(120, 5760), (240, 46080), (720, 1244160), (77, 366000)])
+def test_apollonian_join_matches_the_kernel_bfs(m, count):
+    got = residue_orbit(GENS, START, m)
+    assert got == kernel_bfs(GENS, START, m)
+    assert got.vector_count == count
+
+
+def test_soddy_join_matches_the_kernel_bfs():
+    gens, start = soddy_generators()
+    assert residue_orbit(gens, start, 24) == kernel_bfs(gens, start, 24)
+
+
+@pytest.mark.parametrize("m", [240, 720])
+def test_join_never_closes_the_full_modulus(monkeypatch, m):
+    moduli = record(monkeypatch, "_levels")
+    residue_orbit(GENS, START, m)
+    assert moduli and m not in moduli
+
+
+def test_unsplit_orbit_falls_back_to_the_bfs(monkeypatch):
+    # v -> -v: two vectors mod 15, not the 2*2 of a product of the orbits mod 3 and mod 5
+    fallbacks = record(monkeypatch, "_bfs")
+    ro = residue_orbit([[[-1]]], [1], 15)
+    assert (ro.vector_count, set(ro.residues)) == (2, {1, 14})
+    assert fallbacks == [15]
+
+
+def random_involution(rng, k):
+    """P J P^-1 for a signed diagonal J and a product P of k elementary
+    matrices I + c e_ij, c = +-1, applied one at a time."""
+    m = [[(r == c) * rng.choice([-1, 1]) for c in range(k)] for r in range(k)]
+    for _ in range(k):
+        i, j = rng.sample(range(k), 2)
+        c = rng.choice([-1, 1])
+        for col in range(k):  # E m: row i gains c times row j
+            m[i][col] += c * m[j][col]
+        for row in range(k):  # (E m) E^-1: column j loses c times column i
+            m[row][j] -= c * m[row][i]
+    return m
+
+
+def test_random_involutions_match_the_deque_oracle(monkeypatch):
+    fallbacks = record(monkeypatch, "_bfs")
+    rng = random.Random(32)
+    branches = []
+    for _ in range(60):
+        k = rng.randint(2, 5)
+        gens = [random_involution(rng, k) for _ in range(rng.randint(1, 3))]
+        eye = [[int(r == c) for c in range(k)] for r in range(k)]
+        assert all([[sum(g[r][t] * g[t][c] for t in range(k)) for c in range(k)] for r in range(k)] == eye
+                   for g in gens)
+        start = [rng.randint(-9, 9) for _ in range(k)]
+        for m in (6, 10, 12, 15, 30, 60):
+            if m**k <= 5 * 10**4:  # keeps the deque oracle quick
+                fallbacks.clear()
+                assert_matches_oracle(gens, start, m)
+                branches.append(bool(fallbacks))
+    # both the certified joins and the fallbacks are exercised
+    assert branches.count(False) >= 20 and branches.count(True) >= 20

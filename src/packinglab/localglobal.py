@@ -6,20 +6,20 @@ an admissible class that never shows up in the actual packing is reported as
 missing up to the bound scanned.
 
 One level kernel closes an orbit on numpy int64 arrays and yields it a
-level at a time.  The frontier is an (n, k) array of vectors reduced mod m.
-Each vector packs into one int64 key, its coordinates read as digits in
-radix m, so equal keys are equal vectors.  A generator reduced mod m moves
-only the coordinates whose rows differ from the identity's rows mod m, and
-one that moves none is dropped, since its images are the vectors
-themselves.  A level of at most about a thousand images is one product of
-the frontier and every generator's matrix.  Past that, the generators that
-move the same rows are applied together and only on those rows: the
-frontier times their r <= k columns gives the new digits, and an image's
-key is its parent's key plus the new digits less the old, weighted by their
-powers of m, so the Descartes and Soddy moves cost 1/k of a dense product.
-The keys of a level are sorted and their repeats dropped, the ones already
-reached are dropped by a binary search in one sorted array of seen keys,
-and the rest are merged into it and decoded into the next frontier.
+level at a time.  The frontier holds a level's vectors reduced mod m, a
+column each.  Each vector packs into one int64 key, its coordinates read as
+digits in radix m, so equal keys are equal vectors.  A generator reduced
+mod m moves only the coordinates whose rows differ from the identity's rows
+mod m, and one that moves none is dropped, since its images are the vectors
+themselves.  The moved rows of every generator are stacked in one matrix,
+so a level's new digits are one product of it and the frontier, and an
+image's key is its parent's key plus its generator's new digits less the
+old, weighted by their powers of m and summed.  A Descartes or Soddy move
+costs 1/k of a dense product, and a generator that moves every row costs as
+much as one.  The keys of a level are sorted and their repeats dropped, the
+ones already reached are dropped by a binary search in one sorted array of
+seen keys, and the rest are merged into it and decoded into the next
+frontier.
 
 When m has two or more prime-power factors and every generator squares to
 the identity mod m, as every reflection conjugate does, O_m is not
@@ -56,10 +56,7 @@ from .exactnum import QuadExt, is_rational_integer
 
 
 _INT64_MAX = 2**63 - 1
-# up to this many images a level, one product of every generator's whole
-# matrix beats one product per set of moved rows (2-core Xeon, Descartes moves)
-_DENSE_IMAGES = 1024
-# vectors per block of Schreier generators: a block's matrices stay near 2 MB
+# most edges a block of Schreier generators, k*k entries an edge
 _BLOCK = 4096
 
 
@@ -187,57 +184,44 @@ def _schreier_generators(
     mats_q: np.ndarray, q: int, mats_a: np.ndarray, a: int,
 ) -> Iterator[np.ndarray]:
     """The Schreier generators t_v^-1 g t_u mod a of the start's stabilizer
-    mod q, for the edges u -> v = g u of the orbit mod q in BFS order, a
-    block of levels at a time, leaving out the ones that are the identity
-    mod a.  The orbit's keys and vectors are in BFS order, and level d is
-    rows starts[d] to starts[d + 1].
+    mod q, for the edges u -> v = g u of the orbit mod q in BFS order,
+    leaving out the ones that are the identity mod a.  The orbit's keys and
+    vectors are in BFS order, and level d is rows starts[d] to starts[d + 1].
 
-    The tree is read off each level's images: a vector of the next level is
-    the image of some vector p of this one under some g, and t_u = g t_p.
-    Every generator is an involution, so t_u^-1 = t_p^-1 g.  An image lies
-    on its own level or a neighbouring one, so the words of a block, and of
-    the levels either side, are all that is held at once.
+    One product and one sorted lookup give every edge's v.  Of the edges
+    from a level into the next, any one into a vector serves as its tree
+    edge: t_v is g t_u, and since every generator is an involution, t_v^-1
+    is t_u^-1 g.  The words take 2 k**2 entries a vector of the orbit.  The
+    generators go in blocks of edges that double from 2r to _BLOCK, as the
+    consumer's batches do, since the first blocks mostly certify the join.
     """
     r, k = mats_q.shape[:2]
+    n = len(keys)
     eye = np.eye(k, dtype=np.int64)
-    radix = q ** np.arange(k, dtype=np.int64)
     order = np.argsort(keys)
-    found = keys[order]
-    depths = len(starts) - 1
-    words = {0: (eye[None], eye[None])}  # per level, t_u and t_u^-1 mod a of its vectors
-    depth, budget = 0, 64
-    while depth < depths:
-        # a block of levels with at most budget vectors, or one level; the
-        # budget doubles up to _BLOCK, as the consumer's batches do
-        end = depth + 1
-        while end < depths and starts[end + 1] - starts[depth] <= budget:
-            end += 1
-        budget = min(2 * budget, _BLOCK)
-        lo = starts[depth]
-        images = radix @ (mats_q @ vectors[lo:starts[end]].T % q)
-        # v[(u - lo)*r + g]: the row of g u
-        v = order[np.searchsorted(found, images.T.ravel())]
-        for d in range(depth, min(end, depths - 1)):
-            # any edge into a vector of the next level serves as its tree edge
-            out = v[(starts[d] - lo) * r:(starts[d + 1] - lo) * r]
-            into = np.flatnonzero(out >= starts[d + 1])
-            edge = np.empty(starts[d + 2] - starts[d + 1], dtype=np.int64)
-            edge[out[into] - starts[d + 1]] = into
-            parent, gen = np.divmod(edge, r)
-            t, t_inv = words[d]
-            g = mats_a[gen]
-            words[d + 1] = (g @ t[parent] % a, t_inv[parent] @ g % a)
-        first = max(depth - 1, 0)
-        t_inv = np.concatenate([words[d][1] for d in range(first, min(end + 1, depths))])
-        t = np.concatenate([words[d][0] for d in range(depth, end)])
-        v -= starts[first]
-        for b in range(0, len(t), _BLOCK):
-            g_t = (mats_a @ t[b:b + _BLOCK, None] % a).reshape(-1, k, k)
-            s = t_inv[v[b * r:(b + _BLOCK) * r]] @ g_t % a
-            yield s[(s != eye).any(axis=(1, 2))]
-        for d in range(first, end - 1):
-            del words[d]
-        depth = end
+    images = (vectors @ mats_q.transpose(0, 2, 1) % q) @ (q ** np.arange(k, dtype=np.int64))
+    # v[u*r + g]: the row of g u
+    v = order[np.searchsorted(keys[order], images.T.ravel())]
+    t, t_inv = np.empty((2, n, k, k), dtype=np.int64)
+    t[0] = t_inv[0] = eye
+    for first, mid, end in zip(starts, starts[1:], starts[2:]):
+        # any edge into a vector of the next level serves as its tree edge
+        out = v[first * r:mid * r]
+        into = np.flatnonzero(out >= mid)
+        edge = np.empty(end - mid, dtype=np.int64)
+        edge[out[into] - mid] = into
+        parent, gen = np.divmod(edge, r)
+        g = mats_a[gen]
+        t[mid:end] = g @ t[first + parent] % a
+        t_inv[mid:end] = t_inv[first + parent] @ g % a
+    lo, size = 0, 2 * r
+    while lo < n * r:
+        hi = min(lo + size, n * r)
+        size = min(2 * size, _BLOCK)
+        u, g = np.divmod(np.arange(lo, hi), r)
+        s = t_inv[v[lo:hi]] @ (mats_a[g] @ t[u] % a) % a
+        yield s[(s != eye).any(axis=(1, 2))]
+        lo = hi
 
 
 def _fiber_fills(schreier: Iterator[np.ndarray], x: np.ndarray, a: int, target: int, batch: int) -> bool:
@@ -247,17 +231,18 @@ def _fiber_fills(schreier: Iterator[np.ndarray], x: np.ndarray, a: int, target: 
     if target == 1:
         return True
     rows = x[None]
-    pool = np.empty((0, len(x), len(x)), dtype=np.int64)
-    used = 0
+    pool, have, used = [], 0, 0
     for s in schreier:
-        pool = np.concatenate((pool, s))
-        while len(pool) >= max(2 * used, batch):
+        pool.append(s)
+        have += len(s)
+        while have >= max(2 * used, batch):
             used = max(2 * used, batch)
-            rows = _orbit_rows(pool[:used], rows, a, target)
+            pool = [np.concatenate(pool)]
+            rows = _orbit_rows(pool[0][:used], rows, a, target)
             if len(rows) == target:
                 return True
-    if len(pool) > used:
-        rows = _orbit_rows(pool, rows, a, target)
+    if have > used:
+        rows = _orbit_rows(np.concatenate(pool), rows, a, target)
     return len(rows) == target
 
 
@@ -279,34 +264,27 @@ def _levels(mats: np.ndarray, rows: np.ndarray, modulus: int) -> Iterator[tuple[
     level being the rows, and the keys of every later one sorted."""
     k = rows.shape[1]
     radix = modulus ** np.arange(k, dtype=np.int64)
+    # each row a generator moves mod modulus, generator by generator, and
+    # where each moving generator's rows begin
     moved = (mats != np.eye(k, dtype=np.int64) % modulus).any(axis=2)
-    moving = np.flatnonzero(moved.any(axis=1))
-    whole = mats[moving].transpose(0, 2, 1)
-    by_rows = None
+    gen, row = np.nonzero(moved)
+    moves = mats[gen, row]
+    weights = radix[row, None]
+    counts = moved.sum(axis=1)
+    first = (np.cumsum(counts) - counts)[counts > 0]
 
-    frontier = rows
-    keys = frontier @ radix
+    frontier = rows.T  # a column per vector
+    keys = radix @ frontier
     seen = np.sort(keys)
     while len(keys):
-        yield keys, frontier
-        n = len(frontier)
-        if n * len(moving) <= _DENSE_IMAGES:
-            images = frontier @ whole
-            images %= modulus
-            images = images @ radix
-        else:
-            if by_rows is None:
-                by_rows = _by_moved_rows(moved, moving, mats, radix)
-            images = np.empty((len(moving), n), dtype=np.int64)
-            at = 0
-            for gens, on, cols, weights in by_rows:
-                digits = frontier @ cols
-                digits %= modulus
-                digits -= frontier[:, on]
-                out = images[at:at + len(gens)]
-                np.matmul(digits, weights, out=out)
-                out += keys
-                at += len(gens)
+        yield keys, frontier.T
+        digits = moves @ frontier
+        digits %= modulus
+        digits -= frontier[row]
+        digits *= weights
+        # per generator, the sum of its rows' weighted digit changes
+        images = np.add.reduceat(digits, first)
+        images += keys
         keys = _distinct(images.ravel())
         # a key past the end of seen differs from seen[-1], which is smaller
         pos = np.searchsorted(seen, keys)
@@ -314,27 +292,7 @@ def _levels(mats: np.ndarray, rows: np.ndarray, modulus: int) -> Iterator[tuple[
         seen = np.concatenate((seen, keys))
         # two sorted runs: the stable sort (timsort) merges them in linear time
         seen.sort(kind="stable")
-        if len(keys) <= 256:
-            # past a few hundred keys, k in-place divmods beat one division
-            # by every power of the modulus
-            frontier = keys[:, None] // radix % modulus
-        else:
-            frontier = np.empty((len(keys), k), dtype=np.int64)
-            rest = keys.copy()
-            for j in range(k):
-                np.divmod(rest, modulus, out=(rest, frontier[:, j]))
-
-
-def _by_moved_rows(moved, moving, mats, radix):
-    """The moving generators grouped by the rows they move: for each set of
-    rows, its generators, the rows, their columns and their weights."""
-    patterns = moved[moving] @ (1 << np.arange(moved.shape[1], dtype=np.int64))
-    groups = []
-    for p in sorted(set(patterns.tolist())):  # np.unique's first call costs a MB of RSS
-        gens = moving[patterns == p]
-        on = np.flatnonzero(moved[gens[0]])
-        groups.append((gens, on, mats[gens][:, on].transpose(0, 2, 1), radix[on]))
-    return groups
+        frontier = keys // radix[:, None] % modulus
 
 
 def _codes(vectors: np.ndarray, modulus: int) -> np.ndarray:
